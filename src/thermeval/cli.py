@@ -310,7 +310,10 @@ def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
         raise SynthError("distractor file must hold an object keyed by image id")
     out = {}
     for key, boxes in raw.items():
-        out[int(key)] = tuple(BBox(*map(float, b)) for b in boxes)
+        try:
+            out[int(key)] = tuple(BBox(*map(float, b)) for b in boxes)
+        except (TypeError, ValueError, OverflowError, DatasetError) as exc:
+            raise SynthError(f"malformed distractor entry {key!r}: {exc}") from None
     return out
 
 

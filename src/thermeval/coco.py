@@ -10,6 +10,7 @@ separately.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -88,6 +89,8 @@ class BBox:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise DatasetError(f"bbox field {name} must be a number, got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DatasetError(f"bbox field {name} must be finite, got {v!r}")
         if self.w < 0 or self.h < 0:
             raise DatasetError(f"negative bbox extent w={self.w}, h={self.h}")
 
@@ -315,7 +318,7 @@ def _parse_bbox(raw: object, what: str) -> BBox:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
     try:
         x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"{what}: bbox values must be numbers, got {raw!r}") from None
     try:
         return BBox(x, y, w, h)

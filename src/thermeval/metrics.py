@@ -1,11 +1,17 @@
 """Detection metrics: IoU, greedy matching with ignore absorption, PR
 statistics, and the AP/AR summary over an IoU threshold sweep.
 
-The summary follows the standard COCO protocol: AP is the mean of
+The summary follows the COCO protocol in outline: AP is the mean of
 101-point interpolated precision over thresholds 0.50..0.95, AR is the
 mean final recall with detections capped per image, and the small/medium
 strata treat out-of-stratum ground truth as ignore regions.  Strata with
-no eligible ground truth report the sentinel -1.
+no eligible ground truth report the sentinel -1.  The matching departs
+from pycocotools in three ways:
+
+- an ignore region absorbs at most one detection (COCO's crowd regions
+  absorb any number);
+- absorption uses plain IoU, not intersection over the detection's area;
+- IoU ties go to the lower annotation id (COCO's go to the later GT).
 """
 
 from __future__ import annotations
@@ -123,45 +129,19 @@ def match_detections(
         raise ValueError("gt_ignore length does not match gts")
 
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    iou_mat = _iou_matrix([dets[di] for di in order], gts)
+    hits = _greedy(iou_mat, [g.id for g in gts], gt_ignore, (iou_thr,))[0].tolist()
     matched = [False] * len(gts)
     det_matched_gt: list[int | None] = [None] * len(dets)
     det_absorbed = [False] * len(dets)
+    for di, gi in zip(order, hits):
+        if gi >= 0:
+            matched[gi] = True
+            det_matched_gt[di] = gts[gi].id
+            det_absorbed[di] = bool(gt_ignore[gi])
 
-    def best_candidate(di: int, want_ignore: bool) -> int | None:
-        best = None
-        best_v = 0.0
-        for gi, g in enumerate(gts):
-            if bool(gt_ignore[gi]) != want_ignore or matched[gi]:
-                continue
-            v = iou(dets[di].bbox, g.bbox)
-            if v < iou_thr:
-                continue
-            if best is None or v > best_v or (v == best_v and g.id < gts[best].id):
-                best, best_v = gi, v
-        return best
-
-    for di in order:
-        gi = best_candidate(di, want_ignore=False)
-        if gi is None:
-            gi = best_candidate(di, want_ignore=True)
-            if gi is not None:
-                matched[gi] = True
-                det_absorbed[di] = True
-                det_matched_gt[di] = gts[gi].id
-            continue
-        matched[gi] = True
-        det_matched_gt[di] = gts[gi].id
-
-    tp = sum(
-        1
-        for di in range(len(dets))
-        if det_matched_gt[di] is not None and not det_absorbed[di]
-    )
-    fp = sum(
-        1
-        for di in range(len(dets))
-        if det_matched_gt[di] is None and not det_absorbed[di]
-    )
+    tp = sum(1 for gi in hits if gi >= 0 and not gt_ignore[gi])
+    fp = hits.count(-1)
     eligible = sum(1 for flag in gt_ignore if not flag)
     return MatchResult(
         det_matched_gt=tuple(det_matched_gt),
@@ -228,6 +208,46 @@ def _iou_matrix(dets: Sequence[Detection], gts: Sequence[AnnotationRecord]) -> n
     return mat
 
 
+def _greedy(
+    iou_mat: np.ndarray,
+    gt_ids: Sequence[int],
+    gt_ignore: Sequence[bool],
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """The greedy matching rule, at every threshold.
+
+    Rows of ``iou_mat`` are score-sorted detections, columns GTs.  Each
+    detection takes the unmatched real GT with the highest IoU at or above
+    the threshold; failing that, an unmatched ignore region, so each region
+    absorbs at most one detection.  Columns are scanned in (ignore, id)
+    order and the first maximum kept, which sends IoU ties to the lower
+    annotation id.  Returns the matched GT index per (threshold, detection),
+    or -1.
+    """
+    cols = sorted(range(len(gt_ids)), key=lambda gi: (bool(gt_ignore[gi]), gt_ids[gi]))
+    n_real = sum(1 for gi in cols if not gt_ignore[gi])
+    # per detection, the (scan position, IoU) pairs that can match at all
+    cands = [
+        [(k, v) for k, v in enumerate(row[gi] for gi in cols) if v >= thresholds[0]]
+        for row in iou_mat.tolist()
+    ]
+    out = np.full((len(thresholds), len(cands)), -1, dtype=np.intp)
+    for ti, thr in enumerate(thresholds):
+        taken = [False] * len(cols)
+        for di, row in enumerate(cands):
+            best = -1
+            best_v = 0.0
+            for k, v in row:
+                if 0 <= best < n_real <= k:
+                    break  # best is a real GT, k a region: regions are a fallback
+                if v >= thr and v > best_v and not taken[k]:
+                    best, best_v = k, v
+            if best >= 0:
+                taken[best] = True
+                out[ti, di] = cols[best]
+    return out
+
+
 def _match_image(
     gts: Sequence[AnnotationRecord],
     dets: Sequence[Detection],
@@ -238,50 +258,14 @@ def _match_image(
 ) -> _ImageEval:
     """Greedy matching for one image and stratum at every threshold.
 
-    Detections arrive score-sorted and capped.  Ignore GTs absorb at most
-    one detection each; an unmatched detection whose own area falls
-    outside the stratum is ignored rather than counted as FP.
+    Detections arrive score-sorted and capped.  A detection absorbed by an
+    ignore region is ignored, and so is an unmatched detection whose own
+    area falls outside the stratum.
     """
-    n_thr = len(thresholds)
-    n_det = len(dets)
-    dt_matched = np.zeros((n_thr, n_det), dtype=bool)
-    dt_ignored = np.zeros((n_thr, n_det), dtype=bool)
-
-    real = [gi for gi in range(len(gts)) if not gt_ignore[gi]]
-    region = [gi for gi in range(len(gts)) if gt_ignore[gi]]
-
-    for ti, thr in enumerate(thresholds):
-        taken = np.zeros(len(gts), dtype=bool)
-        for di in range(n_det):
-            best = None
-            best_v = 0.0
-            for gi in real:
-                if taken[gi]:
-                    continue
-                v = iou_mat[di, gi]
-                if v < thr:
-                    continue
-                if best is None or v > best_v or (v == best_v and gts[gi].id < gts[best].id):
-                    best, best_v = gi, v
-            if best is None:
-                for gi in region:
-                    if taken[gi]:
-                        continue
-                    v = iou_mat[di, gi]
-                    if v < thr:
-                        continue
-                    if best is None or v > best_v or (v == best_v and gts[gi].id < gts[best].id):
-                        best, best_v = gi, v
-                if best is not None:
-                    taken[best] = True
-                    dt_matched[ti, di] = True
-                    dt_ignored[ti, di] = True
-                continue
-            taken[best] = True
-            dt_matched[ti, di] = True
-        unmatched = ~dt_matched[ti]
-        dt_ignored[ti, unmatched] |= dt_out_of_stratum[unmatched]
-
+    hits = _greedy(iou_mat, [g.id for g in gts], gt_ignore, thresholds)
+    dt_matched = hits >= 0
+    # index -1 (unmatched) reads the appended False
+    dt_ignored = np.append(gt_ignore, False)[hits] | (~dt_matched & dt_out_of_stratum)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     return _ImageEval(scores, dt_matched, dt_ignored, int(np.sum(~gt_ignore)))
 
@@ -298,43 +282,22 @@ def _accumulate(
     npig = sum(e.n_eligible for e in evals)
     if npig == 0:
         return None, None
-    scores = np.concatenate([e.scores for e in evals]) if evals else np.zeros(0)
+    scores = np.concatenate([e.scores for e in evals])
     order = np.argsort(-scores, kind="mergesort")
-    dt_matched = (
-        np.concatenate([e.dt_matched for e in evals], axis=1)[:, order]
-        if evals
-        else np.zeros((n_thr, 0), dtype=bool)
-    )
-    dt_ignored = (
-        np.concatenate([e.dt_ignored for e in evals], axis=1)[:, order]
-        if evals
-        else np.zeros((n_thr, 0), dtype=bool)
-    )
+    dt_matched = np.concatenate([e.dt_matched for e in evals], axis=1)[:, order]
+    dt_ignored = np.concatenate([e.dt_ignored for e in evals], axis=1)[:, order]
 
-    tps = dt_matched & ~dt_ignored
-    fps = ~dt_matched & ~dt_ignored
-    tp_sum = np.cumsum(tps, axis=1).astype(np.float64)
-    fp_sum = np.cumsum(fps, axis=1).astype(np.float64)
-
-    prec_samples = np.zeros((n_thr, _RECALL_SAMPLES.size))
-    final_recall = np.zeros(n_thr)
-    for ti in range(n_thr):
-        tp = tp_sum[ti]
-        fp = fp_sum[ti]
-        nd = tp.size
-        rc = tp / npig
-        pr = tp / (tp + fp + np.spacing(1))
-        final_recall[ti] = rc[-1] if nd else 0.0
-        # precision envelope: non-increasing from the right
-        for i in range(nd - 1, 0, -1):
-            if pr[i] > pr[i - 1]:
-                pr[i - 1] = pr[i]
-        inds = np.searchsorted(rc, _RECALL_SAMPLES, side="left")
-        q = np.zeros(_RECALL_SAMPLES.size)
-        for ri, pi in enumerate(inds):
-            if pi < nd:
-                q[ri] = pr[pi]
-        prec_samples[ti] = q
+    tp_sum = np.cumsum(dt_matched & ~dt_ignored, axis=1).astype(np.float64)
+    fp_sum = np.cumsum(~dt_matched & ~dt_ignored, axis=1).astype(np.float64)
+    rc = tp_sum / npig
+    pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
+    final_recall = rc[:, -1] if order.size else np.zeros(n_thr)
+    # precision envelope: non-increasing from the right; a trailing 0 column
+    # answers the recall samples past the final recall
+    envelope = np.zeros((n_thr, order.size + 1))
+    envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
+    inds = np.array([np.searchsorted(r, _RECALL_SAMPLES, side="left") for r in rc])
+    prec_samples = envelope[np.arange(n_thr)[:, None], inds]
     return prec_samples, final_recall
 
 

@@ -368,6 +368,21 @@ def test_detect_consumes_distractor_file(tmp_path):
     assert len(dets) == len(ds.annotations) + n_distractors
 
 
+@pytest.mark.parametrize(
+    "doc", ['{"1": [[1, 2]]}', '{"1": 5}', '{"1": [[0, 0, NaN, 1]]}']
+)
+def test_detect_rejects_malformed_distractor_file(tmp_path, capsys, doc):
+    gt_path, _ = _gt_file(tmp_path, n=4)
+    distractors = tmp_path / "d.json"
+    distractors.write_text(doc)
+    rc = main([
+        "detect", "--gt", str(gt_path), "--out", str(tmp_path / "dets.json"),
+        "--distractors", str(distractors),
+    ])
+    assert rc == 1
+    assert "thermeval detect: error:" in capsys.readouterr().err
+
+
 def test_manifest_hashes_inputs(tmp_path):
     gt_path, _ = _gt_file(tmp_path)
     out = tmp_path / "filtered.json"

@@ -72,7 +72,25 @@ def test_bbox_area_and_corners():
     assert b.as_list() == [2.0, 3.0, 10.0, 4.0]
 
 
-@pytest.mark.parametrize("bad", [(0, 0, -2, 5), (0, 0, 5, -2)])
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0, 0, -2, 5),
+        (0, 0, 5, -2),
+        # non-finite fields must not reach the metrics
+        (_NAN, 0, 1, 1),
+        (0, _NAN, 1, 1),
+        (0, 0, _NAN, 1),
+        (0, 0, 1, _NAN),
+        (_INF, 0, 1, 1),
+        (0, -_INF, 1, 1),
+        (0, 0, _INF, 1),
+        (0, 0, 1, _INF),
+    ],
+)
 def test_bbox_rejects_negative_extent(bad):
     with pytest.raises(DatasetError):
         BBox(*map(float, bad))
@@ -221,10 +239,12 @@ def test_parse_merges_iscrowd_into_ignore():
 
 
 def test_parse_rejects_malformed_bbox():
-    doc = _doc(_dataset([_ann(1)]))
-    doc["annotations"][0]["bbox"] = [1, 2, 3]
-    with pytest.raises(DatasetError):
-        parse_coco(json.dumps(doc))
+    # too short, NaN, infinite, and an integer too large for a float
+    for bad in ([1, 2, 3], [_NAN, 0, 1, 1], [0, 0, _INF, 1], [10**400, 0, 1, 1]):
+        doc = _doc(_dataset([_ann(1)]))
+        doc["annotations"][0]["bbox"] = bad
+        with pytest.raises(DatasetError):
+            parse_coco(json.dumps(doc))
 
 
 def test_parse_rejects_non_json():

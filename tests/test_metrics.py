@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from thermeval.coco import (
     SizeClass,
     parse_coco,
     parse_detections,
+    write_coco,
+    write_detections,
 )
 from thermeval.metrics import (
     DEFAULT_IOU_THRESHOLDS,
@@ -35,6 +38,9 @@ from thermeval.metrics import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from make_fixtures import ref_evaluate  # noqa: E402  (the independent reference)
 
 
 def _box(x, y, w, h):
@@ -172,6 +178,27 @@ def test_match_ignore_region_absorbs_once():
     dets = [_det(_box(0, 0, 20, 20), 0.9), _det(_box(1, 1, 20, 20), 0.8)]
     m = match_detections(gts, dets, iou_thr=0.5)
     assert m.det_absorbed == (True, False)
+    assert (m.tp, m.fp, m.fn) == (0, 1, 0)
+
+
+def test_match_ignore_region_with_highest_iou_absorbs():
+    gts = [
+        _gt(1, _box(0, 0, 12, 10), ignore=True),  # IoU 10/12
+        _gt(2, _box(0, 0, 10, 10), ignore=True),  # IoU 1
+    ]
+    dets = [_det(_box(0, 0, 10, 10), 0.9)]
+    m = match_detections(gts, dets, iou_thr=0.5)
+    assert m.det_matched_gt == (2,)
+    assert m.det_absorbed == (True,)
+
+
+def test_match_ignore_region_absorbs_by_plain_iou():
+    # inside the region, but at IoU 0.01; COCO's intersection over the
+    # detection's area would be 1 and absorb it
+    gts = [_gt(1, _box(0, 0, 100, 100), ignore=True)]
+    dets = [_det(_box(10, 10, 10, 10), 0.9)]
+    m = match_detections(gts, dets, iou_thr=0.5)
+    assert m.det_absorbed == (False,)
     assert (m.tp, m.fp, m.fn) == (0, 1, 0)
 
 
@@ -383,3 +410,83 @@ def test_evaluate_matches_reference_fixture():
     )
     for name, want in expected["metrics"].items():
         assert getattr(report, name) == pytest.approx(want, abs=1e-6), name
+
+
+# -- differential check against the independent reference evaluator
+
+
+def _assert_matches_reference(gt, dets, thresholds, max_dets):
+    got = evaluate(gt, dets, thresholds=thresholds, max_dets=max_dets).as_dict()
+    gt_doc, det_doc = json.loads(write_coco(gt)), json.loads(write_detections(dets))
+    want = ref_evaluate(gt_doc, det_doc, thresholds, max_dets)
+    for name in METRIC_NAMES:
+        assert abs(got[name] - want[name]) <= 1e-9, (name, got[name], want[name])
+
+
+def _jitter(cell, step):
+    x, y, w, h = (a + d for a, d in zip(cell, step))
+    return _box(8 * x, 8 * y, 8 * max(w, 0), 8 * max(h, 0))
+
+
+# Boxes are anchors on an 8 px grid, moved by at most one cell per field,
+# so IoU ties, exact threshold hits and real/ignore contests are common.
+# Anchor extents span the small, medium and large strata.
+_cell = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 16), st.integers(1, 16))
+_step = st.tuples(*[st.integers(-1, 1)] * 4)
+
+
+@st.composite
+def _random_corpus(draw):
+    n_images = draw(st.integers(1, 2))
+    n_cats = draw(st.integers(1, 2))
+    slot = st.tuples(st.integers(1, n_images), st.integers(1, n_cats))
+    box = st.builds(_jitter, st.sampled_from(draw(st.lists(_cell, min_size=1, max_size=3))), _step)
+    # about one annotation in five is an ignore region
+    placed = draw(st.lists(st.tuples(slot, box, st.integers(0, 4)), min_size=1, max_size=12))
+    ids = draw(st.permutations(range(1, len(placed) + 1)))
+    anns = [
+        AnnotationRecord(
+            id=ann_id, image_id=img, category_id=cat, bbox=b, ignore=roll == 0
+        )
+        for ann_id, ((img, cat), b, roll) in zip(ids, placed)
+    ]
+    score = st.sampled_from([0.2, 0.5, 0.5, 0.8, 0.9])
+    dets = [
+        Detection(image_id=img, category_id=cat, bbox=b, score=sc)
+        for (img, cat), b, sc in draw(st.lists(st.tuples(slot, box, score), max_size=16))
+    ]
+    gt = Dataset(
+        images=tuple(
+            ImageRecord(id=i, file_name=f"f{i}.raw", width=640, height=480)
+            for i in range(1, n_images + 1)
+        ),
+        annotations=tuple(anns),
+        categories=tuple(CategoryRecord(id=c, name=f"c{c}") for c in range(1, n_cats + 1)),
+    )
+    return gt, dets
+
+
+# ref_evaluate needs 0.5 and 0.75 in every sweep
+_sweeps = st.one_of(
+    st.just(list(DEFAULT_IOU_THRESHOLDS)),
+    st.sets(st.sampled_from([0.3, 0.6, 0.9, 1.0])).map(
+        lambda extra: sorted({0.5, 0.75} | extra)
+    ),
+)
+
+
+@given(corpus=_random_corpus(), thresholds=_sweeps, max_dets=st.sampled_from([2, 5, 100]))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_reference_on_random_corpora(corpus, thresholds, max_dets):
+    gt, dets = corpus
+    _assert_matches_reference(gt, dets, thresholds, max_dets)
+
+
+def test_evaluate_matches_reference_at_one_ulp_recall():
+    # 35 of 100 GTs hit: recall 35/100 == 0.35 sits one ulp below COCO's
+    # recall sample 0.35000000000000003, so that sample is not reached
+    boxes = [_box(40 * (i % 10), 40 * (i // 10), 20, 20) for i in range(100)]
+    gt = _corpus([_gt(i + 1, b) for i, b in enumerate(boxes)])
+    dets = [_det(b, 0.9) for b in boxes[:35]]
+    _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
+    assert evaluate(gt, dets, thresholds=[0.5, 0.75]).ap == pytest.approx(35 / 101)

@@ -22,7 +22,8 @@ from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
-RECALL_SAMPLES = [i / 100 for i in range(101)]
+# COCO's recall grid; equal to np.linspace(0, 1, 101), unlike i / 100 at ten points
+RECALL_SAMPLES = [i * 0.01 for i in range(100)] + [1.0]
 
 
 # --------------------------------------------------------------------------
