@@ -89,10 +89,15 @@ class BBox:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise DatasetError(f"bbox field {name} must be a number, got {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DatasetError(f"bbox field {name} must be finite, got {v!r}")
         if self.w < 0 or self.h < 0:
             raise DatasetError(f"negative bbox extent w={self.w}, h={self.h}")
+        # a NaN or inf field carries into these, and finite fields can overflow them
+        try:
+            finite = all(map(math.isfinite, (self.x + self.w, self.y + self.h, self.w * self.h)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise DatasetError(f"bbox {self.as_list()} must have a finite corner and area")
 
     @property
     def area(self) -> float:
@@ -126,7 +131,9 @@ class ImageRecord:
         _check_id(self.id, "image id")
         if not isinstance(self.file_name, str) or not self.file_name:
             raise DatasetError(f"image {self.id}: file_name must be a non-empty string")
-        if not (isinstance(self.width, int) and isinstance(self.height, int)):
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)
+        ):
             raise DatasetError(f"image {self.id}: width/height must be integers")
         if self.width <= 0 or self.height <= 0:
             raise DatasetError(
@@ -317,6 +324,8 @@ def _parse_bbox(raw: object, what: str) -> BBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
     try:
+        if any(isinstance(v, bool) for v in raw):
+            raise TypeError  # float(True) would read 1.0
         x, y, w, h = (float(v) for v in raw)
     except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"{what}: bbox values must be numbers, got {raw!r}") from None

@@ -2,10 +2,12 @@
 statistics, and the AP/AR summary over an IoU threshold sweep.
 
 The summary follows the COCO protocol in outline: AP is the mean of
-101-point interpolated precision over thresholds 0.50..0.95, AR is the
-mean final recall with detections capped per image, and the small/medium
-strata treat out-of-stratum ground truth as ignore regions.  Strata with
-no eligible ground truth report the sentinel -1.  The matching departs
+101-point interpolated precision over thresholds 0.50..0.95, and AR is
+the mean final recall with detections capped per image.  In the small
+and medium strata, ground truth outside the stratum becomes an ignore
+region: a detection absorbed by one is ignored, and so is an unmatched
+detection whose own area falls outside the stratum.  Strata with no
+eligible ground truth report the sentinel -1.  The matching departs
 from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
@@ -130,7 +132,8 @@ def match_detections(
 
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     iou_mat = _iou_matrix([dets[di] for di in order], gts)
-    hits = _greedy(iou_mat, [g.id for g in gts], gt_ignore, (iou_thr,))[0].tolist()
+    ignore = np.array([gt_ignore], dtype=bool)
+    hits = _greedy(iou_mat, [g.id for g in gts], ignore, (iou_thr,))[0, 0].tolist()
     matched = [False] * len(gts)
     det_matched_gt: list[int | None] = [None] * len(dets)
     det_absorbed = [False] * len(dets)
@@ -188,18 +191,6 @@ def f1_score(p: float | None, r: float | None) -> float | None:
 # corpus-level accumulation
 
 
-class _ImageEval:
-    """Per (image, category, stratum) match state over all thresholds."""
-
-    __slots__ = ("scores", "dt_matched", "dt_ignored", "n_eligible")
-
-    def __init__(self, scores, dt_matched, dt_ignored, n_eligible):
-        self.scores = scores          # (D,) detection scores, score-sorted
-        self.dt_matched = dt_matched  # (T, D) bool
-        self.dt_ignored = dt_ignored  # (T, D) bool
-        self.n_eligible = n_eligible  # eligible GT count
-
-
 def _iou_matrix(dets: Sequence[Detection], gts: Sequence[AnnotationRecord]) -> np.ndarray:
     mat = np.zeros((len(dets), len(gts)))
     for di, d in enumerate(dets):
@@ -211,85 +202,61 @@ def _iou_matrix(dets: Sequence[Detection], gts: Sequence[AnnotationRecord]) -> n
 def _greedy(
     iou_mat: np.ndarray,
     gt_ids: Sequence[int],
-    gt_ignore: Sequence[bool],
+    gt_ignore: np.ndarray,
     thresholds: Sequence[float],
 ) -> np.ndarray:
-    """The greedy matching rule, at every threshold.
+    """The greedy matching rule, at every stratum and threshold.
 
-    Rows of ``iou_mat`` are score-sorted detections, columns GTs.  Each
+    Rows of ``iou_mat`` are score-sorted detections, columns GTs; each row
+    of ``gt_ignore`` (S, >= G) marks one stratum's ignore regions.  Each
     detection takes the unmatched real GT with the highest IoU at or above
     the threshold; failing that, an unmatched ignore region, so each region
-    absorbs at most one detection.  Columns are scanned in (ignore, id)
-    order and the first maximum kept, which sends IoU ties to the lower
-    annotation id.  Returns the matched GT index per (threshold, detection),
-    or -1.
+    absorbs at most one detection.  Columns are scanned in id order and the
+    first maximum kept, which sends IoU ties to the lower annotation id.
+    Returns the matched GT index per (stratum, threshold, detection), or -1.
     """
-    cols = sorted(range(len(gt_ids)), key=lambda gi: (bool(gt_ignore[gi]), gt_ids[gi]))
-    n_real = sum(1 for gi in cols if not gt_ignore[gi])
-    # per detection, the (scan position, IoU) pairs that can match at all
+    cols = sorted(range(len(gt_ids)), key=gt_ids.__getitem__)
+    # per detection, the (GT index, IoU) pairs that can match at all
     cands = [
-        [(k, v) for k, v in enumerate(row[gi] for gi in cols) if v >= thresholds[0]]
+        [(gi, row[gi]) for gi in cols if row[gi] >= thresholds[0]]
         for row in iou_mat.tolist()
     ]
-    out = np.full((len(thresholds), len(cands)), -1, dtype=np.intp)
-    for ti, thr in enumerate(thresholds):
-        taken = [False] * len(cols)
-        for di, row in enumerate(cands):
-            best = -1
-            best_v = 0.0
-            for k, v in row:
-                if 0 <= best < n_real <= k:
-                    break  # best is a real GT, k a region: regions are a fallback
-                if v >= thr and v > best_v and not taken[k]:
-                    best, best_v = k, v
-            if best >= 0:
-                taken[best] = True
-                out[ti, di] = cols[best]
+    out = np.full((len(gt_ignore), len(thresholds), len(cands)), -1, dtype=np.intp)
+    for si, ignore in enumerate(gt_ignore.tolist()):
+        for ti, thr in enumerate(thresholds):
+            taken = [False] * len(cols)
+            for di, row in enumerate(cands):
+                real = region = -1
+                real_v = region_v = 0.0
+                for gi, v in row:
+                    if v < thr or taken[gi]:
+                        continue
+                    if ignore[gi]:
+                        if v > region_v:
+                            region, region_v = gi, v
+                    elif v > real_v:
+                        real, real_v = gi, v
+                best = real if real >= 0 else region  # regions are a fallback
+                if best >= 0:
+                    taken[best] = True
+                    out[si, ti, di] = best
     return out
 
 
-def _match_image(
-    gts: Sequence[AnnotationRecord],
-    dets: Sequence[Detection],
-    iou_mat: np.ndarray,
-    gt_ignore: np.ndarray,
-    dt_out_of_stratum: np.ndarray,
-    thresholds: Sequence[float],
-) -> _ImageEval:
-    """Greedy matching for one image and stratum at every threshold.
-
-    Detections arrive score-sorted and capped.  A detection absorbed by an
-    ignore region is ignored, and so is an unmatched detection whose own
-    area falls outside the stratum.
-    """
-    hits = _greedy(iou_mat, [g.id for g in gts], gt_ignore, thresholds)
-    dt_matched = hits >= 0
-    # index -1 (unmatched) reads the appended False
-    dt_ignored = np.append(gt_ignore, False)[hits] | (~dt_matched & dt_out_of_stratum)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    return _ImageEval(scores, dt_matched, dt_ignored, int(np.sum(~gt_ignore)))
-
-
 def _accumulate(
-    evals: list[_ImageEval], thresholds: Sequence[float]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Merge per-image results into 101-point precision samples and recall.
+    scores: np.ndarray, tps: np.ndarray, fps: np.ndarray, n_eligible: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge a stratum's detections into 101-point precision samples and recall.
 
-    Returns (precision_samples (T, 101), final_recall (T,)) or
-    (None, None) when the stratum holds no eligible ground truth.
+    ``scores`` (D,) hold every capped detection of one category; its TP and
+    FP flags (T, D) are both False where it is ignored.  ``n_eligible`` must
+    be positive.  Returns (precision_samples (T, 101), final_recall (T,)).
     """
-    n_thr = len(thresholds)
-    npig = sum(e.n_eligible for e in evals)
-    if npig == 0:
-        return None, None
-    scores = np.concatenate([e.scores for e in evals])
+    n_thr = tps.shape[0]
     order = np.argsort(-scores, kind="mergesort")
-    dt_matched = np.concatenate([e.dt_matched for e in evals], axis=1)[:, order]
-    dt_ignored = np.concatenate([e.dt_ignored for e in evals], axis=1)[:, order]
-
-    tp_sum = np.cumsum(dt_matched & ~dt_ignored, axis=1).astype(np.float64)
-    fp_sum = np.cumsum(~dt_matched & ~dt_ignored, axis=1).astype(np.float64)
-    rc = tp_sum / npig
+    tp_sum = np.cumsum(tps[:, order], axis=1).astype(np.float64)
+    fp_sum = np.cumsum(fps[:, order], axis=1).astype(np.float64)
+    rc = tp_sum / n_eligible
     pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
     final_recall = rc[:, -1] if order.size else np.zeros(n_thr)
     # precision envelope: non-increasing from the right; a trailing 0 column
@@ -317,8 +284,9 @@ def _corpus_tables(
 ) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Per stratum: per-category precision samples and recall arrays.
 
-    Categories without eligible ground truth in a stratum are skipped, so
-    each list holds only defined entries.
+    Each (image, category) cell is matched once for all strata.  Categories
+    without eligible ground truth in a stratum are skipped, so each list
+    holds only defined entries.
     """
     for d in dets:
         if not gt.has_image(d.image_id):
@@ -333,8 +301,11 @@ def _corpus_tables(
     tables: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {
         name: ([], []) for name, _ in strata
     }
+    classes = [size_class for _, size_class in strata]
+    rows = np.arange(len(strata))[:, None, None]
     for cat in gt.categories:
-        per_image: list[tuple[list[AnnotationRecord], list[Detection], np.ndarray]] = []
+        scores, tps, fps = [], [], []
+        n_eligible = np.zeros(len(strata), dtype=np.int64)
         for img in gt.images:
             gts = list(gt.annotations_for(img.id, cat.id))
             cand = dets_by_img_cat.get((img.id, cat.id), [])
@@ -342,31 +313,33 @@ def _corpus_tables(
             image_dets = [cand[i] for i in order[:max_dets]]
             if not gts and not image_dets:
                 continue
-            per_image.append((gts, image_dets, _iou_matrix(image_dets, gts)))
+            # (S, G + 1): the trailing False lets hit index -1 read "not absorbed"
+            ignore = np.array(
+                [[g.ignore or (sc is not None and g.size_class is not sc) for g in gts] + [False]
+                 for sc in classes],
+                dtype=bool,
+            )
+            dt_sizes = [classify_size(d.bbox.area) for d in image_dets]
+            dt_out = np.array(
+                [[sc is not None and s is not sc for s in dt_sizes] for sc in classes],
+                dtype=bool,
+            ).reshape(len(strata), 1, len(image_dets))
+            hits = _greedy(_iou_matrix(image_dets, gts), [g.id for g in gts], ignore, thresholds)
+            matched = hits >= 0
+            ignored = ignore[rows, hits] | (~matched & dt_out)
+            scores.append(np.array([d.score for d in image_dets], dtype=np.float64))
+            tps.append(matched & ~ignored)
+            fps.append(~matched & ~ignored)
+            n_eligible += len(gts) - ignore[:, :-1].sum(axis=1)
 
-        for name, size_class in strata:
-            evals = []
-            for gts, image_dets, iou_mat in per_image:
-                gt_ignore = np.array(
-                    [
-                        g.ignore or (size_class is not None and g.size_class is not size_class)
-                        for g in gts
-                    ],
-                    dtype=bool,
-                )
-                dt_out = np.array(
-                    [
-                        size_class is not None
-                        and classify_size(d.bbox.area) is not size_class
-                        for d in image_dets
-                    ],
-                    dtype=bool,
-                )
-                evals.append(
-                    _match_image(gts, image_dets, iou_mat, gt_ignore, dt_out, thresholds)
-                )
-            prec, rec = _accumulate(evals, thresholds)
-            if prec is not None:
+        if not n_eligible.any():
+            continue
+        all_scores = np.concatenate(scores)
+        all_tps = np.concatenate(tps, axis=2)
+        all_fps = np.concatenate(fps, axis=2)
+        for si, (name, _) in enumerate(strata):
+            if n_eligible[si]:
+                prec, rec = _accumulate(all_scores, all_tps[si], all_fps[si], int(n_eligible[si]))
                 tables[name][0].append(prec)
                 tables[name][1].append(rec)
     return tables

@@ -11,6 +11,7 @@ directly, so a plan with k_outer = k_inner = 5 yields 25 runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -222,7 +223,7 @@ def read_plan(text: str | bytes) -> SplitPlan:
             )
             for r in doc["runs"]
         )
-        return SplitPlan(
+        plan = SplitPlan(
             seed=int(doc["seed"]),
             k_outer=int(doc["k_outer"]),
             k_inner=int(doc["k_inner"]),
@@ -230,12 +231,21 @@ def read_plan(text: str | bytes) -> SplitPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
+    for r in plan.runs:
+        train, val, test = map(set, (r.train_ids, r.val_ids, r.test_ids))
+        if train & val or train & test or val & test:
+            raise PlanError(
+                f"run ({r.outer_fold}, {r.inner_fold}): train, val and test ids overlap"
+            )
+    return plan
 
 
 def select_best_epoch(ap_log: Sequence[float]) -> int:
     """1-based epoch with the highest validation AP; ties take the earliest."""
     if len(ap_log) == 0:
         raise PlanError("empty epoch log")
+    if not all(map(math.isfinite, ap_log)):
+        raise PlanError(f"non-finite validation AP in {list(ap_log)}")
     best = 0
     for i, v in enumerate(ap_log):
         if v > ap_log[best]:

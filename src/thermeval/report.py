@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
@@ -92,9 +93,10 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
         if len(row) != len(_CSV_HEADER):
             raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
         try:
-            metrics = MetricReport(**{
-                name: float(row[4 + i]) for i, name in enumerate(METRIC_NAMES)
-            })
+            values = {name: float(row[4 + i]) for i, name in enumerate(METRIC_NAMES)}
+            if not all(map(math.isfinite, values.values())):
+                raise ValueError(f"non-finite metric in {row[4:]}")
+            metrics = MetricReport(**values)
             out.append(
                 RunResult(
                     model=row[1],

@@ -168,22 +168,10 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
 
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Midranks plus the sizes of tie runs (size >= 2)."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    ties = []
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # ranks i+1 .. j+1 share their average
-        avg = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        if j > i:
-            ties.append(j - i + 1)
-        i = j + 1
-    return ranks, ties
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a run of c equal values ending at rank e shares the rank e - (c - 1) / 2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return ranks, counts[counts > 1].tolist()
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:

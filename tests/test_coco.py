@@ -89,6 +89,10 @@ _NAN, _INF = float("nan"), float("inf")
         (0, -_INF, 1, 1),
         (0, 0, _INF, 1),
         (0, 0, 1, _INF),
+        # finite fields whose area or far corner overflows
+        (0, 0, 1e200, 1e200),
+        (1e308, 0, 1e308, 1),
+        (0, 1e308, 1, 1e308),
     ],
 )
 def test_bbox_rejects_negative_extent(bad):
@@ -108,6 +112,8 @@ def test_bbox_zero_extent_allowed():
 def test_image_record_rejects_bad_dims():
     with pytest.raises(DatasetError):
         ImageRecord(id=1, file_name="x", width=0, height=10)
+    with pytest.raises(DatasetError):
+        ImageRecord(id=1, file_name="x", width=True, height=True)
 
 
 def test_annotation_area_is_derived():
@@ -239,8 +245,10 @@ def test_parse_merges_iscrowd_into_ignore():
 
 
 def test_parse_rejects_malformed_bbox():
-    # too short, NaN, infinite, and an integer too large for a float
-    for bad in ([1, 2, 3], [_NAN, 0, 1, 1], [0, 0, _INF, 1], [10**400, 0, 1, 1]):
+    # too short, NaN, infinite, an integer too large for a float, a boolean
+    for bad in (
+        [1, 2, 3], [_NAN, 0, 1, 1], [0, 0, _INF, 1], [10**400, 0, 1, 1], [True, 10, 20, 20]
+    ):
         doc = _doc(_dataset([_ann(1)]))
         doc["annotations"][0]["bbox"] = bad
         with pytest.raises(DatasetError):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -36,11 +35,9 @@ from thermeval.metrics import (
     recall,
     validate_thresholds,
 )
+from make_fixtures import ref_evaluate  # the independent reference, in tools/
 
 DATA = Path(__file__).parent / "data"
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from make_fixtures import ref_evaluate  # noqa: E402  (the independent reference)
 
 
 def _box(x, y, w, h):

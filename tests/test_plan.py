@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,11 @@ def test_read_plan_rejects_malformed():
         read_plan("{not json")
     with pytest.raises(PlanError):
         read_plan('{"seed": 0}')
+    # a run whose val ids overlap its test ids
+    doc = json.loads(write_plan(plan_splits(range(70), k_outer=3, k_inner=2, seed=99)))
+    doc["runs"][0]["val"].append(doc["runs"][0]["test"][0])
+    with pytest.raises(PlanError, match="overlap"):
+        read_plan(json.dumps(doc))
 
 
 @given(
@@ -162,3 +169,5 @@ def test_select_best_epoch_flat_log_collapses_to_first():
 def test_select_best_epoch_rejects_empty():
     with pytest.raises(PlanError):
         select_best_epoch([])
+    with pytest.raises(PlanError):
+        select_best_epoch([float("nan"), 0.1, 0.9])

@@ -67,9 +67,11 @@ def test_read_results_rejects_short_row():
 
 
 def test_read_results_rejects_bad_number():
-    text = write_results_csv([_result(1)]).replace("0.5", "not-a-number", 1)
-    with pytest.raises(ReportError, match="line 2"):
-        read_results_csv(text)
+    # -1 marks an undefined stratum; NaN and inf are never legal
+    for bad in ("not-a-number", "nan", "inf", "-inf"):
+        text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
+        with pytest.raises(ReportError, match="line 2"):
+            read_results_csv(text)
 
 
 def test_read_results_empty_file():
