@@ -1,195 +1,8 @@
 """Thermal detection evaluation toolkit.
 
-Dataset handling, frame conversion and augmentation, COCO-protocol
-metrics, nested cross-validation planning, a hand-rolled significance
-battery with compact letter displays, aggregate reporting, and a seeded
-synthetic benchmark.
+Import from the submodules (``coco``, ``thermal``, ``metrics``, ``plan``,
+``stats``, ``report``, ``synth``, ``cli``); each one's ``__all__`` is its
+public API.  The package root holds only the version.
 """
 
-from .coco import (
-    AnnotationRecord,
-    BBox,
-    CategoryRecord,
-    Dataset,
-    DatasetError,
-    Detection,
-    ImageRecord,
-    SizeClass,
-    classify_size,
-    filter_small_objects,
-    parse_coco,
-    parse_detections,
-    write_coco,
-    write_detections,
-)
-from .metrics import (
-    DEFAULT_IOU_THRESHOLDS,
-    METRIC_NAMES,
-    MatchResult,
-    MetricReport,
-    average_precision,
-    evaluate,
-    f1_score,
-    iou,
-    match_detections,
-    precision,
-    recall,
-)
-from .plan import (
-    CANONICAL_HPC_ORDER,
-    HPC,
-    PlanError,
-    RunSplit,
-    SplitPlan,
-    hpc_grid,
-    plan_splits,
-    read_plan,
-    select_best_epoch,
-    write_plan,
-)
-from .report import (
-    AggregateTable,
-    ReportError,
-    RunResult,
-    aggregate,
-    best_hpc,
-    emit_significance_figure_data,
-    emit_table,
-    metric_samples,
-    read_results_csv,
-    write_results_csv,
-)
-from .stats import (
-    PairwiseTest,
-    SampleSet,
-    StatReport,
-    StatsError,
-    compact_letters,
-    dunn_test,
-    kruskal_wallis,
-    one_way_anova,
-    run_battery,
-    shapiro_wilk,
-    t_test_welch,
-)
-from .synth import (
-    Corpus,
-    MockDetectorSpec,
-    PRESET_A,
-    PRESET_B,
-    Scene,
-    SceneSpec,
-    SynthError,
-    build_corpus,
-    generate_scene,
-    mock_detect,
-)
-from .thermal import (
-    AugmentPolicy,
-    CalibrationRange,
-    GrayFrame,
-    RawFrame,
-    ThermalError,
-    augment_sample,
-    flip,
-    normalize_frame,
-    read_pgm,
-    read_raw,
-    rotate,
-    triple_channels,
-    write_pgm,
-    write_raw,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # datasets
-    "AnnotationRecord",
-    "BBox",
-    "CategoryRecord",
-    "Dataset",
-    "DatasetError",
-    "Detection",
-    "ImageRecord",
-    "SizeClass",
-    "classify_size",
-    "filter_small_objects",
-    "parse_coco",
-    "parse_detections",
-    "write_coco",
-    "write_detections",
-    # frames
-    "AugmentPolicy",
-    "CalibrationRange",
-    "GrayFrame",
-    "RawFrame",
-    "ThermalError",
-    "augment_sample",
-    "flip",
-    "normalize_frame",
-    "read_pgm",
-    "read_raw",
-    "rotate",
-    "triple_channels",
-    "write_pgm",
-    "write_raw",
-    # metrics
-    "DEFAULT_IOU_THRESHOLDS",
-    "METRIC_NAMES",
-    "MatchResult",
-    "MetricReport",
-    "average_precision",
-    "evaluate",
-    "f1_score",
-    "iou",
-    "match_detections",
-    "precision",
-    "recall",
-    # planning
-    "CANONICAL_HPC_ORDER",
-    "HPC",
-    "PlanError",
-    "RunSplit",
-    "SplitPlan",
-    "hpc_grid",
-    "plan_splits",
-    "read_plan",
-    "select_best_epoch",
-    "write_plan",
-    # statistics
-    "PairwiseTest",
-    "SampleSet",
-    "StatReport",
-    "StatsError",
-    "compact_letters",
-    "dunn_test",
-    "kruskal_wallis",
-    "one_way_anova",
-    "run_battery",
-    "shapiro_wilk",
-    "t_test_welch",
-    # reporting
-    "AggregateTable",
-    "ReportError",
-    "RunResult",
-    "aggregate",
-    "best_hpc",
-    "emit_significance_figure_data",
-    "emit_table",
-    "metric_samples",
-    "read_results_csv",
-    "write_results_csv",
-    # synthetic benchmark
-    "Corpus",
-    "MockDetectorSpec",
-    "PRESET_A",
-    "PRESET_B",
-    "Scene",
-    "SceneSpec",
-    "SynthError",
-    "build_corpus",
-    "generate_scene",
-    "mock_detect",
-]

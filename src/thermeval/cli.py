@@ -11,22 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .coco import (
-    DatasetError,
-    parse_coco,
-    parse_detections,
-    write_coco,
-    write_detections,
-)
-from .coco import BBox
+from .coco import BBox, parse_coco, parse_detections, write_coco, write_detections
 from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate
-from .plan import PlanError, plan_splits, write_plan
+from .plan import plan_splits, write_plan
 from .report import (
-    ReportError,
     RunResult,
     aggregate,
     emit_significance_figure_data,
@@ -36,13 +29,7 @@ from .report import (
     write_results_csv,
 )
 from .stats import DEFAULT_ALPHA, StatsError, run_battery
-from .synth import (
-    PRESETS,
-    MockDetectorSpec,
-    SynthError,
-    build_corpus,
-    mock_detect,
-)
+from .synth import PRESETS, MockDetectorSpec, SynthError, build_corpus, mock_detect
 from .thermal import (
     CalibrationRange,
     ThermalError,
@@ -52,16 +39,8 @@ from .thermal import (
     write_raw,
 )
 
-_ERRORS = (
-    DatasetError,
-    ThermalError,
-    PlanError,
-    StatsError,
-    ReportError,
-    SynthError,
-    ValueError,
-    OSError,
-)
+# every module error subclasses ValueError
+_ERRORS = (ValueError, OSError)
 
 
 def _sha256(path: Path) -> str:
@@ -93,6 +72,16 @@ def _write_manifest(
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write through a temp file beside ``path``, so a failure leaves it as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
+
+
 def _load_dataset(path: Path):
     return parse_coco(path.read_text(encoding="utf-8"))
 
@@ -105,8 +94,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     src = Path(args.src)
     out = Path(args.out)
     if not src.is_dir():
-        print(f"thermeval convert: error: {src} is not a directory", file=sys.stderr)
-        return 1
+        raise NotADirectoryError(f"{src} is not a directory")
     cal = CalibrationRange(args.cal_lo, args.cal_hi)
     raw_files = sorted(src.glob("*.raw"))
     if not raw_files:
@@ -162,28 +150,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out is None and args.append is None:
-        print(
-            "thermeval evaluate: error: nothing to do, pass --out and/or --append",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError("nothing to do, pass --out and/or --append")
     if args.append is not None and None in (args.model, args.hpc, args.run, args.dataset):
-        print(
-            "thermeval evaluate: error: --append needs --model, --hpc, --run and --dataset",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError("--append needs --model, --hpc, --run and --dataset")
     gt = _load_dataset(Path(args.gt))
     dets = parse_detections(Path(args.dets).read_text(encoding="utf-8"), gt)
     report = evaluate(gt, dets, args.iou_thresholds, args.max_dets)
     for name in METRIC_NAMES:
         print(f"{name} {getattr(report, name):.6f}")
-    outputs: list[Path] = []
-    if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        outputs.append(Path(args.out))
     if args.append is not None:
         path = Path(args.append)
         rows = list(read_results_csv(path.read_text(encoding="utf-8"))) if path.exists() else []
@@ -196,7 +170,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 metrics=report,
             )
         )
-        path.write_text(write_results_csv(rows), encoding="utf-8")
+        aggregate(rows)  # a repeated run or a second dataset tag fails before any write
+    outputs: list[Path] = []
+    if args.out is not None:
+        Path(args.out).write_text(
+            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
+        )
+        outputs.append(Path(args.out))
+    if args.append is not None:
+        _replace_text(path, write_results_csv(rows))
         outputs.append(path)
     if args.manifest:
         _write_manifest(
@@ -226,8 +208,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f" p={battery.omnibus_p:.4g} {letters}"
         )
     if not reports:
-        print("thermeval stats: error: no metric could be tested", file=sys.stderr)
-        return 1
+        raise StatsError("no metric could be tested")
     if args.out is not None:
         Path(args.out).write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
         if args.manifest:
@@ -260,11 +241,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             except StatsError:
                 continue
         if not stats_by_metric:
-            print(
-                "thermeval report: error: no metric supports the battery",
-                file=sys.stderr,
-            )
-            return 1
+            raise StatsError("no metric supports the battery")
         Path(args.figure_data).write_text(
             emit_significance_figure_data(stats_by_metric, table), encoding="utf-8"
         )
@@ -312,7 +289,7 @@ def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
     for key, boxes in raw.items():
         try:
             out[int(key)] = tuple(BBox(*map(float, b)) for b in boxes)
-        except (TypeError, ValueError, OverflowError, DatasetError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SynthError(f"malformed distractor entry {key!r}: {exc}") from None
     return out
 

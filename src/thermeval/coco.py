@@ -320,15 +320,21 @@ def _require(record: dict, key: str, what: str):
     return record[key]
 
 
+def _json_number(value: object, what: str) -> float:
+    """A finite JSON int or float, as a float; bools and numeric strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise DatasetError(f"{what} must be a finite number, got {value!r}")
+
+
 def _parse_bbox(raw: object, what: str) -> BBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+    if not isinstance(raw, list) or len(raw) != 4:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
-    try:
-        if any(isinstance(v, bool) for v in raw):
-            raise TypeError  # float(True) would read 1.0
-        x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetError(f"{what}: bbox values must be numbers, got {raw!r}") from None
+    x, y, w, h = (_json_number(v, f"{what}: bbox value") for v in raw)
     try:
         return BBox(x, y, w, h)
     except DatasetError as exc:
@@ -367,10 +373,7 @@ def parse_coco(text: str | bytes) -> Dataset:
         what = f"annotation {ann_id}"
         bbox = _parse_bbox(_require(raw, "bbox", what), what)
         if "area" in raw and raw["area"] is not None:
-            try:
-                stored = float(raw["area"])
-            except (TypeError, ValueError):
-                raise DatasetError(f"{what}: area must be a number") from None
+            stored = _json_number(raw["area"], f"{what}: area")
             if abs(stored - bbox.area) > AREA_TOLERANCE:
                 raise DatasetError(
                     f"{what}: stored area {stored} deviates from bbox area "
@@ -468,14 +471,11 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> tuple[Dete
         raw = _as_dict(raw, f"detection #{i}")
         what = f"detection #{i}"
         bbox = _parse_bbox(_require(raw, "bbox", what), what)
-        score = _require(raw, "score", what)
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise DatasetError(f"{what}: score must be a number, got {score!r}")
         det = Detection(
             image_id=_require(raw, "image_id", what),
             category_id=_require(raw, "category_id", what),
             bbox=bbox,
-            score=float(score),
+            score=_json_number(_require(raw, "score", what), f"{what}: score"),
         )
         if ds is not None:
             if not ds.has_image(det.image_id):

@@ -131,19 +131,6 @@ class SplitPlan:
     runs: tuple[RunSplit, ...]
 
 
-def _chunks(ids: Sequence[int], k: int) -> list[list[int]]:
-    """k near-equal contiguous chunks; the remainder goes one per leading chunk."""
-    n = len(ids)
-    base, extra = divmod(n, k)
-    out = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        out.append(list(ids[start : start + size]))
-        start += size
-    return out
-
-
 def plan_splits(
     image_ids: Iterable[int],
     k_outer: int = 5,
@@ -166,12 +153,13 @@ def plan_splits(
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(len(ids))]
 
+    # near-equal contiguous chunks; the remainder goes one per leading chunk
     runs = []
-    outer_chunks = _chunks(shuffled, k_outer)
+    outer_chunks = [c.tolist() for c in np.array_split(shuffled, k_outer)]
     for oi in range(k_outer):
         test = outer_chunks[oi]
         rest = [v for ci, chunk in enumerate(outer_chunks) if ci != oi for v in chunk]
-        inner_chunks = _chunks(rest, k_inner)
+        inner_chunks = [c.tolist() for c in np.array_split(rest, k_inner)]
         for ii in range(k_inner):
             val = inner_chunks[ii]
             val_set = set(val)
@@ -207,7 +195,25 @@ def write_plan(plan: SplitPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_int(value: object, what: str) -> int:
+    # int() would read 2.9 as 2, true as 1 and "7" as 7
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PlanError(f"malformed plan document: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise PlanError(f"malformed plan document: {what} must be a list, got {value!r}")
+    return value
+
+
+def _json_ids(value: object, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(v, f"{what} id") for v in _json_list(value, what))
+
+
 def read_plan(text: str | bytes) -> SplitPlan:
+    """Parse a plan document; every number in it must be a JSON integer."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -215,21 +221,21 @@ def read_plan(text: str | bytes) -> SplitPlan:
     try:
         runs = tuple(
             RunSplit(
-                outer_fold=int(r["outer_fold"]),
-                inner_fold=int(r["inner_fold"]),
-                train_ids=tuple(int(v) for v in r["train"]),
-                val_ids=tuple(int(v) for v in r["val"]),
-                test_ids=tuple(int(v) for v in r["test"]),
+                outer_fold=_json_int(r["outer_fold"], "outer_fold"),
+                inner_fold=_json_int(r["inner_fold"], "inner_fold"),
+                train_ids=_json_ids(r["train"], "train"),
+                val_ids=_json_ids(r["val"], "val"),
+                test_ids=_json_ids(r["test"], "test"),
             )
-            for r in doc["runs"]
+            for r in _json_list(doc["runs"], "runs")
         )
         plan = SplitPlan(
-            seed=int(doc["seed"]),
-            k_outer=int(doc["k_outer"]),
-            k_inner=int(doc["k_inner"]),
+            seed=_json_int(doc["seed"], "seed"),
+            k_outer=_json_int(doc["k_outer"], "k_outer"),
+            k_inner=_json_int(doc["k_inner"], "k_inner"),
             runs=runs,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
     for r in plan.runs:
         train, val, test = map(set, (r.train_ids, r.val_ids, r.test_ids))

@@ -27,10 +27,10 @@ def _gt_file(tmp_path, n=12, seed=3, name="gt.json"):
     return path, corpus
 
 
-def _results_csv(tmp_path, name="results.csv"):
+def _results_csv(tmp_path, name="results.csv", models=(("good", 0.7), ("bad", 0.4))):
     rng = np.random.default_rng(0)
     rows = []
-    for model, base in (("good", 0.7), ("bad", 0.4)):
+    for model, base in models:
         for hpc in ("4_L_p", "4_L_u"):
             offset = 0.0 if hpc == "4_L_p" else -0.05
             for run in range(1, 9):
@@ -212,20 +212,51 @@ def test_evaluate_append_needs_all_tags(tmp_path, capsys):
     assert "--append needs" in capsys.readouterr().err
 
 
+def _append_args(gt_path, dets_path, csv_path, run="1"):
+    return [
+        "evaluate", "--gt", str(gt_path), "--dets", str(dets_path),
+        "--append", str(csv_path), "--model", "net", "--hpc", "4_L_p",
+        "--run", run, "--dataset", "pond",
+    ]
+
+
 def test_evaluate_append_accumulates_rows(tmp_path):
     gt_path, dets_path = _eval_inputs(tmp_path)
     csv_path = tmp_path / "r.csv"
     for run in ("1", "2"):
-        rc = main([
-            "evaluate", "--gt", str(gt_path), "--dets", str(dets_path),
-            "--append", str(csv_path), "--model", "net", "--hpc", "4_L_p",
-            "--run", run, "--dataset", "pond",
-        ])
-        assert rc == 0
+        assert main(_append_args(gt_path, dets_path, csv_path, run)) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 3  # header plus two runs
     assert lines[1].startswith("1,net,4_L_p,pond,")
     assert lines[2].startswith("2,net,4_L_p,pond,")
+
+
+def test_evaluate_append_rejects_a_repeated_run(tmp_path, capsys):
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    csv_path = tmp_path / "r.csv"
+    assert main(_append_args(gt_path, dets_path, csv_path)) == 0
+    before = csv_path.read_bytes()
+    rc = main(_append_args(gt_path, dets_path, csv_path))
+    assert rc == 1
+    assert "thermeval evaluate: error: duplicate run" in capsys.readouterr().err
+    assert csv_path.read_bytes() == before
+
+
+def test_evaluate_append_keeps_the_file_when_the_write_fails(tmp_path, capsys, monkeypatch):
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    csv_path = tmp_path / "r.csv"
+    assert main(_append_args(gt_path, dets_path, csv_path)) == 0
+    before = csv_path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    rc = main(_append_args(gt_path, dets_path, csv_path, run="2"))
+    assert rc == 1
+    assert "thermeval evaluate: error: disk full" in capsys.readouterr().err
+    assert csv_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dets.json", "gt.json", "r.csv"]
 
 
 def test_evaluate_custom_thresholds(tmp_path, capsys):
@@ -262,6 +293,15 @@ def test_stats_all_metrics(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [l.split(":")[0] for l in lines] == list(METRIC_NAMES)
+
+
+def test_stats_with_one_model_fails(tmp_path, capsys):
+    results = _results_csv(tmp_path, models=(("good", 0.7),))
+    rc = main(["stats", "--results", str(results)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "thermeval stats: error: no metric could be tested"
+    )
 
 
 # -- report
@@ -303,6 +343,19 @@ def test_report_comma_csv_and_figure_data(tmp_path):
     fig_lines = fig.read_text().splitlines()
     assert fig_lines[0] == "metric,model,mean,std,letters"
     assert any(line.startswith("ap,good,") for line in fig_lines)
+
+
+def test_report_figure_data_with_one_model_fails(tmp_path, capsys):
+    results = _results_csv(tmp_path, models=(("good", 0.7),))
+    rc = main([
+        "report", "--results", str(results), "--out", str(tmp_path / "t.md"),
+        "--figure-data", str(tmp_path / "figure.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "thermeval report: error: no metric supports the battery\n"
+    )
+    assert not (tmp_path / "figure.csv").exists()
 
 
 # -- synth / detect

@@ -229,6 +229,11 @@ def test_parse_checks_area_consistency():
     doc["annotations"][0]["area"] = 123.0
     with pytest.raises(DatasetError, match="7"):
         parse_coco(json.dumps(doc))
+    # the box's area is 400: a NaN never exceeds the tolerance, strings and bools are no numbers
+    for bad in (_NAN, _INF, "nan", "400", True):
+        doc["annotations"][0]["area"] = bad
+        with pytest.raises(DatasetError, match="annotation 7: area"):
+            parse_coco(json.dumps(doc))
 
 
 def test_parse_tolerates_half_pixel_area_slack():
@@ -245,13 +250,15 @@ def test_parse_merges_iscrowd_into_ignore():
 
 
 def test_parse_rejects_malformed_bbox():
-    # too short, NaN, infinite, an integer too large for a float, a boolean
+    # too short, NaN, infinite, an integer too large for a float, a boolean, numeric strings
+    doc = _doc(_dataset([_ann(1)]))
+    del doc["annotations"][0]["area"]  # so the stored-area checksum cannot reject a case
     for bad in (
-        [1, 2, 3], [_NAN, 0, 1, 1], [0, 0, _INF, 1], [10**400, 0, 1, 1], [True, 10, 20, 20]
+        [1, 2, 3], [_NAN, 0, 1, 1], [0, 0, _INF, 1], [10**400, 0, 1, 1], [True, 10, 20, 20],
+        ["0", "0", "20", "20"], [0, 0, "1e3", 5],
     ):
-        doc = _doc(_dataset([_ann(1)]))
         doc["annotations"][0]["bbox"] = bad
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="bbox"):
             parse_coco(json.dumps(doc))
 
 
@@ -283,6 +290,13 @@ def test_parse_detections_checks_references():
     )
     with pytest.raises(DatasetError, match="9"):
         parse_detections(text, ds)
+
+
+def test_parse_detections_rejects_non_number_score():
+    det = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1]}
+    for bad in ("0.5", True, 10**400, _NAN, None):
+        with pytest.raises(DatasetError, match="score"):
+            parse_detections(json.dumps([{**det, "score": bad}]))
 
 
 @given(

@@ -131,6 +131,27 @@ def test_read_plan_rejects_malformed():
     doc["runs"][0]["val"].append(doc["runs"][0]["test"][0])
     with pytest.raises(PlanError, match="overlap"):
         read_plan(json.dumps(doc))
+    # every number must be a JSON integer: int() would read these as 3, 0, 1 and (9, 8, 7)
+    valid = json.loads(write_plan(plan_splits(range(70), k_outer=3, k_inner=2, seed=99)))
+    cases = [
+        (("runs", 0, "train", 0), 3.9),
+        (("seed",), 0.5),
+        (("k_outer",), True),
+        (("runs", 0, "val"), "987"),
+        (("runs", 1, "outer_fold"), "1"),
+        (("k_inner",), float("inf")),
+        (("runs", 0, "test", 0), float("-inf")),
+        (("runs", 0, "inner_fold"), float("nan")),
+    ]
+    for path, bad in cases:
+        doc = json.loads(json.dumps(valid))
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = bad
+        with pytest.raises(PlanError, match="malformed plan document"):
+            read_plan(json.dumps(doc))
 
 
 @given(
