@@ -331,6 +331,20 @@ def _json_number(value: object, what: str) -> float:
     raise DatasetError(f"{what} must be a finite number, got {value!r}")
 
 
+def _json_flag(value: object, what: str) -> bool:
+    """A JSON bool or the integer 0 or 1 (a bool is an int)."""
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise DatasetError(f"{what} must be a boolean or 0/1, got {value!r}")
+
+
+def _load_json(text: str | bytes, what: str) -> object:
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"malformed {what}: {exc}") from None
+
+
 def _parse_bbox(raw: object, what: str) -> BBox:
     if not isinstance(raw, list) or len(raw) != 4:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
@@ -343,11 +357,7 @@ def _parse_bbox(raw: object, what: str) -> BBox:
 
 def parse_coco(text: str | bytes) -> Dataset:
     """Parse a COCO ground-truth document into a validated Dataset."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed document: {exc}") from None
-    doc = _as_dict(doc, "document root")
+    doc = _as_dict(_load_json(text, "document"), "document root")
     for key in ("images", "annotations", "categories"):
         if key not in doc:
             raise DatasetError(f"document missing top-level {key!r}")
@@ -380,14 +390,15 @@ def parse_coco(text: str | bytes) -> Dataset:
                     f"{bbox.area} by more than {AREA_TOLERANCE}"
                 )
         # either flag demotes the annotation to an ignore region
-        ignore = bool(raw.get("ignore", 0)) or bool(raw.get("iscrowd", 0))
+        ignore = _json_flag(raw.get("ignore", 0), f"{what}: ignore")
+        crowd = _json_flag(raw.get("iscrowd", 0), f"{what}: iscrowd")
         annotations.append(
             AnnotationRecord(
                 id=ann_id,
                 image_id=_require(raw, "image_id", what),
                 category_id=_require(raw, "category_id", what),
                 bbox=bbox,
-                ignore=ignore,
+                ignore=ignore or crowd,
             )
         )
 
@@ -460,10 +471,7 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> tuple[Dete
     When a Dataset is supplied, image and category references are checked
     against it.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed detections document: {exc}") from None
+    doc = _load_json(text, "detections document")
     if not isinstance(doc, list):
         raise DatasetError("detections document must be a list")
     dets = []

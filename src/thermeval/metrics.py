@@ -7,8 +7,10 @@ the mean final recall with detections capped per image.  In the small
 and medium strata, ground truth outside the stratum becomes an ignore
 region: a detection absorbed by one is ignored, and so is an unmatched
 detection whose own area falls outside the stratum.  Strata with no
-eligible ground truth report the sentinel -1.  The matching departs
-from pycocotools in three ways:
+eligible ground truth report the sentinel -1.  Cells, one (category,
+image) pair each, are visited in (category id, image id) order, as COCO
+does, so the order a file lists them in never moves a score.  The
+matching departs from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
@@ -29,8 +31,9 @@ from .coco import (
     Dataset,
     DatasetError,
     Detection,
+    MEDIUM_MAX_AREA,
+    SMALL_MAX_AREA,
     SizeClass,
-    classify_size,
 )
 
 __all__ = [
@@ -61,21 +64,26 @@ METRIC_NAMES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm")
 _RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
 
 
+def _box_columns(boxes: Iterable[BBox]) -> np.ndarray:
+    """(N, 4) float rows of x, y, w, h."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _pair_iou(dt: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """IoU of each row of ``dt`` with the same row of ``gt``, both (N, 4) xywh.
+
+    Intersection extents at or below 0 give 0, and so does an empty union.
+    """
+    iw = np.minimum(dt[:, 0] + dt[:, 2], gt[:, 0] + gt[:, 2]) - np.maximum(dt[:, 0], gt[:, 0])
+    ih = np.minimum(dt[:, 1] + dt[:, 3], gt[:, 1] + gt[:, 3]) - np.maximum(dt[:, 1], gt[:, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = dt[:, 2] * dt[:, 3] + gt[:, 2] * gt[:, 3] - inter
+    return np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0 when the union is empty."""
-    ix1 = max(a.x, b.x)
-    iy1 = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    return float(_pair_iou(_box_columns([a]), _box_columns([b]))[0])
 
 
 def validate_thresholds(thresholds: Sequence[float] | None) -> tuple[float, ...]:
@@ -130,10 +138,18 @@ def match_detections(
     elif len(gt_ignore) != len(gts):
         raise ValueError("gt_ignore length does not match gts")
 
+    # one cell, one stratum, one threshold
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    iou_mat = _iou_matrix([dets[di] for di in order], gts)
-    ignore = np.array([gt_ignore], dtype=bool)
-    hits = _greedy(iou_mat, [g.id for g in gts], ignore, (iou_thr,))[0, 0].tolist()
+    cols = sorted(range(len(gts)), key=lambda i: gts[i].id)
+    hits = _match_cells(
+        _box_columns(dets[di].bbox for di in order),
+        np.zeros(len(dets), dtype=np.int64),
+        _box_columns(gts[gi].bbox for gi in cols),
+        np.zeros(len(gts), dtype=np.int64),
+        np.array([gt_ignore[gi] for gi in cols], dtype=bool).reshape(1, -1),
+        (iou_thr,),
+    )[0, 0]
+    hits = [cols[h] if h >= 0 else -1 for h in hits.tolist()]
     matched = [False] * len(gts)
     det_matched_gt: list[int | None] = [None] * len(dets)
     det_absorbed = [False] * len(dets)
@@ -191,79 +207,110 @@ def f1_score(p: float | None, r: float | None) -> float | None:
 # corpus-level accumulation
 
 
-def _iou_matrix(dets: Sequence[Detection], gts: Sequence[AnnotationRecord]) -> np.ndarray:
-    mat = np.zeros((len(dets), len(gts)))
-    for di, d in enumerate(dets):
-        for gi, g in enumerate(gts):
-            mat[di, gi] = iou(d.bbox, g.bbox)
-    return mat
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags the first element of each run of equal values in ``keys``."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
 
 
-def _greedy(
-    iou_mat: np.ndarray,
-    gt_ids: Sequence[int],
+def _rank_in_run(keys: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal values in ``keys``."""
+    idx = np.arange(len(keys))
+    return idx - np.maximum.accumulate(np.where(_run_starts(keys), idx, 0))
+
+
+def _match_cells(
+    dt_box: np.ndarray,
+    dt_cell: np.ndarray,
+    gt_box: np.ndarray,
+    gt_cell: np.ndarray,
     gt_ignore: np.ndarray,
     thresholds: Sequence[float],
 ) -> np.ndarray:
-    """The greedy matching rule, at every stratum and threshold.
+    """The greedy matching rule, for every cell, stratum and threshold at once.
 
-    Rows of ``iou_mat`` are score-sorted detections, columns GTs; each row
-    of ``gt_ignore`` (S, >= G) marks one stratum's ignore regions.  Each
-    detection takes the unmatched real GT with the highest IoU at or above
-    the threshold; failing that, an unmatched ignore region, so each region
-    absorbs at most one detection.  Columns are scanned in id order and the
-    first maximum kept, which sends IoU ties to the lower annotation id.
-    Returns the matched GT index per (stratum, threshold, detection), or -1.
+    Detections (D, 4) come sorted by (cell, score descending, input index)
+    and GTs (G, 4) by (cell, id); each row of ``gt_ignore`` (S, G) marks one
+    stratum's ignore regions.  Each detection takes the untaken real GT of
+    its cell with the highest IoU at or above the threshold; failing that,
+    an untaken ignore region, so each region absorbs at most one detection.
+    The first maximum in id order wins, which sends IoU ties to the lower
+    annotation id.  Cells share no GT, so step r settles the r-th detection
+    of every cell at once, on one flat row per same-cell (detection, GT)
+    pair.  Returns the matched GT index per (stratum, threshold, detection),
+    or -1.
     """
-    cols = sorted(range(len(gt_ids)), key=gt_ids.__getitem__)
-    # per detection, the (GT index, IoU) pairs that can match at all
-    cands = [
-        [(gi, row[gi]) for gi in cols if row[gi] >= thresholds[0]]
-        for row in iou_mat.tolist()
-    ]
-    out = np.full((len(gt_ignore), len(thresholds), len(cands)), -1, dtype=np.intp)
-    for si, ignore in enumerate(gt_ignore.tolist()):
-        for ti, thr in enumerate(thresholds):
-            taken = [False] * len(cols)
-            for di, row in enumerate(cands):
-                real = region = -1
-                real_v = region_v = 0.0
-                for gi, v in row:
-                    if v < thr or taken[gi]:
-                        continue
-                    if ignore[gi]:
-                        if v > region_v:
-                            region, region_v = gi, v
-                    elif v > real_v:
-                        real, real_v = gi, v
-                best = real if real >= 0 else region  # regions are a fallback
-                if best >= 0:
-                    taken[best] = True
-                    out[si, ti, di] = best
-    return out
+    n_rows = len(gt_ignore) * len(thresholds)
+    hits = np.full((n_rows, len(dt_box)), -1, dtype=np.intp)
+    first_gt = np.searchsorted(gt_cell, dt_cell, side="left")
+    n_gt = np.searchsorted(gt_cell, dt_cell, side="right") - first_gt
+    # one row per same-cell pair, by detection; a detection's k-th pair is
+    # its cell's k-th GT
+    pair_dt = np.repeat(np.arange(len(dt_box)), n_gt)
+    pair_gt = np.arange(len(pair_dt)) + np.repeat(first_gt - (np.cumsum(n_gt) - n_gt), n_gt)
+    pair_iou = _pair_iou(dt_box[pair_dt], gt_box[pair_gt])
+    # only pairs at or above the lowest threshold can match at all
+    keep = pair_iou >= thresholds[0]
+    pair_dt, pair_gt, pair_iou = pair_dt[keep], pair_gt[keep], pair_iou[keep]
+
+    # a detection's step is its rank among its cell's detections with pairs left
+    dt_first = _run_starts(pair_dt)
+    step = _rank_in_run(dt_cell[pair_dt[dt_first]])[np.cumsum(dt_first) - 1]
+    order = np.argsort(step, kind="stable")
+    pair_dt, pair_gt, pair_iou, dt_first = (a[order] for a in (pair_dt, pair_gt, pair_iou, dt_first))
+    bounds = np.searchsorted(step[order], np.arange(step.max(initial=-1) + 2))
+
+    # row = stratum * T + threshold index
+    region = np.repeat(gt_ignore, len(thresholds), axis=0)
+    thr = np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None]
+    taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        gi, v = pair_gt[lo:hi], pair_iou[lo:hi]
+        starts = np.flatnonzero(dt_first[lo:hi])
+        seg = np.cumsum(dt_first[lo:hi]) - 1
+        free = (v >= thr) & ~taken[:, gi]
+        real = free & ~region[:, gi]
+        # ignore regions compete only for a detection with no free real GT
+        cand = np.where(np.logical_or.reduceat(real, starts, axis=1)[:, seg], real, free)
+        val = np.where(cand, v, -1.0)
+        best = np.maximum.reduceat(val, starts, axis=1)
+        at_best = np.where(cand & (val == best[:, seg]), np.arange(hi - lo), hi - lo)
+        pick = np.minimum.reduceat(at_best, starts, axis=1)
+        rows, segs = np.nonzero(pick < hi - lo)
+        won = gi[pick[rows, segs]]
+        taken[rows, won] = True
+        hits[rows, pair_dt[lo:hi][starts[segs]]] = won
+    return hits.reshape(len(gt_ignore), len(thresholds), -1)
 
 
 def _accumulate(
-    scores: np.ndarray, tps: np.ndarray, fps: np.ndarray, n_eligible: int
+    tps: np.ndarray, fps: np.ndarray, n_eligible: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge a stratum's detections into 101-point precision samples and recall.
 
-    ``scores`` (D,) hold every capped detection of one category; its TP and
-    FP flags (T, D) are both False where it is ignored.  ``n_eligible`` must
-    be positive.  Returns (precision_samples (T, 101), final_recall (T,)).
+    ``tps`` and ``fps`` (T, D) flag every capped detection of one category in
+    score-descending order; both are False where it is ignored.
+    ``n_eligible`` must be positive.  Returns (precision_samples (T, 101),
+    final_recall (T,)).
     """
-    n_thr = tps.shape[0]
-    order = np.argsort(-scores, kind="mergesort")
-    tp_sum = np.cumsum(tps[:, order], axis=1).astype(np.float64)
-    fp_sum = np.cumsum(fps[:, order], axis=1).astype(np.float64)
+    n_thr, n_det = tps.shape
+    tp_sum = np.cumsum(tps, axis=1)
+    fp_sum = np.cumsum(fps, axis=1)
     rc = tp_sum / n_eligible
     pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
-    final_recall = rc[:, -1] if order.size else np.zeros(n_thr)
+    final_recall = rc[:, -1] if n_det else np.zeros(n_thr)
     # precision envelope: non-increasing from the right; a trailing 0 column
     # answers the recall samples past the final recall
-    envelope = np.zeros((n_thr, order.size + 1))
+    envelope = np.zeros((n_thr, n_det + 1))
     envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
-    inds = np.array([np.searchsorted(r, _RECALL_SAMPLES, side="left") for r in rc])
+    # recall tp / n rises with the TP count, so each recall sample is first
+    # reached where the count reaches the least k with k / n at or above it
+    need = np.searchsorted(np.arange(n_eligible + 1) / n_eligible, _RECALL_SAMPLES, side="left")
+    # one search for all thresholds: row t's counts are offset by t * (n + 1)
+    offset = np.arange(n_thr)[:, None] * (n_eligible + 1)
+    inds = np.searchsorted((tp_sum + offset).ravel(), (need + offset).ravel(), side="left")
+    inds = inds.reshape(n_thr, -1) - np.arange(n_thr)[:, None] * n_det
     prec_samples = envelope[np.arange(n_thr)[:, None], inds]
     return prec_samples, final_recall
 
@@ -273,6 +320,17 @@ _STRATA: tuple[tuple[str, SizeClass | None], ...] = (
     ("small", SizeClass.SMALL),
     ("medium", SizeClass.MEDIUM),
 )
+
+# size codes: the index of ``classify_size``'s class, by the same boundaries
+_SIZES = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
+_SIZE_BOUNDS = np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA])
+
+
+def _outside(box: np.ndarray, strata: tuple[tuple[str, SizeClass | None], ...]) -> np.ndarray:
+    """(S, N): which boxes fall outside each stratum's size class."""
+    size = np.searchsorted(_SIZE_BOUNDS, box[:, 2] * box[:, 3], side="left")
+    want = np.array([-1 if sc is None else _SIZES.index(sc) for _, sc in strata])[:, None]
+    return (want >= 0) & (size != want)
 
 
 def _corpus_tables(
@@ -284,62 +342,74 @@ def _corpus_tables(
 ) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Per stratum: per-category precision samples and recall arrays.
 
-    Each (image, category) cell is matched once for all strata.  Categories
-    without eligible ground truth in a stratum are skipped, so each list
-    holds only defined entries.
+    Ground truth and detections become flat columns keyed by cell, one
+    (category, image) pair, numbered in (category id, image id) order.
+    Every cell is matched in one call for all strata.  Categories without
+    eligible ground truth in a stratum are skipped, so each list holds only
+    defined entries.
     """
-    for d in dets:
+    img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
+    cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
+    dt_ids = np.array([(d.image_id, d.category_id) for d in dets], dtype=np.int64).reshape(-1, 2)
+    bad = ~np.isin(dt_ids[:, 0], img_ids) | ~np.isin(dt_ids[:, 1], cat_ids)
+    if bad.any():
+        d = dets[int(np.argmax(bad))]
         if not gt.has_image(d.image_id):
             raise DatasetError(f"detection references missing image {d.image_id}")
-        if not gt.has_category(d.category_id):
-            raise DatasetError(f"detection references missing category {d.category_id}")
+        raise DatasetError(f"detection references missing category {d.category_id}")
 
-    dets_by_img_cat: dict[tuple[int, int], list[Detection]] = {}
-    for d in dets:
-        dets_by_img_cat.setdefault((d.image_id, d.category_id), []).append(d)
+    def cell_of(ids: np.ndarray) -> np.ndarray:
+        cat = np.searchsorted(cat_ids, ids[:, 1])
+        return cat * len(img_ids) + np.searchsorted(img_ids, ids[:, 0])
+
+    anns = gt.annotations
+    gt_ids = np.array(
+        [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
+    ).reshape(-1, 3)
+    gt_cell = cell_of(gt_ids)
+    order = np.lexsort((gt_ids[:, 2], gt_cell))
+    gt_cell = gt_cell[order]
+    gt_box = _box_columns(anns[i].bbox for i in order.tolist())
+    flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
+    gt_ignore = flagged | _outside(gt_box, strata)
+
+    # detections by (cell, score descending, input index), capped per cell
+    dt_cell = cell_of(dt_ids)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    order = np.lexsort((-scores, dt_cell))
+    order = order[_rank_in_run(dt_cell[order]) < max_dets]
+    dt_cell, scores = dt_cell[order], scores[order]
+    dt_box = _box_columns(dets[i].bbox for i in order.tolist())
+
+    hits = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thresholds)
+    matched = hits >= 0
+    # the trailing False column lets hit index -1 read "not absorbed"
+    absorbed = np.pad(gt_ignore, ((0, 0), (0, 1)))[np.arange(len(strata))[:, None, None], hits]
+    ignored = absorbed | (~matched & _outside(dt_box, strata)[:, None, :])
+    tps = matched & ~ignored
+    fps = ~matched & ~ignored
+
+    # per category: its GT and detection column ranges, eligible GT per stratum
+    cat_starts = np.arange(len(cat_ids) + 1) * len(img_ids)
+    gt_bounds = np.searchsorted(gt_cell, cat_starts)
+    dt_bounds = np.searchsorted(dt_cell, cat_starts)
+    eligible = np.zeros((len(strata), len(gt_cell) + 1), dtype=np.int64)
+    np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
+    n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
 
     tables: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {
         name: ([], []) for name, _ in strata
     }
-    classes = [size_class for _, size_class in strata]
-    rows = np.arange(len(strata))[:, None, None]
-    for cat in gt.categories:
-        scores, tps, fps = [], [], []
-        n_eligible = np.zeros(len(strata), dtype=np.int64)
-        for img in gt.images:
-            gts = list(gt.annotations_for(img.id, cat.id))
-            cand = dets_by_img_cat.get((img.id, cat.id), [])
-            order = sorted(range(len(cand)), key=lambda i: (-cand[i].score, i))
-            image_dets = [cand[i] for i in order[:max_dets]]
-            if not gts and not image_dets:
-                continue
-            # (S, G + 1): the trailing False lets hit index -1 read "not absorbed"
-            ignore = np.array(
-                [[g.ignore or (sc is not None and g.size_class is not sc) for g in gts] + [False]
-                 for sc in classes],
-                dtype=bool,
-            )
-            dt_sizes = [classify_size(d.bbox.area) for d in image_dets]
-            dt_out = np.array(
-                [[sc is not None and s is not sc for s in dt_sizes] for sc in classes],
-                dtype=bool,
-            ).reshape(len(strata), 1, len(image_dets))
-            hits = _greedy(_iou_matrix(image_dets, gts), [g.id for g in gts], ignore, thresholds)
-            matched = hits >= 0
-            ignored = ignore[rows, hits] | (~matched & dt_out)
-            scores.append(np.array([d.score for d in image_dets], dtype=np.float64))
-            tps.append(matched & ~ignored)
-            fps.append(~matched & ~ignored)
-            n_eligible += len(gts) - ignore[:, :-1].sum(axis=1)
-
-        if not n_eligible.any():
-            continue
-        all_scores = np.concatenate(scores)
-        all_tps = np.concatenate(tps, axis=2)
-        all_fps = np.concatenate(fps, axis=2)
+    for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
+        cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
+        by_score = np.argsort(-scores[cat], kind="mergesort")
         for si, (name, _) in enumerate(strata):
-            if n_eligible[si]:
-                prec, rec = _accumulate(all_scores, all_tps[si], all_fps[si], int(n_eligible[si]))
+            if n_eligible[si, ci]:
+                prec, rec = _accumulate(
+                    tps[si][:, cat][:, by_score],
+                    fps[si][:, cat][:, by_score],
+                    int(n_eligible[si, ci]),
+                )
                 tables[name][0].append(prec)
                 tables[name][1].append(rec)
     return tables

@@ -216,7 +216,7 @@ def read_plan(text: str | bytes) -> SplitPlan:
     """Parse a plan document; every number in it must be a JSON integer."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
     try:
         runs = tuple(

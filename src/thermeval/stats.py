@@ -6,7 +6,9 @@ The battery mirrors common practice for k result groups: Shapiro-Wilk on
 each group decides between (ANOVA + Welch t) and (Kruskal-Wallis + Dunn);
 pairwise tests only run when the omnibus test is significant, and letters
 come from the corrected-alpha significance graph.  Test statistics are
-computed here directly; only distribution functions come from scipy.
+computed here directly; only distribution functions come from scipy,
+imported inside the functions that call them so that importing this
+module (and so the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "StatsError",
@@ -82,6 +83,8 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     normalizing transforms of W valid for 3 <= n <= 5000.  A constant
     sample has no defined W and raises.
     """
+    from scipy import special
+
     x = np.sort(_as_array(values, "sample"))
     n = x.size
     if n < 3:
@@ -151,6 +154,8 @@ def _check_groups(groups: Sequence[Sequence[float]], min_groups: int = 2) -> lis
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Classic one-way F test; returns (F, p) with k-1 and N-k dof."""
+    from scipy import special
+
     gs = _check_groups(groups)
     k = len(gs)
     n_total = sum(g.size for g in gs)
@@ -176,6 +181,8 @@ def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Tie-corrected H statistic with a chi-square(k-1) p-value."""
+    from scipy import special
+
     gs = _check_groups(groups)
     k = len(gs)
     pooled = np.concatenate(gs)
@@ -210,6 +217,8 @@ def t_test_welch(
     ``paired=True`` switches to the paired test (one-sample t on the
     differences); the battery always runs unpaired.
     """
+    from scipy import special
+
     xa = _as_array(a, "sample a")
     xb = _as_array(b, "sample b")
     if xa.size < 2 or xb.size < 2:
@@ -249,6 +258,8 @@ def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray
     Returns (z, p) as symmetric (k, k) arrays of two-sided unadjusted
     values; the diagonal is 0 and 1.
     """
+    from scipy import special
+
     gs = _check_groups(groups)
     k = len(gs)
     pooled = np.concatenate(gs)

@@ -249,6 +249,19 @@ def test_parse_merges_iscrowd_into_ignore():
     assert parse_coco(json.dumps(doc)).annotations[0].ignore is True
 
 
+def test_parse_rejects_non_flag_ignore():
+    # a flag is a JSON bool or 0/1; bool() would read "false" and [0] as set
+    doc = _doc(_dataset([_ann(1)]))
+    for key in ("ignore", "iscrowd"):
+        for bad in ("false", [0], 2, -1, 1.0, None):
+            case = json.loads(json.dumps(doc))
+            case["annotations"][0][key] = bad
+            with pytest.raises(DatasetError, match=f"annotation 1: {key}"):
+                parse_coco(json.dumps(case))
+    doc["annotations"][0]["iscrowd"] = True
+    assert parse_coco(json.dumps(doc)).annotations[0].ignore is True
+
+
 def test_parse_rejects_malformed_bbox():
     # too short, NaN, infinite, an integer too large for a float, a boolean, numeric strings
     doc = _doc(_dataset([_ann(1)]))
@@ -263,8 +276,12 @@ def test_parse_rejects_malformed_bbox():
 
 
 def test_parse_rejects_non_json():
-    with pytest.raises(DatasetError):
-        parse_coco("{not json")
+    # the bytes decode as no UTF-8/16/32 text
+    for bad in ("{not json", b"\xff\xfe\x00"):
+        with pytest.raises(DatasetError, match="malformed document"):
+            parse_coco(bad)
+        with pytest.raises(DatasetError, match="malformed detections document"):
+            parse_detections(bad)
 
 
 # -- detections

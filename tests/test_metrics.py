@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,15 @@ def test_match_iou_tie_goes_to_lower_annotation_id():
     dets = [_det(shared, 0.8)]
     m = match_detections(gts, dets, iou_thr=0.5)
     assert m.det_matched_gt == (3,)
+
+
+def test_evaluate_iou_tie_goes_to_lower_annotation_id():
+    # the first detection ties at IoU 0.5 between GT 5 (listed first) and
+    # GT 3; taking GT 3 leaves the second detection nothing at 0.5
+    gt = _corpus([_gt(5, _box(0, 0, 20, 10)), _gt(3, _box(0, 0, 10, 20))])
+    dets = [_det(_box(0, 0, 10, 10), 0.9), _det(_box(0, 0, 10, 20), 0.8)]
+    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(51 / 101)
+    _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
 
 
 def test_match_processes_detections_by_score():
@@ -436,6 +446,9 @@ _step = st.tuples(*[st.integers(-1, 1)] * 4)
 def _random_corpus(draw):
     n_images = draw(st.integers(1, 2))
     n_cats = draw(st.integers(1, 2))
+    # the listing order must not matter: cells are visited in id order
+    image_order = draw(st.permutations(range(1, n_images + 1)))
+    cat_order = draw(st.permutations(range(1, n_cats + 1)))
     slot = st.tuples(st.integers(1, n_images), st.integers(1, n_cats))
     box = st.builds(_jitter, st.sampled_from(draw(st.lists(_cell, min_size=1, max_size=3))), _step)
     # about one annotation in five is an ignore region
@@ -454,11 +467,10 @@ def _random_corpus(draw):
     ]
     gt = Dataset(
         images=tuple(
-            ImageRecord(id=i, file_name=f"f{i}.raw", width=640, height=480)
-            for i in range(1, n_images + 1)
+            ImageRecord(id=i, file_name=f"f{i}.raw", width=640, height=480) for i in image_order
         ),
         annotations=tuple(anns),
-        categories=tuple(CategoryRecord(id=c, name=f"c{c}") for c in range(1, n_cats + 1)),
+        categories=tuple(CategoryRecord(id=c, name=f"c{c}") for c in cat_order),
     )
     return gt, dets
 
@@ -487,3 +499,58 @@ def test_evaluate_matches_reference_at_one_ulp_recall():
     dets = [_det(b, 0.9) for b in boxes[:35]]
     _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
     assert evaluate(gt, dets, thresholds=[0.5, 0.75]).ap == pytest.approx(35 / 101)
+
+
+def test_evaluate_visits_images_in_id_order():
+    # a TP in image 1 and an FP in image 2 tie on score; in id order the TP
+    # comes first, whatever order the file lists the images in
+    anns = [_gt(1, _box(0, 0, 20, 20), image_id=1), _gt(2, _box(0, 0, 20, 20), image_id=2)]
+    dets = [_det(_box(0, 0, 20, 20), 0.5, image_id=1), _det(_box(200, 200, 20, 20), 0.5, image_id=2)]
+    listed = _corpus(anns, n_images=2)
+    reversed_listing = Dataset(listed.images[::-1], listed.annotations, listed.categories)
+    _assert_matches_reference(reversed_listing, dets, [0.5, 0.75], 100)
+    assert evaluate(reversed_listing, dets).ap == evaluate(listed, dets).ap == pytest.approx(51 / 101)
+
+
+def _dense_corpus(seed):
+    """One crowded cell beside many one-GT cells, all in category 1.
+
+    Image 1 holds 60 GTs (some overlapping, about 15% ignore) and 150
+    detections: a jittered copy of most GTs, several near-duplicates and
+    scattered false positives, with tied scores.  Images 2..51 hold one GT
+    and up to three detections each.
+    """
+    rng = np.random.default_rng(seed)
+    anns, dets = [], []
+
+    def box(x, y, w, h):
+        return _box(round(x, 1), round(y, 1), round(max(w, 1.0), 1), round(max(h, 1.0), 1))
+
+    crowd = []
+    for i in range(60):
+        w, h = rng.choice([12.0, 24.0, 40.0, 64.0, 110.0]) * rng.uniform(0.8, 1.2, 2)
+        crowd.append(box(rng.uniform(0, 400), rng.uniform(0, 300), w, h))
+        anns.append(_gt(1000 - i, crowd[-1], image_id=1, ignore=bool(rng.random() < 0.15)))
+    scores = [0.3, 0.5, 0.5, 0.7, 0.9]
+    for _ in range(150):
+        kind = rng.random()
+        if kind < 0.8:
+            b = crowd[rng.integers(len(crowd))]
+            dx, dy, dw, dh = rng.normal(0, 0.12, 4) * [b.w, b.h, b.w, b.h]
+            b = box(b.x + dx, b.y + dy, b.w + dw, b.h + dh)
+        else:
+            b = box(rng.uniform(0, 400), rng.uniform(0, 300), rng.uniform(8, 80), rng.uniform(8, 80))
+        dets.append(_det(b, float(rng.choice(scores)), image_id=1))
+    for img in range(2, 52):
+        g = box(rng.uniform(0, 500), rng.uniform(0, 400), rng.uniform(10, 90), rng.uniform(10, 90))
+        anns.append(_gt(img, g, image_id=img, ignore=bool(rng.random() < 0.1)))
+        for _ in range(rng.integers(0, 4)):
+            dx, dy = rng.normal(0, 0.15, 2) * [g.w, g.h]
+            dets.append(_det(box(g.x + dx, g.y + dy, g.w, g.h), float(rng.choice(scores)), image_id=img))
+    return _corpus(anns, n_images=51), dets
+
+
+@pytest.mark.parametrize("max_dets", [100, 200])
+def test_evaluate_matches_reference_on_a_dense_cell(max_dets):
+    gt, dets = _dense_corpus(seed=7)
+    _assert_matches_reference(gt, dets, list(DEFAULT_IOU_THRESHOLDS), max_dets)

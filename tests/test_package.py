@@ -19,15 +19,25 @@ def test_root_holds_only_the_version():
     assert thermeval.__version__ == "0.1.0"
 
 
-def test_core_modules_load_without_stats_or_scipy():
+def _loaded_after(imports: str, heavy: tuple[str, ...]) -> list[str]:
+    """The modules in ``heavy`` that a fresh interpreter holds after ``imports``."""
     code = (
-        "import sys, thermeval.coco, thermeval.metrics, thermeval.plan\n"
-        "heavy = ('scipy', 'thermeval.stats', 'thermeval.synth', 'thermeval.thermal')\n"
-        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        f"import sys, {imports}\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
     )
     src = str(Path(thermeval.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_core_modules_load_without_stats_or_scipy():
+    heavy = ("scipy", "thermeval.stats", "thermeval.synth", "thermeval.thermal")
+    assert _loaded_after("thermeval.coco, thermeval.metrics, thermeval.plan", heavy) == []
+
+
+def test_cli_report_and_stats_load_without_scipy():
+    # scipy.special is imported by the statistics that call it
+    assert _loaded_after("thermeval.cli, thermeval.report, thermeval.stats", ("scipy",)) == []

@@ -124,6 +124,8 @@ def test_plan_round_trip():
 def test_read_plan_rejects_malformed():
     with pytest.raises(PlanError):
         read_plan("{not json")
+    with pytest.raises(PlanError, match="malformed plan document"):
+        read_plan(b"\xff\xfe\x00")  # decodes as no UTF-8/16/32 text
     with pytest.raises(PlanError):
         read_plan('{"seed": 0}')
     # a run whose val ids overlap its test ids
