@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coco import BBox, parse_coco, parse_detections, write_coco, write_detections
+from .coco import BBox, _parse_bbox, parse_coco, parse_detections, write_coco, write_detections
 from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate
 from .plan import plan_splits, write_plan
 from .report import (
@@ -288,8 +288,8 @@ def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
     out = {}
     for key, boxes in raw.items():
         try:
-            out[int(key)] = tuple(BBox(*map(float, b)) for b in boxes)
-        except (TypeError, ValueError, OverflowError) as exc:
+            out[int(key)] = tuple(_parse_bbox(b, "distractor") for b in boxes)
+        except (TypeError, ValueError) as exc:
             raise SynthError(f"malformed distractor entry {key!r}: {exc}") from None
     return out
 

@@ -282,9 +282,6 @@ class Dataset:
             categories=self.categories,
         )
 
-    def with_annotations(self, annotations: Iterable[AnnotationRecord]) -> "Dataset":
-        return Dataset(self.images, tuple(annotations), self.categories)
-
 
 def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD) -> Dataset:
     """Flag tiny boxes as ignore instead of deleting them.
@@ -301,7 +298,7 @@ def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD)
         if (ann.bbox.w <= threshold or ann.bbox.h <= threshold) and not ann.ignore:
             ann = replace(ann, ignore=True)
         out.append(ann)
-    return ds.with_annotations(out)
+    return Dataset(ds.images, tuple(out), ds.categories)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Detection metrics: IoU, greedy matching with ignore absorption, PR
-statistics, and the AP/AR summary over an IoU threshold sweep.
+"""Detection metrics: ``evaluate`` scores a detection run against ground
+truth with the AP/AR summary over an IoU threshold sweep; ``iou`` and
+``validate_thresholds`` are the box overlap and sweep check it uses.
 
 The summary follows the COCO protocol in outline: AP is the mean of
 101-point interpolated precision over thresholds 0.50..0.95, and AR is
@@ -26,7 +27,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coco import (
-    AnnotationRecord,
     BBox,
     Dataset,
     DatasetError,
@@ -41,14 +41,8 @@ __all__ = [
     "DEFAULT_MAX_DETS",
     "UNDEFINED",
     "METRIC_NAMES",
-    "MatchResult",
     "MetricReport",
     "iou",
-    "match_detections",
-    "precision",
-    "recall",
-    "f1_score",
-    "average_precision",
     "evaluate",
     "validate_thresholds",
 ]
@@ -98,109 +92,6 @@ def validate_thresholds(thresholds: Sequence[float] | None) -> tuple[float, ...]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError(f"thresholds must be strictly increasing, got {out}")
     return out
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy assignment of one image's detections to its ground truth.
-
-    Indexes follow the input orders.  ``det_matched_gt`` holds the matched
-    annotation id per detection, or None; ``det_absorbed`` marks
-    detections swallowed by an ignore region (dropped from FP counting).
-    """
-
-    det_matched_gt: tuple[int | None, ...]
-    det_absorbed: tuple[bool, ...]
-    gt_matched: tuple[bool, ...]
-    tp: int
-    fp: int
-    fn: int
-
-
-def match_detections(
-    gts: Sequence[AnnotationRecord],
-    dets: Sequence[Detection],
-    iou_thr: float,
-    gt_ignore: Sequence[bool] | None = None,
-) -> MatchResult:
-    """Match score-descending detections against one image's ground truth.
-
-    Each detection takes the highest-IoU unmatched non-ignore GT with IoU
-    at or above the threshold (IoU ties go to the lower annotation id).
-    Failing that it may be absorbed by an unmatched ignore region, which
-    removes it from FP counting.  Remaining detections are FPs; unmatched
-    eligible GTs are FNs.
-    """
-    if not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"IoU threshold {iou_thr} outside (0, 1]")
-    if gt_ignore is None:
-        gt_ignore = [g.ignore for g in gts]
-    elif len(gt_ignore) != len(gts):
-        raise ValueError("gt_ignore length does not match gts")
-
-    # one cell, one stratum, one threshold
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    cols = sorted(range(len(gts)), key=lambda i: gts[i].id)
-    hits = _match_cells(
-        _box_columns(dets[di].bbox for di in order),
-        np.zeros(len(dets), dtype=np.int64),
-        _box_columns(gts[gi].bbox for gi in cols),
-        np.zeros(len(gts), dtype=np.int64),
-        np.array([gt_ignore[gi] for gi in cols], dtype=bool).reshape(1, -1),
-        (iou_thr,),
-    )[0, 0]
-    hits = [cols[h] if h >= 0 else -1 for h in hits.tolist()]
-    matched = [False] * len(gts)
-    det_matched_gt: list[int | None] = [None] * len(dets)
-    det_absorbed = [False] * len(dets)
-    for di, gi in zip(order, hits):
-        if gi >= 0:
-            matched[gi] = True
-            det_matched_gt[di] = gts[gi].id
-            det_absorbed[di] = bool(gt_ignore[gi])
-
-    tp = sum(1 for gi in hits if gi >= 0 and not gt_ignore[gi])
-    fp = hits.count(-1)
-    eligible = sum(1 for flag in gt_ignore if not flag)
-    return MatchResult(
-        det_matched_gt=tuple(det_matched_gt),
-        det_absorbed=tuple(det_absorbed),
-        gt_matched=tuple(matched),
-        tp=tp,
-        fp=fp,
-        fn=eligible - tp,
-    )
-
-
-def precision(tp: int, fp: int, total_gt: int | None = None) -> float | None:
-    """TP / (TP + FP); see the empty-denominator conventions below.
-
-    With no predictions at all the value is 1.0 when the ground truth is
-    known to be empty (perfect silence), otherwise undefined (None).
-    """
-    if tp < 0 or fp < 0:
-        raise ValueError("negative counts")
-    if tp + fp == 0:
-        if total_gt == 0:
-            return 1.0
-        return None
-    return tp / (tp + fp)
-
-
-def recall(tp: int, fn: int) -> float | None:
-    if tp < 0 or fn < 0:
-        raise ValueError("negative counts")
-    if tp + fn == 0:
-        return None
-    return tp / (tp + fn)
-
-
-def f1_score(p: float | None, r: float | None) -> float | None:
-    if p is None or r is None:
-        return None
-    if p + r == 0:
-        return None
-    return 2.0 * p * r / (p + r)
 
 
 # --------------------------------------------------------------------------
@@ -315,21 +206,18 @@ def _accumulate(
     return prec_samples, final_recall
 
 
-_STRATA: tuple[tuple[str, SizeClass | None], ...] = (
-    ("all", None),
-    ("small", SizeClass.SMALL),
-    ("medium", SizeClass.MEDIUM),
-)
+# the size strata in report order: all sizes, small, medium
+_STRATA: tuple[SizeClass | None, ...] = (None, SizeClass.SMALL, SizeClass.MEDIUM)
 
 # size codes: the index of ``classify_size``'s class, by the same boundaries
 _SIZES = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
 _SIZE_BOUNDS = np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA])
 
 
-def _outside(box: np.ndarray, strata: tuple[tuple[str, SizeClass | None], ...]) -> np.ndarray:
+def _outside(box: np.ndarray) -> np.ndarray:
     """(S, N): which boxes fall outside each stratum's size class."""
     size = np.searchsorted(_SIZE_BOUNDS, box[:, 2] * box[:, 3], side="left")
-    want = np.array([-1 if sc is None else _SIZES.index(sc) for _, sc in strata])[:, None]
+    want = np.array([-1 if sc is None else _SIZES.index(sc) for sc in _STRATA])[:, None]
     return (want >= 0) & (size != want)
 
 
@@ -338,15 +226,15 @@ def _corpus_tables(
     dets: Sequence[Detection],
     thresholds: Sequence[float],
     max_dets: int,
-    strata: tuple[tuple[str, SizeClass | None], ...] = _STRATA,
-) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Per stratum: per-category precision samples and recall arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per stratum and category: precision samples and final recall.
 
     Ground truth and detections become flat columns keyed by cell, one
     (category, image) pair, numbered in (category id, image id) order.
-    Every cell is matched in one call for all strata.  Categories without
-    eligible ground truth in a stratum are skipped, so each list holds only
-    defined entries.
+    Every cell is matched in one call for all strata.  Returns precision
+    samples (S, C, T, 101), final recall (S, C, T) and which (stratum,
+    category) pairs hold eligible ground truth (S, C); the tables of the
+    other pairs are left 0.
     """
     img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
     cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
@@ -371,7 +259,7 @@ def _corpus_tables(
     gt_cell = gt_cell[order]
     gt_box = _box_columns(anns[i].bbox for i in order.tolist())
     flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
-    gt_ignore = flagged | _outside(gt_box, strata)
+    gt_ignore = flagged | _outside(gt_box)
 
     # detections by (cell, score descending, input index), capped per cell
     dt_cell = cell_of(dt_ids)
@@ -384,8 +272,8 @@ def _corpus_tables(
     hits = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thresholds)
     matched = hits >= 0
     # the trailing False column lets hit index -1 read "not absorbed"
-    absorbed = np.pad(gt_ignore, ((0, 0), (0, 1)))[np.arange(len(strata))[:, None, None], hits]
-    ignored = absorbed | (~matched & _outside(dt_box, strata)[:, None, :])
+    absorbed = np.pad(gt_ignore, ((0, 0), (0, 1)))[np.arange(len(_STRATA))[:, None, None], hits]
+    ignored = absorbed | (~matched & _outside(dt_box)[:, None, :])
     tps = matched & ~ignored
     fps = ~matched & ~ignored
 
@@ -393,26 +281,23 @@ def _corpus_tables(
     cat_starts = np.arange(len(cat_ids) + 1) * len(img_ids)
     gt_bounds = np.searchsorted(gt_cell, cat_starts)
     dt_bounds = np.searchsorted(dt_cell, cat_starts)
-    eligible = np.zeros((len(strata), len(gt_cell) + 1), dtype=np.int64)
+    eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
     np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
     n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
 
-    tables: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {
-        name: ([], []) for name, _ in strata
-    }
-    for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
+    defined = n_eligible > 0
+    prec = np.zeros((len(_STRATA), len(cat_ids), len(thresholds), len(_RECALL_SAMPLES)))
+    rec = np.zeros(prec.shape[:3])
+    for ci in np.flatnonzero(defined.any(axis=0)).tolist():
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
         by_score = np.argsort(-scores[cat], kind="mergesort")
-        for si, (name, _) in enumerate(strata):
-            if n_eligible[si, ci]:
-                prec, rec = _accumulate(
-                    tps[si][:, cat][:, by_score],
-                    fps[si][:, cat][:, by_score],
-                    int(n_eligible[si, ci]),
-                )
-                tables[name][0].append(prec)
-                tables[name][1].append(rec)
-    return tables
+        for si in np.flatnonzero(defined[:, ci]).tolist():
+            prec[si, ci], rec[si, ci] = _accumulate(
+                tps[si][:, cat][:, by_score],
+                fps[si][:, cat][:, by_score],
+                int(n_eligible[si, ci]),
+            )
+    return prec, rec, defined
 
 
 @dataclass(frozen=True)
@@ -436,27 +321,6 @@ class MetricReport:
         return cls(**{name: float(d[name]) for name in METRIC_NAMES})
 
 
-def _mean_ap(prec_list: list[np.ndarray], thr_index: int | None = None) -> float:
-    if not prec_list:
-        return UNDEFINED
-    if thr_index is None:
-        return float(np.mean([p.mean() for p in prec_list]))
-    return float(np.mean([p[thr_index].mean() for p in prec_list]))
-
-
-def _mean_ar(rec_list: list[np.ndarray]) -> float:
-    if not rec_list:
-        return UNDEFINED
-    return float(np.mean([r.mean() for r in rec_list]))
-
-
-def _threshold_index(thresholds: Sequence[float], value: float) -> int | None:
-    for i, t in enumerate(thresholds):
-        if abs(t - value) < 1e-9:
-            return i
-    return None
-
-
 def evaluate(
     gt: Dataset,
     dets: Sequence[Detection],
@@ -474,41 +338,34 @@ def evaluate(
     thresholds = validate_thresholds(thresholds)
     if max_dets < 1:
         raise ValueError(f"max_dets must be positive, got {max_dets}")
-    tables = _corpus_tables(gt, dets, thresholds, max_dets)
+    prec, rec, defined = _corpus_tables(gt, dets, thresholds, max_dets)
 
-    i50 = _threshold_index(thresholds, 0.50)
-    i75 = _threshold_index(thresholds, 0.75)
-    prec_all, rec_all = tables["all"]
-    prec_s, rec_s = tables["small"]
-    prec_m, rec_m = tables["medium"]
-    return MetricReport(
-        ap=_mean_ap(prec_all),
-        ap50=_mean_ap(prec_all, i50) if i50 is not None else UNDEFINED,
-        ap75=_mean_ap(prec_all, i75) if i75 is not None else UNDEFINED,
-        aps=_mean_ap(prec_s),
-        apm=_mean_ap(prec_m),
-        ar=_mean_ar(rec_all),
-        ars=_mean_ar(rec_s),
-        arm=_mean_ar(rec_m),
+    # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75
+    near = np.abs(np.subtract.outer([0.50, 0.75], thresholds)) < 1e-9
+    # (S, 4, C): each category's mean AP, AR, AP50 and AP75 table
+    per_cat = np.stack(
+        [
+            prec.mean(axis=(2, 3)),
+            rec.mean(axis=2),
+            *prec[:, :, near.argmax(axis=1)].mean(axis=3).transpose(2, 0, 1),
+        ],
+        axis=1,
     )
-
-
-def average_precision(
-    gt: Dataset,
-    dets: Sequence[Detection],
-    iou_thr: float,
-    size_filter: SizeClass | None = None,
-    max_dets: int = DEFAULT_MAX_DETS,
-) -> float | None:
-    """Corpus AP at a single threshold, optionally within one size stratum.
-
-    Ground truth outside the stratum is treated as ignore regions.
-    Returns None when the stratum holds no eligible ground truth.
-    """
-    thresholds = validate_thresholds([iou_thr])
-    name = "all" if size_filter is None else size_filter.value
-    tables = _corpus_tables(gt, dets, thresholds, max_dets, ((name, size_filter),))
-    prec_list, _ = tables[name]
-    if not prec_list:
-        return None
-    return _mean_ap(prec_list)
+    # each stratum averages its defined categories; ``compress`` keeps the
+    # rows contiguous, so each row sums in the order of a 1-D mean
+    (ap, ar, ap50, ap75), (aps, ars, _, _), (apm, arm, _, _) = (
+        np.compress(defined[s], per_cat[s], axis=1).mean(axis=1).tolist()
+        if defined[s].any()
+        else [UNDEFINED] * 4
+        for s in range(len(_STRATA))
+    )
+    return MetricReport(
+        ap=ap,
+        ap50=ap50 if near[0].any() else UNDEFINED,
+        ap75=ap75 if near[1].any() else UNDEFINED,
+        aps=aps,
+        apm=apm,
+        ar=ar,
+        ars=ars,
+        arm=arm,
+    )

@@ -422,7 +422,14 @@ def test_detect_consumes_distractor_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc", ['{"1": [[1, 2]]}', '{"1": 5}', '{"1": [[0, 0, NaN, 1]]}']
+    "doc",
+    [
+        '{"1": [[1, 2]]}',
+        '{"1": 5}',
+        '{"1": [[0, 0, NaN, 1]]}',
+        '{"1": [[true, 0, 5, 5]]}',
+        '{"1": [["3", "4", 5, 5]]}',
+    ],
 )
 def test_detect_rejects_malformed_distractor_file(tmp_path, capsys, doc):
     gt_path, _ = _gt_file(tmp_path, n=4)

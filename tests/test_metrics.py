@@ -16,7 +16,6 @@ from thermeval.coco import (
     DatasetError,
     Detection,
     ImageRecord,
-    SizeClass,
     parse_coco,
     parse_detections,
     write_coco,
@@ -27,13 +26,8 @@ from thermeval.metrics import (
     METRIC_NAMES,
     UNDEFINED,
     MetricReport,
-    average_precision,
     evaluate,
-    f1_score,
     iou,
-    match_detections,
-    precision,
-    recall,
     validate_thresholds,
 )
 from make_fixtures import ref_evaluate  # the independent reference, in tools/
@@ -127,31 +121,47 @@ def test_threshold_validation_rejects(bad):
         validate_thresholds(bad)
 
 
-# -- greedy matching
+# -- greedy matching, seen through the summary
+
+
+def _ap_at(gt, dets, thr=0.5):
+    return evaluate(gt, dets, thresholds=[thr]).ap
 
 
 def test_match_simple_true_positive():
-    gts = [_gt(1, _box(10, 10, 20, 20))]
-    dets = [_det(_box(12, 10, 20, 20), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_matched_gt == (1,)
-    assert (m.tp, m.fp, m.fn) == (1, 0, 0)
+    gt = _corpus([_gt(1, _box(10, 10, 20, 20))])
+    report = evaluate(gt, [_det(_box(12, 10, 20, 20), 0.9)], thresholds=[0.5])
+    assert report.ap == pytest.approx(1.0)
+    assert report.ar == 1.0
 
 
 def test_match_below_threshold_is_fp_and_fn():
-    gts = [_gt(1, _box(0, 0, 10, 10))]
-    dets = [_det(_box(8, 8, 10, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_matched_gt == (None,)
-    assert (m.tp, m.fp, m.fn) == (0, 1, 1)
+    # the top detection misses GT 1 (IoU 0.02): an FP ahead of the TP on
+    # GT 2, and GT 1 stays an FN
+    gt = _corpus([_gt(1, _box(0, 0, 10, 10)), _gt(2, _box(100, 100, 10, 10))])
+    dets = [_det(_box(8, 8, 10, 10), 0.9), _det(_box(100, 100, 10, 10), 0.5)]
+    report = evaluate(gt, dets, thresholds=[0.5])
+    assert report.ap == pytest.approx(25.5 / 101)
+    assert report.ar == 0.5
 
 
 def test_match_iou_tie_goes_to_lower_annotation_id():
-    shared = _box(5, 5, 10, 10)
-    gts = [_gt(5, shared), _gt(3, shared)]
-    dets = [_det(shared, 0.8)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_matched_gt == (3,)
+    # the first detection ties at IoU 0.5 between ignore regions 5 (listed
+    # first) and 3; taking region 3 leaves region 5 to absorb the second
+    # detection, which would otherwise be an FP ahead of the TP
+    gt = _corpus(
+        [
+            _gt(5, _box(0, 0, 20, 10), ignore=True),
+            _gt(3, _box(0, 0, 10, 20), ignore=True),
+            _gt(1, _box(100, 100, 10, 10)),
+        ]
+    )
+    dets = [
+        _det(_box(0, 0, 10, 10), 0.9),
+        _det(_box(0, 0, 20, 10), 0.8),
+        _det(_box(100, 100, 10, 10), 0.5),
+    ]
+    assert _ap_at(gt, dets) == pytest.approx(1.0)
 
 
 def test_evaluate_iou_tie_goes_to_lower_annotation_id():
@@ -159,89 +169,71 @@ def test_evaluate_iou_tie_goes_to_lower_annotation_id():
     # GT 3; taking GT 3 leaves the second detection nothing at 0.5
     gt = _corpus([_gt(5, _box(0, 0, 20, 10)), _gt(3, _box(0, 0, 10, 20))])
     dets = [_det(_box(0, 0, 10, 10), 0.9), _det(_box(0, 0, 10, 20), 0.8)]
-    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(51 / 101)
+    assert _ap_at(gt, dets) == pytest.approx(51 / 101)
     _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
 
 
 def test_match_processes_detections_by_score():
-    gts = [_gt(1, _box(0, 0, 10, 10))]
+    # listed first but scored lower, the exact box must not claim the GT:
+    # the higher-scored detection takes it and the exact box is an FP
+    # behind it, which leaves AP at 1
+    gt = _corpus([_gt(1, _box(0, 0, 10, 10))])
     dets = [_det(_box(0, 0, 10, 10), 0.3), _det(_box(1, 0, 10, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    # the higher-scored detection claims the box first
-    assert m.det_matched_gt == (None, 1)
-    assert (m.tp, m.fp) == (1, 1)
+    assert _ap_at(gt, dets) == pytest.approx(1.0)
 
 
 def test_match_prefers_real_gt_over_ignore_region():
-    gts = [_gt(1, _box(0, 0, 10, 10)), _gt(2, _box(0, 0, 11, 10), ignore=True)]
-    dets = [_det(_box(0, 0, 11, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_matched_gt == (1,)
-    assert m.det_absorbed == (False,)
+    # the region fits the detection exactly (IoU 1), the real GT at IoU 10/11
+    gt = _corpus([_gt(1, _box(0, 0, 10, 10)), _gt(2, _box(0, 0, 11, 10), ignore=True)])
+    report = evaluate(gt, [_det(_box(0, 0, 11, 10), 0.9)], thresholds=[0.5])
+    assert report.ap == pytest.approx(1.0)
+    assert report.ar == 1.0
 
 
 def test_match_ignore_region_absorbs_once():
-    gts = [_gt(1, _box(0, 0, 20, 20), ignore=True)]
-    dets = [_det(_box(0, 0, 20, 20), 0.9), _det(_box(1, 1, 20, 20), 0.8)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_absorbed == (True, False)
-    assert (m.tp, m.fp, m.fn) == (0, 1, 0)
+    # the region absorbs the top detection only; the second is an FP
+    # ahead of the TP on the real GT
+    gt = _corpus([_gt(1, _box(0, 0, 20, 20), ignore=True), _gt(2, _box(100, 100, 10, 10))])
+    dets = [
+        _det(_box(0, 0, 20, 20), 0.9),
+        _det(_box(1, 1, 20, 20), 0.8),
+        _det(_box(100, 100, 10, 10), 0.7),
+    ]
+    report = evaluate(gt, dets, thresholds=[0.5])
+    assert report.ap == pytest.approx(0.5)
+    assert report.ar == 1.0
 
 
 def test_match_ignore_region_with_highest_iou_absorbs():
-    gts = [
-        _gt(1, _box(0, 0, 12, 10), ignore=True),  # IoU 10/12
-        _gt(2, _box(0, 0, 10, 10), ignore=True),  # IoU 1
+    # at 0.75 the first detection may go to either region (IoU 10/12 or 1)
+    # and the second only to region 1 (10/12; region 2 gives 2/3), so the
+    # first must take region 2 or the second becomes an FP ahead of the TP
+    gt = _corpus(
+        [
+            _gt(1, _box(0, 0, 12, 10), ignore=True),
+            _gt(2, _box(0, 0, 10, 10), ignore=True),
+            _gt(3, _box(100, 100, 10, 10)),
+        ]
+    )
+    dets = [
+        _det(_box(0, 0, 10, 10), 0.9),
+        _det(_box(2, 0, 10, 10), 0.8),
+        _det(_box(100, 100, 10, 10), 0.7),
     ]
-    dets = [_det(_box(0, 0, 10, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_matched_gt == (2,)
-    assert m.det_absorbed == (True,)
+    assert _ap_at(gt, dets, thr=0.75) == pytest.approx(1.0)
 
 
 def test_match_ignore_region_absorbs_by_plain_iou():
     # inside the region, but at IoU 0.01; COCO's intersection over the
-    # detection's area would be 1 and absorb it
-    gts = [_gt(1, _box(0, 0, 100, 100), ignore=True)]
-    dets = [_det(_box(10, 10, 10, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5)
-    assert m.det_absorbed == (False,)
-    assert (m.tp, m.fp, m.fn) == (0, 1, 0)
-
-
-def test_match_gt_ignore_override():
-    gts = [_gt(1, _box(0, 0, 10, 10))]
-    dets = [_det(_box(0, 0, 10, 10), 0.9)]
-    m = match_detections(gts, dets, iou_thr=0.5, gt_ignore=[True])
-    assert m.det_absorbed == (True,)
-    assert (m.tp, m.fp, m.fn) == (0, 0, 0)
+    # detection's area would be 1 and absorb it, leaving AP at 1
+    gt = _corpus([_gt(1, _box(0, 0, 100, 100), ignore=True), _gt(2, _box(200, 200, 10, 10))])
+    dets = [_det(_box(10, 10, 10, 10), 0.9), _det(_box(200, 200, 10, 10), 0.5)]
+    assert _ap_at(gt, dets) == pytest.approx(0.5)
 
 
 def test_match_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        match_detections([], [], iou_thr=0.0)
-
-
-# -- point statistics
-
-
-def test_precision_conventions():
-    assert precision(3, 1) == 0.75
-    assert precision(0, 0) is None
-    assert precision(0, 0, total_gt=0) == 1.0
-    with pytest.raises(ValueError):
-        precision(-1, 0)
-
-
-def test_recall_conventions():
-    assert recall(3, 1) == 0.75
-    assert recall(0, 0) is None
-
-
-def test_f1_conventions():
-    assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
-    assert f1_score(None, 1.0) is None
-    assert f1_score(0.0, 0.0) is None
+        evaluate(_corpus([]), [], thresholds=[0.0])
 
 
 # -- average precision anchors
@@ -250,7 +242,7 @@ def test_f1_conventions():
 def test_ap_perfect_single_detection():
     gt = _corpus([_gt(1, _box(10, 10, 30, 30))])
     dets = [_det(_box(10, 10, 30, 30), 0.9)]
-    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(1.0)
+    assert _ap_at(gt, dets) == pytest.approx(1.0)
 
 
 def test_ap_depends_on_threshold():
@@ -258,8 +250,8 @@ def test_ap_depends_on_threshold():
     gt = _corpus([_gt(1, _box(0, 0, 10, 10))])
     dets = [_det(_box(0, 2.5, 10, 10), 0.9)]
     assert iou(gt.annotations[0].bbox, dets[0].bbox) == pytest.approx(0.6)
-    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(1.0)
-    assert average_precision(gt, dets, iou_thr=0.75) == 0.0
+    assert _ap_at(gt, dets) == pytest.approx(1.0)
+    assert _ap_at(gt, dets, thr=0.75) == 0.0
 
 
 def test_ap_interpolated_hand_value():
@@ -271,19 +263,19 @@ def test_ap_interpolated_hand_value():
         _det(_box(100, 100, 10, 10), 0.7),
     ]
     # precision envelope: 1 up to recall 0.5, then 2/3; 51 + 50*(2/3) samples
-    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(253 / 303)
+    assert _ap_at(gt, dets) == pytest.approx(253 / 303)
 
 
 def test_ap_unreached_recall_counts_zero():
     # one of two GTs found: samples past recall 0.5 contribute nothing
     gt = _corpus([_gt(1, _box(0, 0, 10, 10)), _gt(2, _box(100, 100, 10, 10))])
     dets = [_det(_box(0, 0, 10, 10), 0.9)]
-    assert average_precision(gt, dets, iou_thr=0.5) == pytest.approx(51 / 101)
+    assert _ap_at(gt, dets) == pytest.approx(51 / 101)
 
 
 def test_ap_none_for_empty_stratum():
     gt = _corpus([_gt(1, _box(0, 0, 60, 60))])  # medium only
-    assert average_precision(gt, [], 0.5, size_filter=SizeClass.SMALL) is None
+    assert evaluate(gt, [], thresholds=[0.5]).aps == UNDEFINED
 
 
 def test_ap_ignores_out_of_stratum_detections():
@@ -293,9 +285,10 @@ def test_ap_ignores_out_of_stratum_detections():
         _det(_box(0, 0, 20, 20), 0.9),
         _det(_box(200, 200, 60, 60), 0.95),
     ]
-    assert average_precision(gt, dets, 0.5, size_filter=SizeClass.SMALL) == pytest.approx(1.0)
+    report = evaluate(gt, dets, thresholds=[0.5])
+    assert report.aps == pytest.approx(1.0)
     # in the unstratified view the same detection is a plain FP
-    assert average_precision(gt, dets, 0.5) < 1.0
+    assert report.ap < 1.0
 
 
 # -- full evaluation
@@ -395,7 +388,7 @@ def test_evaluate_threshold_monotone():
         _det(_box(0, 55, 28, 30), 0.7),
         _det(_box(200, 200, 30, 30), 0.6),
     ]
-    values = [average_precision(gt, dets, thr) for thr in (0.5, 0.6, 0.7, 0.8, 0.9)]
+    values = [_ap_at(gt, dets, thr) for thr in (0.5, 0.6, 0.7, 0.8, 0.9)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 

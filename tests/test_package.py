@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import thermeval
 
@@ -17,6 +21,16 @@ def test_root_holds_only_the_version():
     ]
     assert names == []
     assert thermeval.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(thermeval.__path__, "thermeval.")]
+)
+def test_all_names_resolve_once(module):
+    mod = importlib.import_module(module)
+    names = list(getattr(mod, "__all__", []))
+    assert [n for n in names if not hasattr(mod, n)] == []
+    assert len(set(names)) == len(names)
 
 
 def _loaded_after(imports: str, heavy: tuple[str, ...]) -> list[str]:
