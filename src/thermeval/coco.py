@@ -196,6 +196,10 @@ class Dataset:
     _category_index: Mapping[int, CategoryRecord] = field(
         init=False, repr=False, compare=False, default=None
     )
+    # the top-level dataset a subset was cut from (None: this one), and
+    # the evaluation columns ``metrics`` prepares once per top-level dataset
+    _root: Dataset | None = field(init=False, repr=False, compare=False, default=None)
+    _columns: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
@@ -276,11 +280,13 @@ class Dataset:
         wanted = set(image_ids)
         for i in wanted:
             self.image(i)
-        return Dataset(
+        sub = Dataset(
             images=tuple(img for img in self.images if img.id in wanted),
             annotations=tuple(a for a in self.annotations if a.image_id in wanted),
             categories=self.categories,
         )
+        object.__setattr__(sub, "_root", self if self._root is None else self._root)
+        return sub
 
 
 def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD) -> Dataset:

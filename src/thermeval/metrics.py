@@ -11,7 +11,10 @@ detection whose own area falls outside the stratum.  Strata with no
 eligible ground truth report the sentinel -1.  Cells, one (category,
 image) pair each, are visited in (category id, image id) order, as COCO
 does, so the order a file lists them in never moves a score.  The
-matching departs from pycocotools in three ways:
+ground truth's flat columns are built once per top-level dataset, on its
+first ``evaluate``; a ``Dataset.subset`` fold, or a fold of a fold, shares
+them and selects its images' rows.  The matching departs from pycocotools
+in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
@@ -22,6 +25,7 @@ matching departs from pycocotools in three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,7 +87,11 @@ def iou(a: BBox, b: BBox) -> float:
 def validate_thresholds(thresholds: Sequence[float] | None) -> tuple[float, ...]:
     if thresholds is None:
         return DEFAULT_IOU_THRESHOLDS
-    out = tuple(float(t) for t in thresholds)
+    raw = tuple(thresholds)
+    for t in raw:
+        if not isinstance(t, Real) or isinstance(t, bool):
+            raise ValueError(f"IoU threshold must be a number, got {t!r}")
+    out = tuple(map(float, raw))
     if not out:
         raise ValueError("empty threshold list")
     for t in out:
@@ -151,17 +159,23 @@ def _match_cells(
     order = np.argsort(step, kind="stable")
     pair_dt, pair_gt, pair_iou, dt_first = (a[order] for a in (pair_dt, pair_gt, pair_iou, dt_first))
     bounds = np.searchsorted(step[order], np.arange(step.max(initial=-1) + 2))
+    # every step begins a detection's pairs: its segments are the
+    # detections from ``seg_bounds[k]`` on, each starting at ``dt_starts``
+    dt_starts = np.flatnonzero(dt_first)
+    seg_bounds = np.searchsorted(dt_starts, bounds)
+    seg_of = np.cumsum(dt_first) - 1
 
     # row = stratum * T + threshold index
-    region = np.repeat(gt_ignore, len(thresholds), axis=0)
     thr = np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None]
+    reach = pair_iou >= thr
+    real_gt = ~np.repeat(gt_ignore[:, pair_gt], len(thresholds), axis=0)
     taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi, s_lo, s_hi in zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:]):
         gi, v = pair_gt[lo:hi], pair_iou[lo:hi]
-        starts = np.flatnonzero(dt_first[lo:hi])
-        seg = np.cumsum(dt_first[lo:hi]) - 1
-        free = (v >= thr) & ~taken[:, gi]
-        real = free & ~region[:, gi]
+        starts = dt_starts[s_lo:s_hi] - lo
+        seg = seg_of[lo:hi] - s_lo
+        free = reach[:, lo:hi] & ~taken[:, gi]
+        real = free & real_gt[:, lo:hi]
         # ignore regions compete only for a detection with no free real GT
         cand = np.where(np.logical_or.reduceat(real, starts, axis=1)[:, seg], real, free)
         val = np.where(cand, v, -1.0)
@@ -171,38 +185,43 @@ def _match_cells(
         rows, segs = np.nonzero(pick < hi - lo)
         won = gi[pick[rows, segs]]
         taken[rows, won] = True
-        hits[rows, pair_dt[lo:hi][starts[segs]]] = won
+        hits[rows, pair_dt[dt_starts[s_lo + segs]]] = won
     return hits.reshape(len(gt_ignore), len(thresholds), -1)
 
 
 def _accumulate(
-    tps: np.ndarray, fps: np.ndarray, n_eligible: int
+    tps: np.ndarray, fps: np.ndarray, n_eligible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge a stratum's detections into 101-point precision samples and recall.
+    """Merge one category's detections into 101-point precision samples and recall.
 
-    ``tps`` and ``fps`` (T, D) flag every capped detection of one category in
-    score-descending order; both are False where it is ignored.
-    ``n_eligible`` must be positive.  Returns (precision_samples (T, 101),
-    final_recall (T,)).
+    Each row of ``tps`` and ``fps`` (R, D) flags every capped detection of
+    the category in score-descending order, for one (stratum, threshold);
+    both are False where it is ignored.  ``n_eligible`` (R,) holds each
+    row's positive eligible GT count.  Returns (precision_samples (R, 101),
+    final_recall (R,)).
     """
-    n_thr, n_det = tps.shape
+    n_rows, n_det = tps.shape
     tp_sum = np.cumsum(tps, axis=1)
     fp_sum = np.cumsum(fps, axis=1)
-    rc = tp_sum / n_eligible
     pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
-    final_recall = rc[:, -1] if n_det else np.zeros(n_thr)
+    final_recall = tp_sum[:, -1] / n_eligible if n_det else np.zeros(n_rows)
     # precision envelope: non-increasing from the right; a trailing 0 column
     # answers the recall samples past the final recall
-    envelope = np.zeros((n_thr, n_det + 1))
+    envelope = np.zeros((n_rows, n_det + 1))
     envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
     # recall tp / n rises with the TP count, so each recall sample is first
     # reached where the count reaches the least k with k / n at or above it
-    need = np.searchsorted(np.arange(n_eligible + 1) / n_eligible, _RECALL_SAMPLES, side="left")
-    # one search for all thresholds: row t's counts are offset by t * (n + 1)
-    offset = np.arange(n_thr)[:, None] * (n_eligible + 1)
-    inds = np.searchsorted((tp_sum + offset).ravel(), (need + offset).ravel(), side="left")
-    inds = inds.reshape(n_thr, -1) - np.arange(n_thr)[:, None] * n_det
-    prec_samples = envelope[np.arange(n_thr)[:, None], inds]
+    counts = n_eligible.tolist()
+    need = {
+        n: np.searchsorted(np.arange(n + 1) / n, _RECALL_SAMPLES, side="left") for n in set(counts)
+    }
+    # one search for all rows: row r's counts, at most n <= top, are offset
+    # by r * (top + 1)
+    offset = np.arange(n_rows)[:, None] * (max(counts) + 1)
+    targets = np.stack([need[n] for n in counts]) + offset
+    inds = np.searchsorted((tp_sum + offset).ravel(), targets.ravel(), side="left")
+    inds = inds.reshape(n_rows, -1) - np.arange(n_rows)[:, None] * n_det
+    prec_samples = envelope[np.arange(n_rows)[:, None], inds]
     return prec_samples, final_recall
 
 
@@ -212,13 +231,60 @@ _STRATA: tuple[SizeClass | None, ...] = (None, SizeClass.SMALL, SizeClass.MEDIUM
 # size codes: the index of ``classify_size``'s class, by the same boundaries
 _SIZES = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
 _SIZE_BOUNDS = np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA])
+# (S, 1): each stratum's size code; -1 takes every size
+_STRATUM_SIZES = np.array([-1 if sc is None else _SIZES.index(sc) for sc in _STRATA])[:, None]
 
 
 def _outside(box: np.ndarray) -> np.ndarray:
     """(S, N): which boxes fall outside each stratum's size class."""
     size = np.searchsorted(_SIZE_BOUNDS, box[:, 2] * box[:, 3], side="left")
-    want = np.array([-1 if sc is None else _SIZES.index(sc) for sc in _STRATA])[:, None]
-    return (want >= 0) & (size != want)
+    return (_STRATUM_SIZES >= 0) & (size != _STRATUM_SIZES)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """A top-level dataset's ground truth as flat columns, by (cell, id).
+
+    A cell, one (category, image) pair, is numbered category position *
+    image count + image position, positions in id order.  A subset shares
+    its top-level dataset's columns and selects its images' rows.
+    """
+
+    img_ids: np.ndarray  # (I,) sorted
+    cat_ids: np.ndarray  # (C,) sorted
+    gt_img: np.ndarray  # (G,) image position
+    gt_cell: np.ndarray  # (G,)
+    gt_box: np.ndarray  # (G, 4)
+    gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
+
+
+def _columns(gt: Dataset) -> _Columns:
+    """The columns of ``gt``'s top-level dataset, built on first use."""
+    root = gt if gt._root is None else gt._root
+    if root._columns is None:
+        img_ids = np.sort(np.array([img.id for img in root.images], dtype=np.int64))
+        cat_ids = np.sort(np.array([cat.id for cat in root.categories], dtype=np.int64))
+        anns = root.annotations
+        ids = np.array(
+            [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
+        ).reshape(-1, 3)
+        gt_img = np.searchsorted(img_ids, ids[:, 0])
+        gt_cell = np.searchsorted(cat_ids, ids[:, 1]) * len(img_ids) + gt_img
+        order = np.lexsort((ids[:, 2], gt_cell))
+        gt_box = _box_columns(anns[i].bbox for i in order.tolist())
+        flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
+        gt_ignore = flagged | _outside(gt_box)
+        cols = _Columns(img_ids, cat_ids, gt_img[order], gt_cell[order], gt_box, gt_ignore)
+        object.__setattr__(root, "_columns", cols)
+    return root._columns
+
+
+def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's position in ``sorted_ids``, and whether it is there."""
+    pos = np.searchsorted(sorted_ids, ids)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == ids[found]
+    return pos, found
 
 
 def _corpus_tables(
@@ -229,56 +295,53 @@ def _corpus_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
-    Ground truth and detections become flat columns keyed by cell, one
-    (category, image) pair, numbered in (category id, image id) order.
-    Every cell is matched in one call for all strata.  Returns precision
-    samples (S, C, T, 101), final recall (S, C, T) and which (stratum,
-    category) pairs hold eligible ground truth (S, C); the tables of the
-    other pairs are left 0.
+    Detections become flat columns keyed by cell, beside the ground truth
+    rows of ``gt``'s images in its top-level dataset's columns.  Every cell
+    is matched in one call for all strata.  Returns precision samples (S,
+    C, T, 101), final recall (S, C, T) and which (stratum, category) pairs
+    hold eligible ground truth (S, C); the tables of the other pairs are
+    left 0.
     """
-    img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
-    cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
+    cols = _columns(gt)
+    n_img = len(cols.img_ids)
+    in_gt = np.zeros(n_img, dtype=bool)
+    fold_ids = np.array([img.id for img in gt.images], dtype=np.int64)
+    in_gt[np.searchsorted(cols.img_ids, fold_ids)] = True
     dt_ids = np.array([(d.image_id, d.category_id) for d in dets], dtype=np.int64).reshape(-1, 2)
-    bad = ~np.isin(dt_ids[:, 0], img_ids) | ~np.isin(dt_ids[:, 1], cat_ids)
+    dt_img, img_ok = _find(cols.img_ids, dt_ids[:, 0])
+    img_ok[img_ok] = in_gt[dt_img[img_ok]]
+    dt_cat, cat_ok = _find(cols.cat_ids, dt_ids[:, 1])
+    bad = ~(img_ok & cat_ok)
     if bad.any():
-        d = dets[int(np.argmax(bad))]
-        if not gt.has_image(d.image_id):
-            raise DatasetError(f"detection references missing image {d.image_id}")
-        raise DatasetError(f"detection references missing category {d.category_id}")
+        i = int(np.argmax(bad))
+        if not img_ok[i]:
+            raise DatasetError(f"detection references missing image {dets[i].image_id}")
+        raise DatasetError(f"detection references missing category {dets[i].category_id}")
 
-    def cell_of(ids: np.ndarray) -> np.ndarray:
-        cat = np.searchsorted(cat_ids, ids[:, 1])
-        return cat * len(img_ids) + np.searchsorted(img_ids, ids[:, 0])
-
-    anns = gt.annotations
-    gt_ids = np.array(
-        [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
-    ).reshape(-1, 3)
-    gt_cell = cell_of(gt_ids)
-    order = np.lexsort((gt_ids[:, 2], gt_cell))
-    gt_cell = gt_cell[order]
-    gt_box = _box_columns(anns[i].bbox for i in order.tolist())
-    flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
-    gt_ignore = flagged | _outside(gt_box)
+    keep = in_gt[cols.gt_img]
+    gt_cell, gt_box, gt_ignore = cols.gt_cell[keep], cols.gt_box[keep], cols.gt_ignore[:, keep]
 
     # detections by (cell, score descending, input index), capped per cell
-    dt_cell = cell_of(dt_ids)
+    dt_cell = dt_cat * n_img + dt_img
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.lexsort((-scores, dt_cell))
     order = order[_rank_in_run(dt_cell[order]) < max_dets]
-    dt_cell, scores = dt_cell[order], scores[order]
+    dt_cell, dt_cat, scores = dt_cell[order], dt_cat[order], scores[order]
     dt_box = _box_columns(dets[i].bbox for i in order.tolist())
 
     hits = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thresholds)
     matched = hits >= 0
-    # the trailing False column lets hit index -1 read "not absorbed"
-    absorbed = np.pad(gt_ignore, ((0, 0), (0, 1)))[np.arange(len(_STRATA))[:, None, None], hits]
-    ignored = absorbed | (~matched & _outside(dt_box)[:, None, :])
-    tps = matched & ~ignored
-    fps = ~matched & ~ignored
+    # a miss (-1) reads the last column, which ``matched`` overrides; with
+    # no GT, a blank column keeps index -1 in range
+    region = gt_ignore if len(gt_cell) else np.zeros((len(_STRATA), 1), dtype=bool)
+    absorbed = region[np.arange(len(_STRATA))[:, None, None], hits]
+    # within each category, by score descending; ties stay in cell order
+    by_score = np.lexsort((-scores, dt_cat))
+    tps = (matched & ~absorbed)[..., by_score]
+    fps = (~matched & ~_outside(dt_box)[:, None, :])[..., by_score]
 
     # per category: its GT and detection column ranges, eligible GT per stratum
-    cat_starts = np.arange(len(cat_ids) + 1) * len(img_ids)
+    cat_starts = np.arange(len(cols.cat_ids) + 1) * n_img
     gt_bounds = np.searchsorted(gt_cell, cat_starts)
     dt_bounds = np.searchsorted(dt_cell, cat_starts)
     eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
@@ -286,17 +349,20 @@ def _corpus_tables(
     n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
 
     defined = n_eligible > 0
-    prec = np.zeros((len(_STRATA), len(cat_ids), len(thresholds), len(_RECALL_SAMPLES)))
+    n_thr = len(thresholds)
+    prec = np.zeros((len(_STRATA), len(cols.cat_ids), n_thr, len(_RECALL_SAMPLES)))
     rec = np.zeros(prec.shape[:3])
     for ci in np.flatnonzero(defined.any(axis=0)).tolist():
+        # every defined stratum x threshold of the category in one batch
+        strata = np.flatnonzero(defined[:, ci])
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
-        by_score = np.argsort(-scores[cat], kind="mergesort")
-        for si in np.flatnonzero(defined[:, ci]).tolist():
-            prec[si, ci], rec[si, ci] = _accumulate(
-                tps[si][:, cat][:, by_score],
-                fps[si][:, cat][:, by_score],
-                int(n_eligible[si, ci]),
-            )
+        p, r = _accumulate(
+            tps[strata, :, cat].reshape(len(strata) * n_thr, -1),
+            fps[strata, :, cat].reshape(len(strata) * n_thr, -1),
+            np.repeat(n_eligible[strata, ci], n_thr),
+        )
+        prec[strata, ci] = p.reshape(len(strata), n_thr, -1)
+        rec[strata, ci] = r.reshape(len(strata), n_thr)
     return prec, rec, defined
 
 
@@ -336,8 +402,8 @@ def evaluate(
     kept.
     """
     thresholds = validate_thresholds(thresholds)
-    if max_dets < 1:
-        raise ValueError(f"max_dets must be positive, got {max_dets}")
+    if not isinstance(max_dets, Integral) or isinstance(max_dets, bool) or max_dets < 1:
+        raise ValueError(f"max_dets must be a positive integer, got {max_dets!r}")
     prec, rec, defined = _corpus_tables(gt, dets, thresholds, max_dets)
 
     # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75

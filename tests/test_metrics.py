@@ -16,6 +16,7 @@ from thermeval.coco import (
     DatasetError,
     Detection,
     ImageRecord,
+    filter_small_objects,
     parse_coco,
     parse_detections,
     write_coco,
@@ -115,7 +116,9 @@ def test_default_thresholds():
     assert DEFAULT_IOU_THRESHOLDS[-1] == pytest.approx(0.95)
 
 
-@pytest.mark.parametrize("bad", [[], [0.0, 0.5], [0.5, 1.1], [0.5, 0.5], [0.7, 0.5]])
+@pytest.mark.parametrize(
+    "bad", [[], [0.0, 0.5], [0.5, 1.1], [0.5, 0.5], [0.7, 0.5], [True], ["0.5"]]
+)
 def test_threshold_validation_rejects(bad):
     with pytest.raises(ValueError):
         validate_thresholds(bad)
@@ -236,6 +239,13 @@ def test_match_rejects_bad_threshold():
         evaluate(_corpus([]), [], thresholds=[0.0])
 
 
+@pytest.mark.parametrize("bad", [0, 1.5, True])
+def test_evaluate_rejects_bad_max_dets(bad):
+    # 1.5 would cap a cell at two detections and True at one
+    with pytest.raises(ValueError):
+        evaluate(_corpus([_gt(1, _box(0, 0, 10, 10))]), [], max_dets=bad)
+
+
 # -- average precision anchors
 
 
@@ -327,6 +337,16 @@ def test_evaluate_empty_strata_report_sentinel():
     assert report.apm == UNDEFINED
     assert report.arm == UNDEFINED
     assert report.aps == pytest.approx(1.0)
+
+
+def test_evaluate_without_ground_truth_is_undefined():
+    # no annotations at all, and a fold whose images hold none, both with
+    # detections to score
+    dets = [_det(_box(0, 0, 10, 10), 0.9), _det(_box(5, 5, 40, 40), 0.4, image_id=2)]
+    bare = _corpus([], n_images=2)
+    fold = _corpus([_gt(1, _box(0, 0, 10, 10), image_id=3)], n_images=3).subset([1, 2])
+    for gt in (bare, fold):
+        assert evaluate(gt, dets).as_dict() == dict.fromkeys(METRIC_NAMES, UNDEFINED)
 
 
 def test_evaluate_ap50_ap75_track_their_thresholds():
@@ -436,8 +456,8 @@ _step = st.tuples(*[st.integers(-1, 1)] * 4)
 
 
 @st.composite
-def _random_corpus(draw):
-    n_images = draw(st.integers(1, 2))
+def _random_corpus(draw, max_images=2):
+    n_images = draw(st.integers(1, max_images))
     n_cats = draw(st.integers(1, 2))
     # the listing order must not matter: cells are visited in id order
     image_order = draw(st.permutations(range(1, n_images + 1)))
@@ -482,6 +502,58 @@ _sweeps = st.one_of(
 def test_evaluate_matches_reference_on_random_corpora(corpus, thresholds, max_dets):
     gt, dets = corpus
     _assert_matches_reference(gt, dets, thresholds, max_dets)
+
+
+@st.composite
+def _folded_corpus(draw):
+    """A random corpus, a fold of its images, sometimes a fold of a fold."""
+    gt, dets = draw(_random_corpus(max_images=4))
+    fold = gt.subset(draw(st.sets(st.sampled_from(gt.image_ids()))))
+    if len(fold) and draw(st.booleans()):
+        fold = fold.subset(draw(st.sets(st.sampled_from(fold.image_ids()))))
+    return gt, fold, dets
+
+
+@given(case=_folded_corpus(), thresholds=_sweeps, max_dets=st.sampled_from([1, 2, 100]))
+@settings(max_examples=150, deadline=None)
+def test_fold_scores_as_its_records_rebuilt(case, thresholds, max_dets):
+    gt, fold, dets = case
+    # the parent is scored first, so the fold reuses its prepared columns
+    evaluate(gt, dets, thresholds=thresholds, max_dets=max_dets)
+    rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
+    kept = [d for d in dets if fold.has_image(d.image_id)]
+    assert evaluate(fold, kept, thresholds=thresholds, max_dets=max_dets) == evaluate(
+        rebuilt, kept, thresholds=thresholds, max_dets=max_dets
+    )
+    _assert_matches_reference(fold, kept, thresholds, max_dets)
+    # an image of the parent outside the fold is missing from the fold
+    dropped = [d for d in dets if not fold.has_image(d.image_id)]
+    if dropped:
+        want = f"detection references missing image {dropped[0].image_id}"
+        for ds in (fold, rebuilt):
+            with pytest.raises(DatasetError) as err:
+                evaluate(ds, dets, thresholds=thresholds, max_dets=max_dets)
+            assert str(err.value) == want
+
+
+def test_prepared_columns_follow_their_own_dataset():
+    # a 6 px box: filtering turns it into an ignore region, which moves AP
+    anns = [_gt(1, _box(0, 0, 6, 6)), _gt(2, _box(50, 50, 30, 30))]
+    gt = _corpus(anns + [_gt(3, _box(0, 0, 30, 30), image_id=2)], n_images=2)
+    dets = [_det(_box(0, 0, 6, 6), 0.9), _det(_box(52, 50, 30, 30), 0.8)]
+    dets.append(_det(_box(1, 0, 30, 30), 0.7, image_id=2))
+    text = write_coco(gt)
+    evaluate(gt, dets)
+    derived = (
+        filter_small_objects,
+        lambda ds: ds.subset([1]),
+        lambda ds: filter_small_objects(ds).subset([1]),
+    )
+    for derive in derived:
+        ds = derive(gt)
+        kept = [d for d in dets if ds.has_image(d.image_id)]
+        assert evaluate(ds, kept) == evaluate(derive(parse_coco(text)), kept)
+    assert evaluate(filter_small_objects(gt), dets) != evaluate(gt, dets)
 
 
 def test_evaluate_matches_reference_at_one_ulp_recall():
