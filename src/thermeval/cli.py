@@ -14,30 +14,20 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .coco import BBox, _parse_bbox, parse_coco, parse_detections, write_coco, write_detections
-from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate
-from .plan import plan_splits, write_plan
-from .report import (
-    RunResult,
-    aggregate,
-    emit_significance_figure_data,
-    emit_table,
-    metric_samples,
-    read_results_csv,
-    write_results_csv,
-)
-from .stats import DEFAULT_ALPHA, StatsError, run_battery
-from .synth import PRESETS, MockDetectorSpec, SynthError, build_corpus, mock_detect
-from .thermal import (
-    CalibrationRange,
-    ThermalError,
-    normalize_frame,
-    read_raw,
-    write_pgm,
-    write_raw,
-)
+
+if TYPE_CHECKING:
+    from .coco import BBox
+
+# Each command imports the modules it runs inside its body, and the parser
+# needs no thermeval module, so a process loads only what its command uses
+# (``filter``, ``--help`` and ``--version`` load no numpy).  The two choice
+# lists argparse checks at parse time are spelled out here; tests pin them
+# to ``metrics.METRIC_NAMES`` and ``synth.PRESETS``.
+_METRIC_CHOICES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm", "all")
+_PRESET_CHOICES = ("a", "b")
 
 # every module error subclasses ValueError
 _ERRORS = (ValueError, OSError)
@@ -83,6 +73,8 @@ def _replace_text(path: Path, text: str) -> None:
 
 
 def _load_dataset(path: Path):
+    from .coco import parse_coco
+
     return parse_coco(path.read_text(encoding="utf-8"))
 
 
@@ -91,6 +83,8 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from .thermal import CalibrationRange, ThermalError, normalize_frame, read_raw, write_pgm
+
     src = Path(args.src)
     out = Path(args.out)
     if not src.is_dir():
@@ -122,7 +116,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    from .coco import filter_small_objects
+    from .coco import filter_small_objects, write_coco
 
     ds = _load_dataset(Path(args.gt))
     filtered = filter_small_objects(ds, args.threshold)
@@ -139,6 +133,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    from .plan import plan_splits, write_plan
+
     ds = _load_dataset(Path(args.gt))
     plan = plan_splits(ds.image_ids(), args.k_outer, args.k_inner, args.seed)
     Path(args.out).write_text(write_plan(plan), encoding="utf-8")
@@ -149,13 +145,18 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .coco import parse_detections
+    from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate
+    from .report import RunResult, aggregate, read_results_csv, write_results_csv
+
     if args.out is None and args.append is None:
         raise ValueError("nothing to do, pass --out and/or --append")
     if args.append is not None and None in (args.model, args.hpc, args.run, args.dataset):
         raise ValueError("--append needs --model, --hpc, --run and --dataset")
     gt = _load_dataset(Path(args.gt))
     dets = parse_detections(Path(args.dets).read_text(encoding="utf-8"), gt)
-    report = evaluate(gt, dets, args.iou_thresholds, args.max_dets)
+    max_dets = DEFAULT_MAX_DETS if args.max_dets is None else args.max_dets
+    report = evaluate(gt, dets, args.iou_thresholds, max_dets)
     for name in METRIC_NAMES:
         print(f"{name} {getattr(report, name):.6f}")
     if args.append is not None:
@@ -188,12 +189,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .metrics import METRIC_NAMES
+    from .report import metric_samples, read_results_csv
+    from .stats import DEFAULT_ALPHA, StatsError, run_battery
+
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
     metrics = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
     reports = {}
     for metric in metrics:
         try:
-            battery = run_battery(metric_samples(results, metric), args.alpha)
+            battery = run_battery(metric_samples(results, metric), alpha)
         except StatsError as exc:
             if args.metric != "all":
                 raise
@@ -217,6 +223,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import aggregate, emit_table, read_results_csv
+
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
     table = aggregate(results)
     if args.model is None and len(table.models) > 1:
@@ -232,11 +240,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     Path(args.out).write_text(text, encoding="utf-8")
     outputs = [Path(args.out)]
     if args.figure_data is not None:
+        # only the figure data needs the battery (and so scipy)
+        from .metrics import METRIC_NAMES
+        from .report import emit_significance_figure_data, metric_samples
+        from .stats import DEFAULT_ALPHA, StatsError, run_battery
+
+        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
         stats_by_metric = {}
         for metric in METRIC_NAMES:
             try:
                 stats_by_metric[metric] = run_battery(
-                    metric_samples(results, metric), args.alpha
+                    metric_samples(results, metric), alpha
                 )
             except StatsError:
                 continue
@@ -252,6 +266,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .coco import write_coco
+    from .synth import PRESETS, build_corpus
+    from .thermal import write_raw
+
     spec = PRESETS[args.preset]
     render = args.frames is not None
     corpus = build_corpus(spec, args.n, args.seed, render=render)
@@ -282,6 +300,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
+    from .coco import _parse_bbox
+    from .synth import SynthError
+
     raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise SynthError("distractor file must hold an object keyed by image id")
@@ -295,6 +316,9 @@ def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from .coco import write_detections
+    from .synth import MockDetectorSpec, mock_detect
+
     gt = _load_dataset(Path(args.gt))
     spec = MockDetectorSpec(
         p_drop=args.p_drop,
@@ -358,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated overlap thresholds (default 0.50:0.05:0.95)",
     )
-    p.add_argument("--max-dets", type=int, default=DEFAULT_MAX_DETS)
+    p.add_argument("--max-dets", type=int)
     p.add_argument("--model", help="model tag for --append")
     p.add_argument("--hpc", help="combination tag for --append")
     p.add_argument("--run", type=int, help="run index for --append")
@@ -370,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True, help="results CSV")
     p.add_argument(
         "--metric",
-        choices=METRIC_NAMES + ("all",),
+        choices=_METRIC_CHOICES,
         default="all",
         help="metric to test (default: every metric)",
     )
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--out", help="battery report JSON destination")
     p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_stats)
@@ -386,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", choices=("period", "comma"), default="period")
     p.add_argument("--model", help="restrict the table to one model")
     p.add_argument("--figure-data", help="also write letter figure data CSV here")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
-    p.add_argument("--preset", choices=sorted(PRESETS), required=True)
+    p.add_argument("--preset", choices=_PRESET_CHOICES, required=True)
     p.add_argument("--n", type=int, default=200, help="number of images")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="ground-truth JSON destination")

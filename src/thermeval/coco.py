@@ -280,12 +280,21 @@ class Dataset:
         wanted = set(image_ids)
         for i in wanted:
             self.image(i)
-        sub = Dataset(
-            images=tuple(img for img in self.images if img.id in wanted),
-            annotations=tuple(a for a in self.annotations if a.image_id in wanted),
-            categories=self.categories,
-        )
-        object.__setattr__(sub, "_root", self if self._root is None else self._root)
+        images = tuple(img for img in self.images if img.id in wanted)
+        # this dataset's records are already valid, so the fold is built
+        # from them and its indexes without the constructor's checks
+        sub = object.__new__(Dataset)
+        for name, value in (
+            ("images", images),
+            ("annotations", tuple(a for a in self.annotations if a.image_id in wanted)),
+            ("categories", self.categories),
+            ("_image_index", {img.id: img for img in images}),
+            ("_anns_by_image", {img.id: self._anns_by_image[img.id] for img in images}),
+            ("_category_index", self._category_index),
+            ("_root", self if self._root is None else self._root),
+            ("_columns", None),
+        ):
+            object.__setattr__(sub, name, value)
         return sub
 
 
@@ -297,6 +306,8 @@ def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD)
     record count never changes, so the operation is idempotent and
     monotone in the threshold.
     """
+    if not math.isfinite(threshold):
+        raise DatasetError(f"size threshold must be finite, got {threshold!r}")
     if threshold < 0:
         raise DatasetError(f"negative size threshold {threshold!r}")
     out = []

@@ -11,13 +11,15 @@ import io
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .metrics import METRIC_NAMES, MetricReport, UNDEFINED
 from .plan import CANONICAL_HPC_ORDER
-from .stats import SampleSet, StatReport
+
+if TYPE_CHECKING:
+    from .stats import SampleSet, StatReport
 
 __all__ = [
     "ReportError",
@@ -157,6 +159,11 @@ def aggregate(results: Sequence[RunResult]) -> AggregateTable:
     may repeat.  Undefined stratum values are left out of their cell; a
     single contributing run yields std 0 with n = 1.
     """
+    return _aggregate(results, METRIC_NAMES)
+
+
+def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> AggregateTable:
+    """``aggregate`` with cells for the named metrics only."""
     if not results:
         raise ReportError("no results to aggregate")
     datasets = {r.dataset for r in results}
@@ -174,7 +181,7 @@ def aggregate(results: Sequence[RunResult]) -> AggregateTable:
         if r.model not in models:
             models.append(r.model)
         hpcs.add(r.hpc)
-        for name in METRIC_NAMES:
+        for name in metrics:
             v = getattr(r.metrics, name)
             if _is_defined(v):
                 by_cell.setdefault((r.model, r.hpc, name), []).append(v)
@@ -294,7 +301,10 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
     column order); values follow run order.  This is the grouping the
     significance battery consumes.
     """
-    table = aggregate(results)
+    from .stats import SampleSet  # the battery's module, loaded only where it is used
+
+    # an unknown metric fails in best_hpc, after the checks on the rows
+    table = _aggregate(results, (metric,) if metric in METRIC_NAMES else ())
     out = []
     for model in table.models:
         hpc = best_hpc(table, metric, model)[0]

@@ -50,6 +50,11 @@ class CalibrationRange:
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):
             raise ThermalError(f"calibration range requires lo < hi, got [{self.lo}, {self.hi}]")
+        # an infinite bound or width turns every sample into 0 or NaN
+        if not math.isfinite(self.hi - self.lo):
+            raise ThermalError(
+                f"calibration range [{self.lo}, {self.hi}] must have finite bounds and width"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,6 +127,20 @@ def test_convert_empty_directory_warns(tmp_path, capsys):
     assert "no .raw files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo, hi", [("-inf", "inf"), ("0", "inf"), ("nan", "100")])
+def test_convert_rejects_a_non_finite_calibration(tmp_path, capsys, lo, hi):
+    src = tmp_path / "raw"
+    src.mkdir()
+    _write_raw_file(src / "a.raw", [[1500]])
+    out = tmp_path / "pgm"
+    rc = main([
+        "convert", "--src", str(src), "--out", str(out), f"--cal-lo={lo}", f"--cal-hi={hi}",
+    ])
+    assert rc == 1
+    assert "thermeval convert: error: calibration range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_missing_source_dir(tmp_path, capsys):
     rc = main([
         "convert", "--src", str(tmp_path / "ghost"), "--out", str(tmp_path / "o"),
@@ -149,6 +163,15 @@ def test_filter_reports_flipped_count(tmp_path, capsys):
     assert f"marked {flipped} of {len(filtered.annotations)}" in capsys.readouterr().out
     small = [a for a in filtered.annotations if a.bbox.w <= 10 or a.bbox.h <= 10]
     assert all(a.ignore for a in small)
+
+
+def test_filter_rejects_a_nan_threshold(tmp_path, capsys):
+    gt_path, _ = _gt_file(tmp_path)
+    out = tmp_path / "filtered.json"
+    rc = main(["filter", "--gt", str(gt_path), "--out", str(out), "--threshold", "nan"])
+    assert rc == 1
+    assert "thermeval filter: error: size threshold must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_split_writes_a_readable_plan(tmp_path, capsys):

@@ -162,6 +162,57 @@ def test_subset_unknown_image_errors():
         _dataset().subset([5])
 
 
+@st.composite
+def _fold_chain(draw):
+    """A random dataset (ids listed out of order, annotations of different
+    images interleaved) followed by a fold, a fold of that fold, and so on."""
+    image_ids = draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
+    cat_ids = draw(st.permutations(range(1, draw(st.integers(1, 3)) + 1)))
+    slots = draw(
+        st.lists(
+            st.tuples(st.sampled_from(image_ids), st.sampled_from(cat_ids), st.booleans()),
+            max_size=15,
+        )
+    )
+    ann_ids = draw(st.permutations(range(1, len(slots) + 1)))
+    chain = [
+        Dataset(
+            images=tuple(
+                ImageRecord(id=i, file_name=f"f{i}.raw", width=64, height=48) for i in image_ids
+            ),
+            annotations=tuple(
+                _ann(a, image_id=i, category_id=c, ignore=ig)
+                for a, (i, c, ig) in zip(ann_ids, slots)
+            ),
+            categories=tuple(CategoryRecord(id=c, name=f"c{c}") for c in cat_ids),
+        )
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        ids = chain[-1].image_ids()
+        wanted = draw(st.lists(st.sampled_from(ids))) if ids else []
+        chain.append(chain[-1].subset(wanted))
+    return chain
+
+
+@given(chain=_fold_chain())
+@settings(max_examples=150, deadline=None)
+def test_subset_equals_its_records_rebuilt(chain):
+    for parent, fold in zip(chain, chain[1:]):
+        rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
+        assert fold == rebuilt
+        for index in ("_image_index", "_anns_by_image", "_category_index"):
+            assert list(getattr(fold, index).items()) == list(getattr(rebuilt, index).items())
+        # the parent's listing order survives, for images and annotations alike
+        assert fold.images == tuple(i for i in parent.images if fold.has_image(i.id))
+        assert fold.annotations == tuple(
+            a for a in parent.annotations if fold.has_image(a.image_id)
+        )
+        assert fold._root is chain[0]
+        for image_id in set(parent.image_ids()) - set(fold.image_ids()):
+            with pytest.raises(DatasetError, match=f"unknown image id {image_id}"):
+                fold.subset([image_id])
+
+
 # -- small-object filter
 
 
@@ -190,6 +241,12 @@ def test_filter_never_clears_existing_ignore():
     ds = _dataset([_ann(1, bbox=(0, 0, 50, 50), ignore=True)])
     out = filter_small_objects(ds, threshold=10.0)
     assert out.annotations[0].ignore is True
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_filter_rejects_a_non_finite_threshold(threshold):
+    with pytest.raises(DatasetError, match="threshold"):
+        filter_small_objects(_dataset([_ann(1)]), threshold)
 
 
 @given(threshold=st.floats(min_value=0.0, max_value=100.0))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -8,9 +10,16 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermeval
+from thermeval.cli import build_parser, main
+from thermeval.coco import write_coco, write_detections
+from thermeval.metrics import METRIC_NAMES, MetricReport
+from thermeval.report import RunResult, write_results_csv
+from thermeval.synth import PRESET_A, PRESETS, MockDetectorSpec, build_corpus, mock_detect
+from thermeval.thermal import RawFrame, write_raw
 
 
 def test_root_holds_only_the_version():
@@ -33,18 +42,24 @@ def test_all_names_resolve_once(module):
     assert len(set(names)) == len(names)
 
 
+def _fresh_python(code: str, *args: str, cwd: Path | None = None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(thermeval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True, env=env, cwd=cwd,
+    )
+    return out.stdout
+
+
 def _loaded_after(imports: str, heavy: tuple[str, ...]) -> list[str]:
     """The modules in ``heavy`` that a fresh interpreter holds after ``imports``."""
     code = (
         f"import sys, {imports}\n"
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
     )
-    src = str(Path(thermeval.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    return out.stdout.split()
+    return _fresh_python(code).split()
 
 
 def test_core_modules_load_without_stats_or_scipy():
@@ -55,3 +70,113 @@ def test_core_modules_load_without_stats_or_scipy():
 def test_cli_report_and_stats_load_without_scipy():
     # scipy.special is imported by the statistics that call it
     assert _loaded_after("thermeval.cli, thermeval.report, thermeval.stats", ("scipy",)) == []
+
+
+# -- what each subcommand loads
+
+# runs ``thermeval`` as its console script does, then lists the loaded modules
+_RUN_CLI = """\
+import json, sys
+from thermeval.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+_SCORE = ("coco", "metrics", "plan", "report")
+_SCENE = ("coco", "synth", "thermal")
+
+# argv ({d}: the input directory) -> the thermeval modules besides the cli
+# that the process loads, and whether it loads numpy and scipy
+_IMPORT_PINS = {
+    "version": ("--version", (), False, False),
+    "help": ("--help", (), False, False),
+    "convert": (
+        "convert --src {d}/raw --out gray --cal-lo 0 --cal-hi 100", ("thermal",), True, False
+    ),
+    "filter": ("filter --gt {d}/gt.json --out gt_f.json", ("coco",), False, False),
+    "split": (
+        "split --gt {d}/gt.json --out plan.json --k-outer 2 --k-inner 2",
+        ("coco", "plan"), True, False,
+    ),
+    "synth": (
+        "synth --preset b --n 2 --out gt.json --frames raw --emit-distractors d.json",
+        _SCENE, True, False,
+    ),
+    "detect": (
+        "detect --gt {d}/gt.json --out dets.json --p-fp 1 --distractors {d}/d.json",
+        _SCENE, True, False,
+    ),
+    "evaluate": (
+        "evaluate --gt {d}/gt.json --dets {d}/dets.json --out r.json"
+        " --append results.csv --model m --hpc 4_L_p --run 1 --dataset s",
+        _SCORE, True, False,
+    ),
+    "stats": ("stats --results {d}/results.csv --metric ap", _SCORE + ("stats",), True, True),
+    "report": ("report --results {d}/results.csv --out table.md", _SCORE, True, False),
+    "report-figure": (
+        "report --results {d}/results.csv --out table.md --figure-data figure.csv",
+        _SCORE + ("stats",), True, True,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    corpus = build_corpus(PRESET_A, n=8, seed=1)
+    (d / "gt.json").write_text(write_coco(corpus.dataset))
+    (d / "d.json").write_text("{}")
+    dets = mock_detect(corpus.dataset, MockDetectorSpec(p_drop=0.2, p_fp=1.0), 2)
+    (d / "dets.json").write_text(write_detections(dets))
+    (d / "raw").mkdir()
+    with open(d / "raw" / "a.raw", "wb") as fp:
+        write_raw(RawFrame(np.arange(6, dtype=np.int16).reshape(2, 3)), fp)
+    rng = np.random.default_rng(0)
+    rows = [
+        RunResult(model, "4_L_p", run, "s", MetricReport(*map(float, rng.uniform(base, 1.0, 8))))
+        for model, base in (("good", 0.7), ("bad", 0.4))
+        for run in range(1, 7)
+    ]
+    (d / "results.csv").write_text(write_results_csv(rows))
+    return d
+
+
+@pytest.mark.parametrize("case", list(_IMPORT_PINS))
+def test_each_subcommand_loads_only_what_it_runs(case, cli_inputs, tmp_path):
+    argv, modules, numpy, scipy = _IMPORT_PINS[case]
+    out = _fresh_python(_RUN_CLI, *argv.format(d=cli_inputs).split(), cwd=tmp_path)
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0
+    ours = sorted(m for m in loaded if m.startswith("thermeval."))
+    assert ours == sorted(["thermeval.cli"] + [f"thermeval.{m}" for m in modules])
+    assert ("numpy" in loaded, "scipy" in loaded) == (numpy, scipy)
+
+
+def _choices(command: str, dest: str):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return next(a.choices for a in subparsers.choices[command]._actions if a.dest == dest)
+
+
+def test_parser_choices_match_the_modules_that_own_them():
+    # the parser spells these out so that building it imports no thermeval module
+    assert tuple(_choices("stats", "metric")) == METRIC_NAMES + ("all",)
+    assert list(_choices("synth", "preset")) == sorted(PRESETS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--preset", "c", "--out", "gt.json"],
+        ["stats", "--results", "results.csv", "--metric", "map"],
+    ],
+)
+def test_an_unknown_choice_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

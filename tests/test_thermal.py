@@ -49,6 +49,22 @@ def test_calibration_requires_ordered_range():
         CalibrationRange(lo=5.0, hi=5.0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-np.inf, np.inf),
+        (0.0, np.inf),
+        (-np.inf, 0.0),
+        (np.nan, 1.0),
+        (0.0, np.nan),
+        (-1e308, 1e308),  # finite bounds, but the width overflows
+    ],
+)
+def test_calibration_requires_finite_range(lo, hi):
+    with pytest.raises(ThermalError):
+        CalibrationRange(lo=lo, hi=hi)
+
+
 def test_raw_frame_requires_int16():
     with pytest.raises(ThermalError):
         RawFrame(pixels=np.zeros((2, 2), dtype=np.float32))
