@@ -193,6 +193,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .report import metric_samples, read_results_csv
     from .stats import DEFAULT_ALPHA, StatsError, run_battery
 
+    if args.manifest and args.out is None:
+        raise ValueError("--manifest needs --out")
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
     metrics = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
@@ -217,8 +219,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise StatsError("no metric could be tested")
     if args.out is not None:
         Path(args.out).write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
-        if args.manifest:
-            _write_manifest(Path(args.out), "stats", None, [Path(args.results)], [Path(args.out)])
+    if args.manifest:
+        _write_manifest(Path(args.out), "stats", None, [Path(args.results)], [Path(args.out)])
     return 0
 
 

@@ -175,6 +175,16 @@ class CategoryRecord:
             raise DatasetError(f"category {self.id}: name must be a non-empty string")
 
 
+def _by_id(records: Iterable[ImageRecord | CategoryRecord], what: str) -> dict:
+    """Index records by id, rejecting a repeated id."""
+    index = {}
+    for rec in records:
+        if rec.id in index:
+            raise DatasetError(f"duplicate {what} id {rec.id}")
+        index[rec.id] = rec
+    return index
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Validated, immutable ground-truth collection.
@@ -190,9 +200,6 @@ class Dataset:
     _image_index: Mapping[int, ImageRecord] = field(
         init=False, repr=False, compare=False, default=None
     )
-    _anns_by_image: Mapping[int, tuple[AnnotationRecord, ...]] = field(
-        init=False, repr=False, compare=False, default=None
-    )
     _category_index: Mapping[int, CategoryRecord] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -206,20 +213,9 @@ class Dataset:
         object.__setattr__(self, "annotations", tuple(self.annotations))
         object.__setattr__(self, "categories", tuple(self.categories))
 
-        image_index: dict[int, ImageRecord] = {}
-        for img in self.images:
-            if img.id in image_index:
-                raise DatasetError(f"duplicate image id {img.id}")
-            image_index[img.id] = img
-
-        category_index: dict[int, CategoryRecord] = {}
-        for cat in self.categories:
-            if cat.id in category_index:
-                raise DatasetError(f"duplicate category id {cat.id}")
-            category_index[cat.id] = cat
-
+        image_index = _by_id(self.images, "image")
+        category_index = _by_id(self.categories, "category")
         seen_ann: set[int] = set()
-        anns_by_image: dict[int, list[AnnotationRecord]] = {img.id: [] for img in self.images}
         for ann in self.annotations:
             if ann.id in seen_ann:
                 raise DatasetError(f"duplicate annotation id {ann.id}")
@@ -232,15 +228,8 @@ class Dataset:
                 raise DatasetError(
                     f"annotation {ann.id} references missing category {ann.category_id}"
                 )
-            anns_by_image[ann.image_id].append(ann)
-
         object.__setattr__(self, "_image_index", image_index)
         object.__setattr__(self, "_category_index", category_index)
-        object.__setattr__(
-            self,
-            "_anns_by_image",
-            {k: tuple(v) for k, v in anns_by_image.items()},
-        )
 
     def __len__(self) -> int:
         return len(self.images)
@@ -251,12 +240,6 @@ class Dataset:
         except KeyError:
             raise DatasetError(f"unknown image id {image_id}") from None
 
-    def category(self, category_id: int) -> CategoryRecord:
-        try:
-            return self._category_index[category_id]
-        except KeyError:
-            raise DatasetError(f"unknown category id {category_id}") from None
-
     def has_image(self, image_id: int) -> bool:
         return image_id in self._image_index
 
@@ -265,15 +248,6 @@ class Dataset:
 
     def image_ids(self) -> tuple[int, ...]:
         return tuple(img.id for img in self.images)
-
-    def annotations_for(
-        self, image_id: int, category_id: int | None = None
-    ) -> tuple[AnnotationRecord, ...]:
-        self.image(image_id)
-        anns = self._anns_by_image.get(image_id, ())
-        if category_id is None:
-            return anns
-        return tuple(a for a in anns if a.category_id == category_id)
 
     def subset(self, image_ids: Iterable[int]) -> "Dataset":
         """Restrict to the given images, keeping their annotations."""
@@ -289,7 +263,6 @@ class Dataset:
             ("annotations", tuple(a for a in self.annotations if a.image_id in wanted)),
             ("categories", self.categories),
             ("_image_index", {img.id: img for img in images}),
-            ("_anns_by_image", {img.id: self._anns_by_image[img.id] for img in images}),
             ("_category_index", self._category_index),
             ("_root", self if self._root is None else self._root),
             ("_columns", None),

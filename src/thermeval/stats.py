@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -171,12 +172,16 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     return float(f), p
 
 
-def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Midranks plus the sizes of tie runs (size >= 2)."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+def _rank_with_ties(groups: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """Midranks over the pooled groups, split back per group, plus the
+    sizes of tie runs (size >= 2)."""
+    _, inverse, counts = np.unique(
+        np.concatenate(groups), return_inverse=True, return_counts=True
+    )
     # a run of c equal values ending at rank e shares the rank e - (c - 1) / 2
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return ranks, counts[counts > 1].tolist()
+    bounds = np.cumsum([g.size for g in groups[:-1]])
+    return np.split(ranks, bounds), counts[counts > 1].tolist()
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -185,17 +190,11 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
 
     gs = _check_groups(groups)
     k = len(gs)
-    pooled = np.concatenate(gs)
-    n = pooled.size
+    n = sum(g.size for g in gs)
     if n < 5:
         raise StatsError(f"chi-square approximation needs N >= 5, got {n}")
-    ranks, ties = _rank_with_ties(pooled)
-    h = 0.0
-    start = 0
-    for g in gs:
-        r = ranks[start : start + g.size]
-        h += float(r.sum()) ** 2 / g.size
-        start += g.size
+    ranks, ties = _rank_with_ties(gs)
+    h = sum(float(r.sum()) ** 2 / r.size for r in ranks)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - sum(t**3 - t for t in ties) / float(n**3 - n)
     if correction == 0.0:
@@ -262,32 +261,23 @@ def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray
 
     gs = _check_groups(groups)
     k = len(gs)
-    pooled = np.concatenate(gs)
-    n = pooled.size
-    ranks, ties = _rank_with_ties(pooled)
+    n = sum(g.size for g in gs)
+    ranks, ties = _rank_with_ties(gs)
     tie_term = sum(t**3 - t for t in ties) / (12.0 * (n - 1))
     base_var = n * (n + 1) / 12.0 - tie_term
     if base_var <= 0.0:
         raise StatsError("all values identical; rank variance is zero")
 
-    mean_ranks = []
-    sizes = []
-    start = 0
-    for g in gs:
-        mean_ranks.append(float(ranks[start : start + g.size].mean()))
-        sizes.append(g.size)
-        start += g.size
-
+    mean_ranks = [float(r.mean()) for r in ranks]
     z = np.zeros((k, k))
     p = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            se = math.sqrt(base_var * (1.0 / sizes[i] + 1.0 / sizes[j]))
-            zij = (mean_ranks[i] - mean_ranks[j]) / se
-            pij = min(2.0 * float(special.ndtr(-abs(zij))), 1.0)
-            z[i, j] = zij
-            z[j, i] = -zij
-            p[i, j] = p[j, i] = pij
+    for i, j in combinations(range(k), 2):
+        se = math.sqrt(base_var * (1.0 / ranks[i].size + 1.0 / ranks[j].size))
+        zij = (mean_ranks[i] - mean_ranks[j]) / se
+        pij = min(2.0 * float(special.ndtr(-abs(zij))), 1.0)
+        z[i, j] = zij
+        z[j, i] = -zij
+        p[i, j] = p[j, i] = pij
     return z, p
 
 
@@ -338,12 +328,7 @@ def compact_letters(
             continue
         nonsig.add(frozenset((a, b)))
 
-    sig_pairs = [
-        (groups[i], groups[j])
-        for i in range(len(groups))
-        for j in range(i + 1, len(groups))
-        if frozenset((groups[i], groups[j])) not in nonsig
-    ]
+    sig_pairs = [pair for pair in combinations(groups, 2) if frozenset(pair) not in nonsig]
 
     columns: list[set[str]] = [set(groups)]
     for a, b in sig_pairs:
@@ -483,34 +468,28 @@ def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> St
             kruskal_p,
         )
 
-    n_pairs = len(names) * (len(names) - 1) // 2
-    alpha_corrected = bonferroni(alpha, n_pairs)
+    pairs = list(combinations(range(len(names)), 2))
+    alpha_corrected = bonferroni(alpha, len(pairs))
 
     pairwise: list[PairwiseTest] = []
     if omnibus_p < alpha:
         if all_normal:
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    t, p = t_test_welch(values[i], values[j])
-                    pairwise.append(PairwiseTest(names[i], names[j], "welch_t", t, p))
+            for i, j in pairs:
+                t, p = t_test_welch(values[i], values[j])
+                pairwise.append(PairwiseTest(names[i], names[j], "welch_t", t, p))
         else:
             z, p_mat = dunn_test(values)
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    pairwise.append(
-                        PairwiseTest(names[i], names[j], "dunn", float(z[i, j]), float(p_mat[i, j]))
-                    )
+            for i, j in pairs:
+                pairwise.append(
+                    PairwiseTest(names[i], names[j], "dunn", float(z[i, j]), float(p_mat[i, j]))
+                )
 
     if pairwise:
         nonsig = [
             (t.group_a, t.group_b) for t in pairwise if t.p_value >= alpha_corrected
         ]
     else:
-        nonsig = [
-            (names[i], names[j])
-            for i in range(len(names))
-            for j in range(i + 1, len(names))
-        ]
+        nonsig = [(names[i], names[j]) for i, j in pairs]
     letters = compact_letters(names, nonsig)
 
     return StatReport(

@@ -47,8 +47,16 @@ class SynthError(ValueError):
 
 def _check_range(rng_pair, what: str, lo_min: float) -> None:
     lo, hi = rng_pair
-    if lo < lo_min or hi < lo:
-        raise SynthError(f"{what} range ({lo}, {hi}) invalid (need {lo_min} <= lo <= hi)")
+    # NaN fails every comparison
+    if not (lo_min <= lo <= hi < math.inf):
+        raise SynthError(
+            f"{what} range ({lo}, {hi}) invalid (need {lo_min} <= lo <= hi, both finite)"
+        )
+
+
+def _check_non_negative(value: float, what: str) -> None:
+    if not (0.0 <= value < math.inf):
+        raise SynthError(f"{what} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ class SceneSpec:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
         if not (0.0 <= self.empty_prob <= 1.0):
             raise SynthError(f"empty_prob {self.empty_prob} outside [0, 1]")
-        if self.puddle_extra_lambda < 0:
-            raise SynthError("puddle_extra_lambda must be non-negative")
+        _check_non_negative(self.puddle_extra_lambda, "puddle_extra_lambda")
         for pair, what in (
             (self.puddle_axis, "puddle_axis"),
             (self.pig_axis, "pig_axis"),
@@ -92,11 +99,8 @@ class SceneSpec:
             (self.stripe_count, "stripe_count"),
             (self.bird_count, "bird_count"),
         ):
-            lo, hi = pair
-            if lo < 0 or hi < lo:
-                raise SynthError(f"{what} range ({lo}, {hi}) invalid")
-        if self.noise_sigma < 0:
-            raise SynthError("noise_sigma must be non-negative")
+            _check_range(pair, what, lo_min=0)
+        _check_non_negative(self.noise_sigma, "noise_sigma")
         peak = self.background_level + self.warm_delta[1] + 6.0 * self.noise_sigma
         if peak > 32767 or self.background_level - 6.0 * self.noise_sigma < -32768:
             raise SynthError("levels overflow the signed 16-bit sample range")
@@ -117,12 +121,24 @@ PRESET_B = SceneSpec(
 PRESETS: Mapping[str, SceneSpec] = {"a": PRESET_A, "b": PRESET_B}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Blob:
-    kind: str  # "ellipse" or "rect"
-    params: tuple[float, ...]
+    """A warm object: the pixels it covers, as a mask over the canvas
+    window whose top-left pixel is (i0, j0), and its temperature delta."""
+
+    i0: int
+    j0: int
+    mask: np.ndarray
     delta: float
-    bbox: BBox
+
+    @property
+    def bbox(self) -> BBox:
+        rows = np.nonzero(np.any(self.mask, axis=1))[0]
+        cols = np.nonzero(np.any(self.mask, axis=0))[0]
+        # every blob covers at least one pixel
+        y0, y1 = self.i0 + rows[0], self.i0 + rows[-1]
+        x0, x1 = self.j0 + cols[0], self.j0 + cols[-1]
+        return BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +154,10 @@ def _ellipse_mask(cx: float, cy: float, a: float, b: float, width: int, height: 
     j1 = min(int(math.ceil(cx + a + 0.5)), width - 1)
     i0 = max(int(math.floor(cy - b - 0.5)), 0)
     i1 = min(int(math.ceil(cy + b + 0.5)), height - 1)
-    jj, ii = np.meshgrid(np.arange(j0, j1 + 1), np.arange(i0, i1 + 1))
-    mask = ((jj + 0.5 - cx) / a) ** 2 + ((ii + 0.5 - cy) / b) ** 2 <= 1.0
+    dx = ((np.arange(j0, j1 + 1) + 0.5 - cx) / a) ** 2
+    dy = ((np.arange(i0, i1 + 1) + 0.5 - cy) / b) ** 2
+    mask = dx[np.newaxis, :] + dy[:, np.newaxis] <= 1.0
     return i0, j0, mask
-
-
-def _mask_bbox(i0: int, j0: int, mask: np.ndarray) -> BBox:
-    rows = np.any(mask, axis=1)
-    cols = np.any(mask, axis=0)
-    ri = np.nonzero(rows)[0]
-    ci = np.nonzero(cols)[0]
-    # axes >= 1 guarantee at least one pixel center inside
-    y0, y1 = i0 + ri[0], i0 + ri[-1]
-    x0, x1 = j0 + ci[0], j0 + ci[-1]
-    return BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
 
 
 def _draw_ellipse(rng: np.random.Generator, axis: tuple[float, float], spec: SceneSpec) -> _Blob:
@@ -160,8 +166,8 @@ def _draw_ellipse(rng: np.random.Generator, axis: tuple[float, float], spec: Sce
     cx = rng.uniform(a, spec.width - a)
     cy = rng.uniform(b, spec.height - b)
     delta = rng.uniform(*spec.warm_delta)
-    i0, j0, mask = _ellipse_mask(cx, cy, a, b, spec.width, spec.height)
-    return _Blob("ellipse", (cx, cy, a, b), delta, _mask_bbox(i0, j0, mask))
+    # axes >= 1 guarantee at least one pixel center inside
+    return _Blob(*_ellipse_mask(cx, cy, a, b, spec.width, spec.height), delta)
 
 
 def _draw_stripe(rng: np.random.Generator, spec: SceneSpec) -> _Blob:
@@ -187,8 +193,7 @@ def _draw_stripe(rng: np.random.Generator, spec: SceneSpec) -> _Blob:
     if j1 < j0 or i1 < i0:  # degenerate sliver; keep one pixel
         j0 = j1 = min(max(int(x), 0), spec.width - 1)
         i0 = i1 = min(max(int(y), 0), spec.height - 1)
-    bbox = BBox(float(j0), float(i0), float(j1 - j0 + 1), float(i1 - i0 + 1))
-    return _Blob("rect", (float(j0), float(i0), float(j1), float(i1)), delta, bbox)
+    return _Blob(i0, j0, np.ones((i1 - i0 + 1, j1 - j0 + 1), dtype=bool), delta)
 
 
 def _layout(spec: SceneSpec, rng: np.random.Generator) -> tuple[list[_Blob], list[_Blob]]:
@@ -210,16 +215,9 @@ def _layout(spec: SceneSpec, rng: np.random.Generator) -> tuple[list[_Blob], lis
 def _paint(spec: SceneSpec, blobs: Sequence[_Blob], rng: np.random.Generator) -> RawFrame:
     base = np.full((spec.height, spec.width), float(spec.background_level))
     for blob in blobs:
-        if blob.kind == "ellipse":
-            cx, cy, a, b = blob.params
-            i0, j0, mask = _ellipse_mask(cx, cy, a, b, spec.width, spec.height)
-            window = base[i0 : i0 + mask.shape[0], j0 : j0 + mask.shape[1]]
-            window[mask] = spec.background_level + blob.delta
-        else:
-            j0, i0, j1, i1 = blob.params
-            base[int(i0) : int(i1) + 1, int(j0) : int(j1) + 1] = (
-                spec.background_level + blob.delta
-            )
+        h, w = blob.mask.shape
+        window = base[blob.i0 : blob.i0 + h, blob.j0 : blob.j0 + w]
+        window[blob.mask] = spec.background_level + blob.delta
     if spec.noise_sigma > 0:
         base = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
     samples = np.clip(np.rint(base), -32768, 32767).astype(np.int16)
@@ -332,10 +330,8 @@ class MockDetectorSpec:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise SynthError(f"{name}={p} outside [0, 1]")
-        if self.p_fp < 0:
-            raise SynthError("p_fp must be non-negative")
-        if self.jitter_sigma < 0:
-            raise SynthError("jitter_sigma must be non-negative")
+        _check_non_negative(self.p_fp, "p_fp")
+        _check_non_negative(self.jitter_sigma, "jitter_sigma")
         for name in ("hit_score", "fp_score"):
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= hi <= 1.0):
@@ -368,11 +364,14 @@ def mock_detect(
     if not ds.categories:
         raise SynthError("dataset has no categories")
     fallback_cat = ds.categories[0].id
+    by_image: dict[int, list[AnnotationRecord]] = {}
+    for ann in ds.annotations:
+        by_image.setdefault(ann.image_id, []).append(ann)
     children = np.random.SeedSequence(seed).spawn(len(ds.images))
     out: list[Detection] = []
     for idx, img in enumerate(ds.images):
         rng = np.random.default_rng(children[idx])
-        for ann in ds.annotations_for(img.id):
+        for ann in by_image.get(img.id, ()):
             if ann.ignore:
                 continue
             if rng.random() < spec.p_drop:

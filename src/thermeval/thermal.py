@@ -58,55 +58,50 @@ class CalibrationRange:
 
 
 @dataclass(frozen=True, eq=False)
-class RawFrame:
+class _Frame:
+    """A non-empty (height, width) array of the subclass's sample dtype."""
+
+    pixels: np.ndarray
+    # each subclass sets ``kind`` and ``dtype`` unannotated, so they stay class attributes
+
+    def __post_init__(self) -> None:
+        px = np.asarray(self.pixels)
+        if px.ndim != 2 or px.size == 0:
+            raise ThermalError(
+                f"{self.kind} frame must be a non-empty 2-d array, got shape {px.shape}"
+            )
+        if px.dtype != self.dtype:
+            raise ThermalError(f"{self.kind} frame samples must be {self.dtype}, got {px.dtype}")
+        object.__setattr__(self, "pixels", px)
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _Frame)
+            and other.kind == self.kind
+            and np.array_equal(self.pixels, other.pixels)
+        )
+
+
+class RawFrame(_Frame):
     """Radiometric frame: (height, width) array of signed 16-bit samples."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        px = np.asarray(self.pixels)
-        if px.ndim != 2 or px.size == 0:
-            raise ThermalError(f"raw frame must be a non-empty 2-d array, got shape {px.shape}")
-        if px.dtype != np.int16:
-            raise ThermalError(f"raw frame samples must be int16, got {px.dtype}")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RawFrame) and np.array_equal(self.pixels, other.pixels)
+    kind = "raw"
+    dtype = np.dtype(np.int16)
 
 
-@dataclass(frozen=True, eq=False)
-class GrayFrame:
+class GrayFrame(_Frame):
     """8-bit single-channel frame."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        px = np.asarray(self.pixels)
-        if px.ndim != 2 or px.size == 0:
-            raise ThermalError(f"gray frame must be a non-empty 2-d array, got shape {px.shape}")
-        if px.dtype != np.uint8:
-            raise ThermalError(f"gray frame samples must be uint8, got {px.dtype}")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GrayFrame) and np.array_equal(self.pixels, other.pixels)
+    kind = "gray"
+    dtype = np.dtype(np.uint8)
 
 
 def normalize_frame(raw: RawFrame, cal: CalibrationRange) -> GrayFrame:

@@ -327,6 +327,25 @@ def test_stats_with_one_model_fails(tmp_path, capsys):
     )
 
 
+def test_stats_manifest_needs_out(tmp_path, capsys):
+    results = _results_csv(tmp_path)
+    rc = main(["stats", "--results", str(results), "--manifest"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "thermeval stats: error: --manifest needs --out"
+    assert captured.out == ""  # rejected before the battery runs
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_stats_manifest_with_out(tmp_path):
+    results = _results_csv(tmp_path)
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--results", str(results), "--out", str(out), "--manifest"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "stats"
+    assert manifest["outputs"] == [str(out)]
+
+
 # -- report
 
 
@@ -442,6 +461,24 @@ def test_detect_consumes_distractor_file(tmp_path):
     dets = parse_detections(dets_out.read_text(), ds)
     n_distractors = sum(len(v) for v in json.loads(distractors.read_text()).values())
     assert len(dets) == len(ds.annotations) + n_distractors
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--p-drop", "1", "--jitter-sigma", "nan"],
+        ["--jitter-sigma", "inf"],
+        ["--p-fp", "nan"],
+        ["--p-fp", "inf"],
+    ],
+)
+def test_detect_rejects_a_non_finite_rate(tmp_path, capsys, flags):
+    gt_path, _ = _gt_file(tmp_path, n=4)
+    out = tmp_path / "dets.json"
+    rc = main(["detect", "--gt", str(gt_path), "--out", str(out), *flags])
+    assert rc == 1
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

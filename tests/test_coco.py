@@ -128,8 +128,9 @@ def test_annotation_area_is_derived():
 
 def test_dataset_indexes_annotations_by_image():
     ds = _dataset([_ann(1), _ann(2, image_id=2), _ann(3)])
-    assert [a.id for a in ds.annotations_for(1)] == [1, 3]
-    assert [a.id for a in ds.annotations_for(2)] == [2]
+    # an image's annotations are the dataset's, in dataset order
+    assert [a.id for a in ds.subset([1]).annotations] == [1, 3]
+    assert [a.id for a in ds.subset([2]).annotations] == [2]
     assert ds.image(2).file_name == "f1.raw"
     assert ds.image_ids() == (1, 2)
 
@@ -137,6 +138,20 @@ def test_dataset_indexes_annotations_by_image():
 def test_dataset_rejects_duplicate_ids():
     with pytest.raises(DatasetError, match="1"):
         _dataset([_ann(1), _ann(1, image_id=2)])
+
+
+def test_dataset_names_a_duplicate_image_or_category_id():
+    img = ImageRecord(id=7, file_name="a.raw", width=4, height=4)
+    cat = CategoryRecord(id=3, name="puddle")
+    with pytest.raises(DatasetError, match=r"^duplicate image id 7$"):
+        Dataset((img, img), (), (cat,))
+    with pytest.raises(DatasetError, match=r"^duplicate category id 3$"):
+        Dataset((img,), (), (cat, cat))
+    # images are checked before categories, and both before annotations
+    with pytest.raises(DatasetError, match=r"^duplicate image id 7$"):
+        Dataset((img, img), (_ann(1, image_id=99), _ann(1)), (cat, cat))
+    with pytest.raises(DatasetError, match=r"^duplicate category id 3$"):
+        Dataset((img,), (_ann(1, image_id=99),), (cat, cat))
 
 
 def test_dataset_rejects_dangling_image_ref():
@@ -200,7 +215,7 @@ def test_subset_equals_its_records_rebuilt(chain):
     for parent, fold in zip(chain, chain[1:]):
         rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
         assert fold == rebuilt
-        for index in ("_image_index", "_anns_by_image", "_category_index"):
+        for index in ("_image_index", "_category_index"):
             assert list(getattr(fold, index).items()) == list(getattr(rebuilt, index).items())
         # the parent's listing order survives, for images and annotations alike
         assert fold.images == tuple(i for i in parent.images if fold.has_image(i.id))

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
-from thermeval.coco import SizeClass
+from thermeval.coco import (
+    AnnotationRecord,
+    BBox,
+    CategoryRecord,
+    Dataset,
+    ImageRecord,
+    SizeClass,
+)
 from thermeval.metrics import evaluate
 from thermeval.synth import (
     PRESET_A,
@@ -60,6 +71,25 @@ def test_spec_rejects_inverted_count_range():
         SceneSpec(pig_count=(3, 1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["puddle_axis", "pig_axis", "bird_axis", "warm_delta", "stripe_thickness"],
+)
+def test_spec_rejects_a_non_finite_range(field, bad):
+    with pytest.raises(SynthError, match=f"{field} range"):
+        SceneSpec(**{field: (2.0, bad)})
+    with pytest.raises(SynthError, match=f"{field} range"):
+        SceneSpec(**{field: (bad, 3.0)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("field", ["puddle_extra_lambda", "noise_sigma"])
+def test_spec_rejects_a_non_finite_or_negative_rate(field, bad):
+    with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
+        SceneSpec(**{field: bad})
+
+
 def test_presets_are_registered():
     assert PRESETS == {"a": PRESET_A, "b": PRESET_B}
 
@@ -74,6 +104,17 @@ def test_scene_is_deterministic():
     assert a.puddles == b.puddles
     assert a.frame == b.frame
     assert generate_scene(spec, seed=43).frame != a.frame
+
+
+def test_preset_b_scene_is_pinned():
+    # seed 14 lays out puddles, pigs, stripes and birds; the digest covers
+    # the rendered samples and every box
+    scene = generate_scene(PRESET_B, seed=14)
+    h = hashlib.sha256(scene.frame.pixels.astype("<i2").tobytes())
+    boxes = [[b.as_list() for b in scene.puddles], [b.as_list() for b in scene.distractors]]
+    h.update(json.dumps(boxes).encode())
+    assert len(scene.puddles) == 2 and len(scene.distractors) == 7
+    assert h.hexdigest() == "222411a557eb7e3b3cddf6e225437afef0b487cd1369a09f35325ebad4c055c3"
 
 
 def test_scene_accepts_seed_sequence():
@@ -193,6 +234,37 @@ def test_detector_spec_validation():
         MockDetectorSpec(fp_size=(0.0, 10.0))
     with pytest.raises(SynthError):
         MockDetectorSpec(jitter_sigma=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detector_spec_rejects_non_finite_values(bad):
+    for field in ("p_fp", "jitter_sigma"):
+        with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
+            MockDetectorSpec(**{field: bad})
+    for fp_size in ((8.0, bad), (bad, 80.0)):
+        with pytest.raises(SynthError, match="fp_size range"):
+            MockDetectorSpec(fp_size=fp_size)
+
+
+def test_mock_detect_follows_dataset_order():
+    # images listed out of id order, annotations of different images
+    # interleaved and their ids out of order
+    images = tuple(ImageRecord(id=i, file_name=f"f{i}.raw", width=64, height=48) for i in (3, 1, 2))
+    placed = [(9, 1), (4, 3), (5, 1), (1, 2), (2, 3)]  # (annotation id, image id)
+    annotations = tuple(
+        AnnotationRecord(id=a, image_id=i, category_id=1, bbox=BBox(float(a), 1.0, 4.0, 4.0))
+        for a, i in placed
+    )
+    ds = Dataset(images, annotations, (CategoryRecord(id=1, name="puddle"),))
+    dets = mock_detect(ds, MockDetectorSpec(), seed=0)
+    # image by image in listing order, each image's annotations in dataset order
+    assert [(d.image_id, d.bbox.x) for d in dets] == [(3, 4.0), (3, 2.0), (1, 9.0), (1, 5.0), (2, 1.0)]
+    # each image draws from its own stream, so where an image's annotations
+    # sit among other images' changes nothing
+    moved = Dataset(images, annotations[3:4] + annotations[:3] + annotations[4:], ds.categories)
+    assert mock_detect(moved, MockDetectorSpec(p_drop=0.3, jitter_sigma=1.0), seed=4) == (
+        mock_detect(ds, MockDetectorSpec(p_drop=0.3, jitter_sigma=1.0), seed=4)
+    )
 
 
 def test_perfect_detector_returns_ground_truth_boxes():

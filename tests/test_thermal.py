@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -66,13 +67,33 @@ def test_calibration_requires_finite_range(lo, hi):
 
 
 def test_raw_frame_requires_int16():
-    with pytest.raises(ThermalError):
+    with pytest.raises(ThermalError, match=r"^raw frame samples must be int16, got float32$"):
         RawFrame(pixels=np.zeros((2, 2), dtype=np.float32))
 
 
 def test_gray_frame_requires_uint8():
-    with pytest.raises(ThermalError):
+    with pytest.raises(ThermalError, match=r"^gray frame samples must be uint8, got int16$"):
         GrayFrame(pixels=np.zeros((2, 2), dtype=np.int16))
+
+
+@pytest.mark.parametrize("frame_type, kind", [(RawFrame, "raw"), (GrayFrame, "gray")])
+@pytest.mark.parametrize("shape", [(3,), (0, 2), (1, 2, 3)])
+def test_frame_requires_a_non_empty_2d_array(frame_type, kind, shape):
+    dtype = np.int16 if frame_type is RawFrame else np.uint8
+    message = f"{kind} frame must be a non-empty 2-d array, got shape {shape}"
+    with pytest.raises(ThermalError, match=f"^{re.escape(message)}$"):
+        frame_type(pixels=np.zeros(shape, dtype=dtype))
+
+
+def test_raw_and_gray_frames_are_never_equal():
+    pixels = np.zeros((2, 3), dtype=np.int16)
+    raw = RawFrame(pixels)
+    gray = GrayFrame(pixels.astype(np.uint8))
+    assert raw != gray and gray != raw
+    assert not raw == gray and not gray == raw
+    assert raw == RawFrame(pixels.copy()) and gray == GrayFrame(gray.pixels.copy())
+    assert repr(raw) == f"RawFrame(pixels={pixels!r})"
+    assert repr(gray) == f"GrayFrame(pixels={gray.pixels!r})"
 
 
 def test_frame_equality_is_by_content():
