@@ -14,12 +14,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 
 if TYPE_CHECKING:
     from .coco import BBox
+    from .report import RunResult
+    from .stats import StatReport
 
 # Each command imports the modules it runs inside its body, and the parser
 # needs no thermeval module, so a process loads only what its command uses
@@ -188,26 +190,46 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _batteries(
+    results: Sequence[RunResult],
+    metrics: Sequence[str],
+    alpha: float | None,
+    prog: str | None = None,
+) -> dict[str, StatReport]:
+    """The battery's report on ``results`` for each metric it can test.
+
+    A metric it cannot test is skipped, with a note on stderr when
+    ``prog`` names the command; a lone metric's error is raised as it
+    is, and a StatsError when no metric is left.
+    """
+    from .report import metric_samples
+    from .stats import DEFAULT_ALPHA, StatsError, run_battery
+
+    alpha = DEFAULT_ALPHA if alpha is None else alpha
+    batteries = {}
+    for metric in metrics:
+        try:
+            batteries[metric] = run_battery(metric_samples(results, metric), alpha)
+        except StatsError as exc:
+            if len(metrics) == 1:
+                raise
+            if prog is not None:
+                print(f"thermeval {prog}: skipping {metric}: {exc}", file=sys.stderr)
+    if not batteries:
+        raise StatsError("no metric supports the battery")
+    return batteries
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     from .metrics import METRIC_NAMES
-    from .report import metric_samples, read_results_csv
-    from .stats import DEFAULT_ALPHA, StatsError, run_battery
+    from .report import read_results_csv
 
     if args.manifest and args.out is None:
         raise ValueError("--manifest needs --out")
-    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
-    metrics = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
-    reports = {}
-    for metric in metrics:
-        try:
-            battery = run_battery(metric_samples(results, metric), alpha)
-        except StatsError as exc:
-            if args.metric != "all":
-                raise
-            print(f"thermeval stats: skipping {metric}: {exc}", file=sys.stderr)
-            continue
-        reports[metric] = battery.as_dict()
+    metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
+    batteries = _batteries(results, metrics, args.alpha, "stats")
+    for metric, battery in batteries.items():
         letters = " ".join(
             f"{name}={battery.letters[name]}" for name in battery.group_names
         )
@@ -215,9 +237,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{metric}: omnibus={battery.omnibus_method}"
             f" p={battery.omnibus_p:.4g} {letters}"
         )
-    if not reports:
-        raise StatsError("no metric could be tested")
     if args.out is not None:
+        reports = {metric: battery.as_dict() for metric, battery in batteries.items()}
         Path(args.out).write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     if args.manifest:
         _write_manifest(Path(args.out), "stats", None, [Path(args.results)], [Path(args.out)])
@@ -244,22 +265,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.figure_data is not None:
         # only the figure data needs the battery (and so scipy)
         from .metrics import METRIC_NAMES
-        from .report import emit_significance_figure_data, metric_samples
-        from .stats import DEFAULT_ALPHA, StatsError, run_battery
+        from .report import emit_significance_figure_data
 
-        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-        stats_by_metric = {}
-        for metric in METRIC_NAMES:
-            try:
-                stats_by_metric[metric] = run_battery(
-                    metric_samples(results, metric), alpha
-                )
-            except StatsError:
-                continue
-        if not stats_by_metric:
-            raise StatsError("no metric supports the battery")
+        batteries = _batteries(results, METRIC_NAMES, args.alpha)
         Path(args.figure_data).write_text(
-            emit_significance_figure_data(stats_by_metric, table), encoding="utf-8"
+            emit_significance_figure_data(batteries, table), encoding="utf-8"
         )
         outputs.append(Path(args.figure_data))
     if args.manifest:

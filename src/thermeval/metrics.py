@@ -13,8 +13,10 @@ image) pair each, are visited in (category id, image id) order, as COCO
 does, so the order a file lists them in never moves a score.  The
 ground truth's flat columns are built once per top-level dataset, on its
 first ``evaluate``; a ``Dataset.subset`` fold, or a fold of a fold, shares
-them and selects its images' rows.  The matching departs from pycocotools
-in three ways:
+them and selects its images' rows.  Greedy matching runs for every cell at
+once in steps: a detection that shares no GT with another settles in the
+first step, and contested ones, which do, take one step each per cell in
+score order.  The matching departs from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
@@ -134,11 +136,13 @@ def _match_cells(
     stratum's ignore regions.  Each detection takes the untaken real GT of
     its cell with the highest IoU at or above the threshold; failing that,
     an untaken ignore region, so each region absorbs at most one detection.
-    The first maximum in id order wins, which sends IoU ties to the lower
-    annotation id.  Cells share no GT, so step r settles the r-th detection
-    of every cell at once, on one flat row per same-cell (detection, GT)
-    pair.  Returns the matched GT index per (stratum, threshold, detection),
-    or -1.
+    IoU ties go to the lower annotation id.  Two detections can only
+    affect each other through a GT that both pair with at or above the
+    lowest threshold, and cells share no GT.  So every detection settles
+    in step 0 except the contested ones, which share such a GT: step r
+    settles the r-th contested detection of every cell, in score order.
+    Each step works on one flat row per (detection, GT) pair.  Returns the
+    matched GT index per (stratum, threshold, detection), or -1.
     """
     n_rows = len(gt_ignore) * len(thresholds)
     hits = np.full((n_rows, len(dt_box)), -1, dtype=np.intp)
@@ -153,39 +157,38 @@ def _match_cells(
     keep = pair_iou >= thresholds[0]
     pair_dt, pair_gt, pair_iou = pair_dt[keep], pair_gt[keep], pair_iou[keep]
 
-    # a detection's step is its rank among its cell's detections with pairs left
-    dt_first = _run_starts(pair_dt)
-    step = _rank_in_run(dt_cell[pair_dt[dt_first]])[np.cumsum(dt_first) - 1]
-    order = np.argsort(step, kind="stable")
-    pair_dt, pair_gt, pair_iou, dt_first = (a[order] for a in (pair_dt, pair_gt, pair_iou, dt_first))
-    bounds = np.searchsorted(step[order], np.arange(step.max(initial=-1) + 2))
-    # every step begins a detection's pairs: its segments are the
-    # detections from ``seg_bounds[k]`` on, each starting at ``dt_starts``
-    dt_starts = np.flatnonzero(dt_first)
+    # a contested detection shares a GT with another; its step is its rank
+    # among its cell's contested detections
+    contested = np.zeros(len(dt_box), dtype=bool)
+    contested[pair_dt[np.bincount(pair_gt, minlength=len(gt_box))[pair_gt] > 1]] = True
+    dt_step = np.zeros(len(dt_box), dtype=np.intp)
+    dt_step[contested] = _rank_in_run(dt_cell[contested])
+    step = dt_step[pair_dt]
+    # by step and detection, then IoU descending; ties keep GT id order
+    order = np.lexsort((-pair_iou, pair_dt, step))
+    pair_dt, pair_gt, pair_iou, step = (a[order] for a in (pair_dt, pair_gt, pair_iou, step))
+    bounds = np.searchsorted(step, np.arange(step.max(initial=-1) + 2))
+    # every step begins a detection's pairs: its detections are those from
+    # ``seg_bounds[k]`` on, each starting at ``dt_starts``
+    dt_starts = np.flatnonzero(_run_starts(pair_dt))
     seg_bounds = np.searchsorted(dt_starts, bounds)
-    seg_of = np.cumsum(dt_first) - 1
 
-    # row = stratum * T + threshold index
+    # row = stratum * T + threshold index.  A pair in reach keys its
+    # position, plus P for an ignore region; out of reach or taken, 2P.  A
+    # detection's least key is then its first free real GT, else its first
+    # free ignore region.
+    n_pairs = len(pair_gt)
     thr = np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None]
-    reach = pair_iou >= thr
-    real_gt = ~np.repeat(gt_ignore[:, pair_gt], len(thresholds), axis=0)
+    ignored = np.repeat(gt_ignore[:, pair_gt], len(thresholds), axis=0)
+    pair_key = np.where(pair_iou >= thr, np.arange(n_pairs) + n_pairs * ignored, 2 * n_pairs)
     taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
     for lo, hi, s_lo, s_hi in zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:]):
-        gi, v = pair_gt[lo:hi], pair_iou[lo:hi]
-        starts = dt_starts[s_lo:s_hi] - lo
-        seg = seg_of[lo:hi] - s_lo
-        free = reach[:, lo:hi] & ~taken[:, gi]
-        real = free & real_gt[:, lo:hi]
-        # ignore regions compete only for a detection with no free real GT
-        cand = np.where(np.logical_or.reduceat(real, starts, axis=1)[:, seg], real, free)
-        val = np.where(cand, v, -1.0)
-        best = np.maximum.reduceat(val, starts, axis=1)
-        at_best = np.where(cand & (val == best[:, seg]), np.arange(hi - lo), hi - lo)
-        pick = np.minimum.reduceat(at_best, starts, axis=1)
-        rows, segs = np.nonzero(pick < hi - lo)
-        won = gi[pick[rows, segs]]
-        taken[rows, won] = True
-        hits[rows, pair_dt[dt_starts[s_lo + segs]]] = won
+        free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, pair_key[:, lo:hi])
+        pick = np.minimum.reduceat(free_key, dt_starts[s_lo:s_hi] - lo, axis=1)
+        rows, segs = np.nonzero(pick < 2 * n_pairs)
+        won = pick[rows, segs] % n_pairs
+        taken[rows, pair_gt[won]] = True
+        hits[rows, pair_dt[won]] = pair_gt[won]
     return hits.reshape(len(gt_ignore), len(thresholds), -1)
 
 
@@ -215,12 +218,14 @@ def _accumulate(
     need = {
         n: np.searchsorted(np.arange(n + 1) / n, _RECALL_SAMPLES, side="left") for n in set(counts)
     }
-    # one search for all rows: row r's counts, at most n <= top, are offset
-    # by r * (top + 1)
-    offset = np.arange(n_rows)[:, None] * (max(counts) + 1)
-    targets = np.stack([need[n] for n in counts]) + offset
-    inds = np.searchsorted((tp_sum + offset).ravel(), targets.ravel(), side="left")
-    inds = inds.reshape(n_rows, -1) - np.arange(n_rows)[:, None] * n_det
+    # the column where each row's TP count first reaches k: 0 for k = 0, the
+    # k-th TP's column, or the trailing column past the final count (which
+    # is at most n)
+    first = np.full((n_rows, max(counts) + 1), n_det)
+    first[:, 0] = 0
+    rows, cols = np.nonzero(tps)
+    first[rows, tp_sum[rows, cols]] = cols
+    inds = first[np.arange(n_rows)[:, None], np.stack([need[n] for n in counts])]
     prec_samples = envelope[np.arange(n_rows)[:, None], inds]
     return prec_samples, final_recall
 

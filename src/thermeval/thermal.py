@@ -135,11 +135,16 @@ def _check_boxes(boxes: np.ndarray, width: int, height: int) -> np.ndarray:
     return boxes
 
 
-def flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror an image and its boxes horizontally or vertically."""
+def _check_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim not in (2, 3):
         raise ThermalError(f"image must be 2-d or 3-d, got shape {img.shape}")
+    return img
+
+
+def flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror an image and its boxes horizontally or vertically."""
+    img = _check_image(img)
     height, width = img.shape[:2]
     boxes = _check_boxes(boxes, width, height)
     out = boxes.copy()
@@ -164,9 +169,7 @@ def rotate(img: np.ndarray, boxes: np.ndarray, angle: float) -> tuple[np.ndarray
     corners, clipped to the canvas; boxes that leave the canvas entirely
     are dropped.  ``angle`` is in degrees; 0 is an exact no-op.
     """
-    img = np.asarray(img)
-    if img.ndim not in (2, 3):
-        raise ThermalError(f"image must be 2-d or 3-d, got shape {img.shape}")
+    img = _check_image(img)
     height, width = img.shape[:2]
     boxes = _check_boxes(boxes, width, height)
     angle = float(angle) % 360.0
@@ -234,7 +237,7 @@ def augment_sample(
     do_h = rng.random() < policy.p_hflip
     do_v = rng.random() < policy.p_vflip
     do_r = rng.random() < policy.p_rotate
-    img = np.asarray(img)
+    img = _check_image(img)
     boxes = _check_boxes(boxes, img.shape[1], img.shape[0])
     if do_h:
         img, boxes = flip(img, boxes, "horizontal")

@@ -323,8 +323,30 @@ def test_stats_with_one_model_fails(tmp_path, capsys):
     rc = main(["stats", "--results", str(results)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "thermeval stats: error: no metric could be tested"
+        "thermeval stats: error: no metric supports the battery"
     )
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_no_testable_metric_fails_alike_in_stats_and_report(tmp_path, capsys, command):
+    results = _results_csv(tmp_path, models=(("good", 0.7),))
+    argv = [command, "--results", str(results)]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "t.md"), "--figure-data", str(tmp_path / "figure.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"thermeval {command}: error: no metric supports the battery"
+    # stats notes each skipped metric; report skips them quietly
+    skipped = [line for line in err if "skipping" in line]
+    assert len(skipped) == (len(METRIC_NAMES) if command == "stats" else 0)
+    assert not (tmp_path / "figure.csv").exists()
+
+
+def test_stats_single_metric_raises_its_own_error(tmp_path, capsys):
+    results = _results_csv(tmp_path, models=(("good", 0.7),))
+    assert main(["stats", "--results", str(results), "--metric", "ap"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "thermeval stats: error: need at least 2 groups, got 1\n"
 
 
 def test_stats_manifest_needs_out(tmp_path, capsys):

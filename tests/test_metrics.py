@@ -239,6 +239,88 @@ def test_match_rejects_bad_threshold():
         evaluate(_corpus([]), [], thresholds=[0.0])
 
 
+# -- contested detections: only detections that pair with a shared GT (IoU
+# at or above the lowest threshold) wait for the higher-scored ones
+
+
+def test_match_detections_on_separate_gts_both_hit():
+    # one cell, two detections on their own GTs; the second overlaps the
+    # first GT at IoU 1/3, under the lowest threshold, so neither waits
+    gt = _corpus([_gt(1, _box(0, 0, 20, 20)), _gt(2, _box(10, 0, 20, 20))])
+    dets = [_det(_box(0, 0, 20, 20), 0.9), _det(_box(10, 0, 20, 20), 0.8)]
+    assert iou(dets[1].bbox, gt.annotations[0].bbox) == pytest.approx(1 / 3)
+    report = evaluate(gt, dets, thresholds=[0.5, 0.75])
+    assert (report.ap, report.ar) == (1.0, 1.0)
+    _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
+
+
+def test_match_chain_of_shared_gts_settles_in_score_order():
+    # A (0.9) pairs GT 1 at IoU 3/7, B (0.8) pairs GT 1 at 9/11 and GT 2 at
+    # 3/7, C (0.7) pairs GT 2 at 9/11.  At 0.3 A takes GT 1, so B takes GT 2
+    # and C misses; at 0.5 and 0.75 A misses, B takes GT 1 and C wins GT 2
+    # only because B took GT 1 first
+    gt = _corpus([_gt(1, _box(20, 0, 20, 20)), _gt(2, _box(30, 0, 20, 20))])
+    dets = [
+        _det(_box(12, 0, 20, 20), 0.9),
+        _det(_box(22, 0, 20, 20), 0.8),
+        _det(_box(32, 0, 20, 20), 0.7),
+    ]
+    thresholds = [0.3, 0.5, 0.75]
+    # TP TP FP at 0.3 gives AP 1; FP TP TP gives precision 2/3 throughout
+    report = evaluate(gt, dets, thresholds=thresholds)
+    assert report.ap == pytest.approx((1 + 2 / 3 + 2 / 3) / 3)
+    assert report.ar == 1.0
+    _assert_matches_reference(gt, dets, thresholds, 100)
+
+
+def test_match_contested_ignore_region_absorbs_one():
+    # D1 (0.9) pairs the region at IoU 1 and real GT 2 at 7/13; D2 (0.8)
+    # and D3 (0.7) pair only the region; D4 (0.6) hits GT 3.  At 0.5 D1
+    # takes GT 2, the region absorbs D2, and D3 is an FP; at 0.75 D1 misses
+    # GT 2, the region absorbs D1, and D2 and D3 are FPs ahead of D4
+    gt = _corpus(
+        [
+            _gt(1, _box(20, 0, 20, 20), ignore=True),
+            _gt(2, _box(26, 0, 20, 20)),
+            _gt(3, _box(200, 0, 20, 20)),
+        ]
+    )
+    dets = [
+        _det(_box(20, 0, 20, 20), 0.9),
+        _det(_box(19, 0, 20, 20), 0.8),
+        _det(_box(18, 0, 20, 20), 0.7),
+        _det(_box(200, 0, 20, 20), 0.6),
+    ]
+    report = evaluate(gt, dets, thresholds=[0.5, 0.75])
+    # 0.5: TP FP TP, envelope 1 then 2/3; 0.75: FP FP TP, recall 1/2 at 1/3
+    assert report.ap == pytest.approx(((51 + 50 * 2 / 3) / 101 + 17 / 101) / 2)
+    assert report.ar == pytest.approx(0.75)
+    _assert_matches_reference(gt, dets, [0.5, 0.75], 100)
+
+
+@pytest.mark.parametrize("max_dets", [100, 30])
+def test_match_crowded_cell_with_a_few_contests(max_dets):
+    # 40 GTs in one image, 20 px apart: 33 have one detection of their
+    # own; GTs 0-2 get two near-duplicates each, and GTs 36-39 carry the
+    # chain of the test above, twice
+    boxes = [_box(40 * (i % 10), 40 * (i // 10), 20, 20) for i in range(40)]
+    anns = [_gt(100 - i, b, ignore=i == 5) for i, b in enumerate(boxes)]
+    scores = [0.3, 0.5, 0.5, 0.7, 0.9]
+    dets = [_det(_box(b.x + i % 3, b.y, 20, 20), scores[i % 5]) for i, b in enumerate(boxes[:33])]
+    for i in range(3):
+        b = boxes[i]
+        dets += [_det(_box(b.x + 1, b.y + 1, 20, 20), 0.5), _det(_box(b.x, b.y + 3, 20, 20), 0.8)]
+    # GT pairs 36/37 and 38/39 moved to overlap as in the chain test
+    for k, (first, second) in enumerate(((36, 37), (38, 39))):
+        x, y = 40 * 6, 40 * (3 + k) + 200
+        anns[first] = _gt(100 - first, _box(x + 20, y, 20, 20))
+        anns[second] = _gt(100 - second, _box(x + 30, y, 20, 20))
+        dets += [_det(_box(x + 12 + 10 * j, y, 20, 20), 0.9 - 0.1 * j) for j in range(3)]
+    gt = _corpus(anns)
+    _assert_matches_reference(gt, dets, list(DEFAULT_IOU_THRESHOLDS), max_dets)
+    _assert_matches_reference(gt, dets, [0.3, 0.5, 0.75], max_dets)
+
+
 @pytest.mark.parametrize("bad", [0, 1.5, True])
 def test_evaluate_rejects_bad_max_dets(bad):
     # 1.5 would cap a cell at two detections and True at one

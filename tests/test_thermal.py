@@ -267,6 +267,24 @@ def test_augment_policy_validates_probabilities():
         AugmentPolicy(p_hflip=1.2)
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 8, 8, 3)])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_augment_rejects_an_image_that_is_not_2d_or_3d(shape, p):
+    # whatever transforms the seed draws, the rank is checked first
+    img = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ThermalError, match=r"image must be 2-d or 3-d, got shape"):
+        augment_sample(img, np.zeros((0, 4)), policy=AugmentPolicy(p, p, p), rng_seed=3)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 8, 8, 3)])
+def test_flip_and_rotate_reject_an_image_that_is_not_2d_or_3d(shape):
+    img = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ThermalError, match=r"image must be 2-d or 3-d"):
+        flip(img, np.zeros((0, 4)), axis="horizontal")
+    with pytest.raises(ThermalError, match=r"image must be 2-d or 3-d"):
+        rotate(img, np.zeros((0, 4)), angle=90.0)
+
+
 # -- raw container
 
 
