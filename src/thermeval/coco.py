@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -75,6 +76,12 @@ def classify_size(area: float) -> SizeClass:
     return SizeClass.LARGE
 
 
+def _check_number(value: object, what: str) -> None:
+    """Reject a value that is not an int or float; a bool is not a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DatasetError(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: top-left corner plus extent, in pixels."""
@@ -86,9 +93,7 @@ class BBox:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DatasetError(f"bbox field {name} must be a number, got {v!r}")
+            _check_number(getattr(self, name), f"bbox field {name}")
         if self.w < 0 or self.h < 0:
             raise DatasetError(f"negative bbox extent w={self.w}, h={self.h}")
         # a NaN or inf field carries into these, and finite fields can overflow them
@@ -203,9 +208,13 @@ class Dataset:
     _category_index: Mapping[int, CategoryRecord] = field(
         init=False, repr=False, compare=False, default=None
     )
-    # the top-level dataset a subset was cut from (None: this one), and
-    # the evaluation columns ``metrics`` prepares once per top-level dataset
+    # the top-level dataset a subset was cut from (None: this one), the
+    # folds cut from a top-level dataset by image set, and the evaluation
+    # tables ``metrics`` prepares once per dataset
     _root: Dataset | None = field(init=False, repr=False, compare=False, default=None)
+    _folds: dict[frozenset[int], Dataset] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _columns: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -230,6 +239,7 @@ class Dataset:
                 )
         object.__setattr__(self, "_image_index", image_index)
         object.__setattr__(self, "_category_index", category_index)
+        object.__setattr__(self, "_folds", {})
 
     def __len__(self) -> int:
         return len(self.images)
@@ -250,25 +260,43 @@ class Dataset:
         return tuple(img.id for img in self.images)
 
     def subset(self, image_ids: Iterable[int]) -> "Dataset":
-        """Restrict to the given images, keeping their annotations."""
-        wanted = set(image_ids)
+        """Restrict to the given images, keeping their annotations.
+
+        There is one fold per image set: the top-level dataset keeps every
+        fold cut from it or from its folds, so cutting the same images
+        again returns the same object, with the evaluation tables
+        ``metrics`` built for it.  Memory therefore grows with the distinct
+        image sets a caller cuts; a 5x5 protocol plan cuts 5.
+        """
+        ids = tuple(image_ids)
+        # a bool or 1.0 would hash equal to the id 1; each type is checked
+        # once, in listing order, as the ABC check is slow
+        for kind in dict.fromkeys(map(type, ids)):
+            if not issubclass(kind, Integral) or issubclass(kind, bool):
+                bad = next(i for i in ids if type(i) is kind)
+                raise DatasetError(f"image id must be an integer, got {bad!r}")
+        wanted = frozenset(map(int, ids))
         for i in wanted:
             self.image(i)
-        images = tuple(img for img in self.images if img.id in wanted)
-        # this dataset's records are already valid, so the fold is built
-        # from them and its indexes without the constructor's checks
-        sub = object.__new__(Dataset)
-        for name, value in (
-            ("images", images),
-            ("annotations", tuple(a for a in self.annotations if a.image_id in wanted)),
-            ("categories", self.categories),
-            ("_image_index", {img.id: img for img in images}),
-            ("_category_index", self._category_index),
-            ("_root", self if self._root is None else self._root),
-            ("_columns", None),
-        ):
-            object.__setattr__(sub, name, value)
-        return sub
+        root = self if self._root is None else self._root
+        if wanted not in root._folds:
+            images = tuple(img for img in root.images if img.id in wanted)
+            # the root's records are already valid, so the fold is built
+            # from them and its indexes without the constructor's checks
+            sub = object.__new__(Dataset)
+            for name, value in (
+                ("images", images),
+                ("annotations", tuple(a for a in root.annotations if a.image_id in wanted)),
+                ("categories", root.categories),
+                ("_image_index", {img.id: img for img in images}),
+                ("_category_index", root._category_index),
+                ("_root", root),
+                ("_folds", None),
+                ("_columns", None),
+            ):
+                object.__setattr__(sub, name, value)
+            root._folds[wanted] = sub
+        return root._folds[wanted]
 
 
 def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD) -> Dataset:
@@ -309,12 +337,12 @@ def _require(record: dict, key: str, what: str):
 
 def _json_number(value: object, what: str) -> float:
     """A finite JSON int or float, as a float; bools and numeric strings are not numbers."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int too large for a float
-            pass
+    _check_number(value, what)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
     raise DatasetError(f"{what} must be a finite number, got {value!r}")
 
 
@@ -446,8 +474,7 @@ class Detection:
     def __post_init__(self) -> None:
         _check_id(self.image_id, "detection image_id")
         _check_id(self.category_id, "detection category_id")
-        if not isinstance(self.score, (int, float)) or isinstance(self.score, bool):
-            raise DatasetError(f"detection score must be a number, got {self.score!r}")
+        _check_number(self.score, "detection score")
         if not (0.0 <= self.score <= 1.0):
             raise DatasetError(f"detection score {self.score} outside [0, 1]")
 

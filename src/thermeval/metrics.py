@@ -10,10 +10,11 @@ region: a detection absorbed by one is ignored, and so is an unmatched
 detection whose own area falls outside the stratum.  Strata with no
 eligible ground truth report the sentinel -1.  Cells, one (category,
 image) pair each, are visited in (category id, image id) order, as COCO
-does, so the order a file lists them in never moves a score.  The
-ground truth's flat columns are built once per top-level dataset, on its
-first ``evaluate``; a ``Dataset.subset`` fold, or a fold of a fold, shares
-them and selects its images' rows.  Greedy matching runs for every cell at
+does, so the order a file lists them in never moves a score.  What
+``evaluate`` needs from the ground truth is built once per dataset, on its
+first ``evaluate``, and serves every sweep and cap: ``Dataset.subset``
+returns one fold per image set, and a fold selects its rows from its
+top-level dataset's columns.  Greedy matching runs for every cell at
 once in steps: a detection that shares no GT with another settles in the
 first step, and contested ones, which do, take one step each per cell in
 score order.  The matching departs from pycocotools in three ways:
@@ -193,15 +194,16 @@ def _match_cells(
 
 
 def _accumulate(
-    tps: np.ndarray, fps: np.ndarray, n_eligible: np.ndarray
+    tps: np.ndarray, fps: np.ndarray, n_eligible: np.ndarray, need: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge one category's detections into 101-point precision samples and recall.
 
     Each row of ``tps`` and ``fps`` (R, D) flags every capped detection of
     the category in score-descending order, for one (stratum, threshold);
     both are False where it is ignored.  ``n_eligible`` (R,) holds each
-    row's positive eligible GT count.  Returns (precision_samples (R, 101),
-    final_recall (R,)).
+    row's positive eligible GT count, and ``need`` (R, 101) the TP count at
+    which the row's recall first reaches each recall sample.  Returns
+    (precision_samples (R, 101), final_recall (R,)).
     """
     n_rows, n_det = tps.shape
     tp_sum = np.cumsum(tps, axis=1)
@@ -212,21 +214,15 @@ def _accumulate(
     # answers the recall samples past the final recall
     envelope = np.zeros((n_rows, n_det + 1))
     envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
-    # recall tp / n rises with the TP count, so each recall sample is first
-    # reached where the count reaches the least k with k / n at or above it
-    counts = n_eligible.tolist()
-    need = {
-        n: np.searchsorted(np.arange(n + 1) / n, _RECALL_SAMPLES, side="left") for n in set(counts)
-    }
     # the column where each row's TP count first reaches k: 0 for k = 0, the
     # k-th TP's column, or the trailing column past the final count (which
     # is at most n)
-    first = np.full((n_rows, max(counts) + 1), n_det)
+    first = np.full((n_rows, n_eligible.max() + 1), n_det)
     first[:, 0] = 0
     rows, cols = np.nonzero(tps)
     first[rows, tp_sum[rows, cols]] = cols
-    inds = first[np.arange(n_rows)[:, None], np.stack([need[n] for n in counts])]
-    prec_samples = envelope[np.arange(n_rows)[:, None], inds]
+    row = np.arange(n_rows)[:, None]
+    prec_samples = envelope[row, first[row, need]]
     return prec_samples, final_recall
 
 
@@ -248,28 +244,41 @@ def _outside(box: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Columns:
-    """A top-level dataset's ground truth as flat columns, by (cell, id).
+    """A dataset's ground truth as ``evaluate`` reads it, by (cell, id).
 
     A cell, one (category, image) pair, is numbered category position *
-    image count + image position, positions in id order.  A subset shares
-    its top-level dataset's columns and selects its images' rows.
+    image count + image position, positions in the top-level dataset's id
+    order.  A top-level dataset's rows come from its records; a fold's are
+    selected from its top-level dataset's rows.  Built once per dataset, on
+    its first ``evaluate``; nothing here depends on the threshold sweep or
+    ``max_dets``, so one set serves every call.
     """
 
-    img_ids: np.ndarray  # (I,) sorted
+    img_ids: np.ndarray  # (I,) the top-level dataset's, sorted
     cat_ids: np.ndarray  # (C,) sorted
+    in_gt: np.ndarray  # (I,) which images this dataset holds
     gt_img: np.ndarray  # (G,) image position
     gt_cell: np.ndarray  # (G,)
     gt_box: np.ndarray  # (G, 4)
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
+    # ``gt_ignore``, or with no GT one blank column, so that a miss (-1)
+    # can index it
+    region: np.ndarray
+    defined: np.ndarray  # (S, C) which pairs hold eligible GT
+    # per category with eligible GT: its position, its defined strata, their
+    # eligible counts n, and per stratum the least TP count k with k / n at
+    # or above each recall sample (len(strata), 101)
+    per_category: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _columns(gt: Dataset) -> _Columns:
-    """The columns of ``gt``'s top-level dataset, built on first use."""
-    root = gt if gt._root is None else gt._root
-    if root._columns is None:
-        img_ids = np.sort(np.array([img.id for img in root.images], dtype=np.int64))
-        cat_ids = np.sort(np.array([cat.id for cat in root.categories], dtype=np.int64))
-        anns = root.annotations
+    """The evaluation columns of ``gt``, built on first use."""
+    if gt._columns is not None:
+        return gt._columns
+    if gt._root is None:
+        img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
+        cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
+        anns = gt.annotations
         ids = np.array(
             [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
         ).reshape(-1, 3)
@@ -278,10 +287,35 @@ def _columns(gt: Dataset) -> _Columns:
         order = np.lexsort((ids[:, 2], gt_cell))
         gt_box = _box_columns(anns[i].bbox for i in order.tolist())
         flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
-        gt_ignore = flagged | _outside(gt_box)
-        cols = _Columns(img_ids, cat_ids, gt_img[order], gt_cell[order], gt_box, gt_ignore)
-        object.__setattr__(root, "_columns", cols)
-    return root._columns
+        in_gt = np.ones(len(img_ids), dtype=bool)
+        gt_img, gt_cell, gt_ignore = gt_img[order], gt_cell[order], flagged | _outside(gt_box)
+    else:
+        top = _columns(gt._root)
+        img_ids, cat_ids = top.img_ids, top.cat_ids
+        in_gt = np.zeros(len(img_ids), dtype=bool)
+        in_gt[np.searchsorted(img_ids, np.array(gt.image_ids(), dtype=np.int64))] = True
+        keep = in_gt[top.gt_img]
+        gt_img, gt_cell, gt_box = top.gt_img[keep], top.gt_cell[keep], top.gt_box[keep]
+        gt_ignore = top.gt_ignore[:, keep]
+    gt_bounds = np.searchsorted(gt_cell, np.arange(len(cat_ids) + 1) * len(img_ids))
+    eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
+    np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
+    n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
+    per_category = []
+    for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
+        strata = np.flatnonzero(n_eligible[:, ci])
+        n = n_eligible[strata, ci]
+        # recall k / n rises with the TP count k, so each recall sample is
+        # first reached at the least k with k / n at or above it
+        need = [np.searchsorted(np.arange(k + 1) / k, _RECALL_SAMPLES) for k in n.tolist()]
+        per_category.append((ci, strata, n, np.stack(need)))
+    region = gt_ignore if len(gt_cell) else np.zeros((len(_STRATA), 1), dtype=bool)
+    cols = _Columns(
+        img_ids, cat_ids, in_gt, gt_img, gt_cell, gt_box, gt_ignore, region,
+        n_eligible > 0, tuple(per_category),
+    )
+    object.__setattr__(gt, "_columns", cols)
+    return cols
 
 
 def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,21 +334,17 @@ def _corpus_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
-    Detections become flat columns keyed by cell, beside the ground truth
-    rows of ``gt``'s images in its top-level dataset's columns.  Every cell
-    is matched in one call for all strata.  Returns precision samples (S,
-    C, T, 101), final recall (S, C, T) and which (stratum, category) pairs
-    hold eligible ground truth (S, C); the tables of the other pairs are
-    left 0.
+    Detections become flat columns keyed by cell, beside ``gt``'s prepared
+    ground truth rows.  Every cell is matched in one call for all strata.
+    Returns precision samples (S, C, T, 101), final recall (S, C, T) and
+    which (stratum, category) pairs hold eligible ground truth (S, C); the
+    tables of the other pairs are left 0.
     """
     cols = _columns(gt)
     n_img = len(cols.img_ids)
-    in_gt = np.zeros(n_img, dtype=bool)
-    fold_ids = np.array([img.id for img in gt.images], dtype=np.int64)
-    in_gt[np.searchsorted(cols.img_ids, fold_ids)] = True
     dt_ids = np.array([(d.image_id, d.category_id) for d in dets], dtype=np.int64).reshape(-1, 2)
     dt_img, img_ok = _find(cols.img_ids, dt_ids[:, 0])
-    img_ok[img_ok] = in_gt[dt_img[img_ok]]
+    img_ok[img_ok] = cols.in_gt[dt_img[img_ok]]
     dt_cat, cat_ok = _find(cols.cat_ids, dt_ids[:, 1])
     bad = ~(img_ok & cat_ok)
     if bad.any():
@@ -322,9 +352,6 @@ def _corpus_tables(
         if not img_ok[i]:
             raise DatasetError(f"detection references missing image {dets[i].image_id}")
         raise DatasetError(f"detection references missing category {dets[i].category_id}")
-
-    keep = in_gt[cols.gt_img]
-    gt_cell, gt_box, gt_ignore = cols.gt_cell[keep], cols.gt_box[keep], cols.gt_ignore[:, keep]
 
     # detections by (cell, score descending, input index), capped per cell
     dt_cell = dt_cat * n_img + dt_img
@@ -334,41 +361,32 @@ def _corpus_tables(
     dt_cell, dt_cat, scores = dt_cell[order], dt_cat[order], scores[order]
     dt_box = _box_columns(dets[i].bbox for i in order.tolist())
 
-    hits = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thresholds)
+    hits = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, thresholds)
     matched = hits >= 0
-    # a miss (-1) reads the last column, which ``matched`` overrides; with
-    # no GT, a blank column keeps index -1 in range
-    region = gt_ignore if len(gt_cell) else np.zeros((len(_STRATA), 1), dtype=bool)
-    absorbed = region[np.arange(len(_STRATA))[:, None, None], hits]
+    # a miss (-1) reads the last column, which ``matched`` overrides
+    absorbed = cols.region[np.arange(len(_STRATA))[:, None, None], hits]
     # within each category, by score descending; ties stay in cell order
     by_score = np.lexsort((-scores, dt_cat))
     tps = (matched & ~absorbed)[..., by_score]
     fps = (~matched & ~_outside(dt_box)[:, None, :])[..., by_score]
 
-    # per category: its GT and detection column ranges, eligible GT per stratum
-    cat_starts = np.arange(len(cols.cat_ids) + 1) * n_img
-    gt_bounds = np.searchsorted(gt_cell, cat_starts)
-    dt_bounds = np.searchsorted(dt_cell, cat_starts)
-    eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
-    np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
-    n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
-
-    defined = n_eligible > 0
+    # each category's detection column range
+    dt_bounds = np.searchsorted(dt_cell, np.arange(len(cols.cat_ids) + 1) * n_img)
     n_thr = len(thresholds)
     prec = np.zeros((len(_STRATA), len(cols.cat_ids), n_thr, len(_RECALL_SAMPLES)))
     rec = np.zeros(prec.shape[:3])
-    for ci in np.flatnonzero(defined.any(axis=0)).tolist():
+    for ci, strata, n, need in cols.per_category:
         # every defined stratum x threshold of the category in one batch
-        strata = np.flatnonzero(defined[:, ci])
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
         p, r = _accumulate(
             tps[strata, :, cat].reshape(len(strata) * n_thr, -1),
             fps[strata, :, cat].reshape(len(strata) * n_thr, -1),
-            np.repeat(n_eligible[strata, ci], n_thr),
+            np.repeat(n, n_thr),
+            np.repeat(need, n_thr, axis=0),
         )
         prec[strata, ci] = p.reshape(len(strata), n_thr, -1)
         rec[strata, ci] = r.reshape(len(strata), n_thr)
-    return prec, rec, defined
+    return prec, rec, cols.defined
 
 
 @dataclass(frozen=True)

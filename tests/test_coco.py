@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,39 @@ def test_subset_keeps_only_named_images():
 def test_subset_unknown_image_errors():
     with pytest.raises(DatasetError):
         _dataset().subset([5])
+
+
+@pytest.mark.parametrize("ids, bad", [([True], "True"), ([1.0], "1.0"), ("12", "'1'"), ([2, 1.0], "1.0")])
+def test_subset_rejects_a_value_that_is_not_an_id(ids, bad):
+    # True and 1.0 hash equal to the id 1, and a string iterates its characters
+    with pytest.raises(DatasetError, match=rf"^image id must be an integer, got {bad}$"):
+        _dataset().subset(ids)
+
+
+def test_subset_takes_numpy_integer_ids():
+    ds = _dataset([_ann(1), _ann(2, image_id=2)])
+    assert ds.subset(np.array([1, 2])) is ds.subset([1, 2])
+    assert ds.subset([np.int32(2)]).image_ids() == (2,)
+
+
+def test_subset_returns_one_fold_per_image_set():
+    ds = _dataset([_ann(1), _ann(2, image_id=2), _ann(3, image_id=3)], n_images=3)
+    fold = ds.subset([1, 2])
+    # listing order and repeats do not matter
+    assert ds.subset([2, 1, 2]) is fold
+    # a fold of a fold resolves through the top-level dataset
+    assert fold.subset([2]) is ds.subset([2])
+    assert ds.subset([3]).subset([]) is fold.subset([]) is ds.subset(())
+    # a fold is equal to, hashes and prints as its records rebuilt
+    rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
+    assert (fold, hash(fold), repr(fold)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+    # every id is checked against the dataset cut from, even when the
+    # top-level dataset already holds a fold of those images
+    for cut in (lambda: fold.subset([3]), lambda: ds.subset([1, 5])):
+        with pytest.raises(DatasetError, match=r"^unknown image id (3|5)$"):
+            cut()
+    # a derived dataset is a new top-level dataset with folds of its own
+    assert filter_small_objects(ds).subset([1, 2]) is not fold
 
 
 @st.composite

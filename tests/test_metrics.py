@@ -636,6 +636,39 @@ def test_prepared_columns_follow_their_own_dataset():
         kept = [d for d in dets if ds.has_image(d.image_id)]
         assert evaluate(ds, kept) == evaluate(derive(parse_coco(text)), kept)
     assert evaluate(filter_small_objects(gt), dets) != evaluate(gt, dets)
+    # the filtered dataset's fold of image 1 is its own, with its own tables
+    fold, filtered = gt.subset([1]), filter_small_objects(gt).subset([1])
+    kept = [d for d in dets if d.image_id == 1]
+    assert filtered is not fold
+    assert evaluate(filtered, kept) != evaluate(fold, kept)
+    assert filtered._columns is not fold._columns
+
+
+# any valid sweep: folds are compared with their records rebuilt, not with
+# the reference
+_any_sweep = st.one_of(
+    st.none(), st.sets(st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]), min_size=1).map(sorted)
+)
+
+
+@given(corpus=_random_corpus(max_images=5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_folds_cut_and_scored_in_any_order_score_as_rebuilt(corpus, data):
+    gt, dets = corpus
+    datasets = [gt]
+    for _ in range(data.draw(st.integers(1, 8))):
+        # cut a new fold or a fold of a fold, or re-cut an earlier one, and
+        # score one dataset seen so far with a sweep and cap of its own
+        src = data.draw(st.sampled_from(datasets))
+        ids = src.image_ids()
+        datasets.append(src.subset(data.draw(st.sets(st.sampled_from(ids))) if ids else ()))
+        ds = data.draw(st.sampled_from(datasets))
+        thresholds, max_dets = data.draw(_any_sweep), data.draw(st.sampled_from([1, 2, 3, 100]))
+        kept = [d for d in dets if ds.has_image(d.image_id)]
+        rebuilt = Dataset(ds.images, ds.annotations, ds.categories)
+        assert evaluate(ds, kept, thresholds=thresholds, max_dets=max_dets) == evaluate(
+            rebuilt, kept, thresholds=thresholds, max_dets=max_dets
+        )
 
 
 def test_evaluate_matches_reference_at_one_ulp_recall():
