@@ -263,7 +263,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     Path(args.out).write_text(text, encoding="utf-8")
     outputs = [Path(args.out)]
     if args.figure_data is not None:
-        # only the figure data needs the battery (and so scipy)
+        # only the figure data needs the battery
         from .metrics import METRIC_NAMES
         from .report import emit_significance_figure_data
 

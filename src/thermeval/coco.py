@@ -268,6 +268,9 @@ class Dataset:
         ``metrics`` built for it.  Memory therefore grows with the distinct
         image sets a caller cuts; a 5x5 protocol plan cuts 5.
         """
+        if isinstance(image_ids, (str, bytes, bytearray)):
+            # these iterate as characters or small ints, never as image ids
+            raise DatasetError(f"image id must be an integer, got {image_ids!r}")
         ids = tuple(image_ids)
         # a bool or 1.0 would hash equal to the id 1; each type is checked
         # once, in listing order, as the ABC check is slow

@@ -5,18 +5,18 @@ compact letter displays.
 The battery mirrors common practice for k result groups: Shapiro-Wilk on
 each group decides between (ANOVA + Welch t) and (Kruskal-Wallis + Dunn);
 pairwise tests only run when the omnibus test is significant, and letters
-come from the corrected-alpha significance graph.  Test statistics are
-computed here directly; only distribution functions come from scipy,
-imported inside the functions that call them so that importing this
-module (and so the CLI) does not load scipy.
+come from the corrected-alpha significance graph.  The test statistics
+and their distribution functions are computed here, with nothing beyond
+numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, combinations, count, islice
+from statistics import NormalDist
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +68,79 @@ def _as_array(values: Sequence[float], what: str) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# distribution functions
+
+_TINY = 1e-300
+_EPS = 1e-15
+_MAX_TERMS = 10_000
+_ndtri = NormalDist().inv_cdf  # the inverse normal CDF, Wichura's AS241
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF; erfc keeps the lower tail's precision, erf would not."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _lentz(b0: float, terms: Iterator[tuple[float, float]]) -> float:
+    """1 / (b0 + a1 / (b1 + a2 / (b2 + ...))) by modified Lentz (NR 5.2)."""
+    f = d = 1.0 / b0
+    c = 1.0 / _TINY
+    for a, b in islice(terms, _MAX_TERMS):
+        d = 1.0 / (b + a * d or _TINY)
+        c = b + a / c or _TINY
+        f *= c * d
+        if abs(c * d - 1.0) < _EPS:
+            return f
+    raise StatsError(f"continued fraction did not converge in {_MAX_TERMS} terms")
+
+
+def _betainc(a: float, b: float, u: float, v: float) -> float:
+    """I_x(a, b), the regularised incomplete beta function, at x = u / (u + v), by
+    a continued fraction that converges fast below x = (a + 1) / (a + b + 2) (NR 6.4)."""
+    x, y = u / (u + v), v / (u + v)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, v, u)
+    if x == 0.0:
+        return 0.0
+    log_front = a * math.log(x) + b * math.log(y) + math.lgamma(a + b)
+    log_front -= math.lgamma(a) + math.lgamma(b)
+    terms = chain.from_iterable(
+        ((-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)), 1.0),
+         ((m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)), 1.0))
+        for m in count()
+    )
+    return math.exp(log_front) / a * _lentz(1.0, terms)
+
+
+def _t_tail(df: float, t: float) -> float:
+    """P(T > |t|) for Student's t with df degrees of freedom, an integer or not."""
+    return 0.5 * _betainc(df / 2.0, 0.5, df, t * t)
+
+
+def _fdtrc(d1: float, d2: float, f: float) -> float:
+    """Upper tail of the F(d1, d2) distribution at f >= 0."""
+    return _betainc(d2 / 2.0, d1 / 2.0, d2, d1 * f)
+
+
+def _chdtrc(k: float, h: float) -> float:
+    """Upper tail of chi-square(k) at h: Q(k/2, h/2), the regularised upper incomplete
+    gamma function, by a series of 1 - Q below k/2 + 1 and a continued fraction above."""
+    a, x = k / 2.0, h / 2.0
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x >= a + 1.0:
+        return front * _lentz(x + 1 - a, ((-n * (n - a), x + 2 * n + 1 - a) for n in count(1)))
+    term = total = 1.0 / a
+    for n in range(1, _MAX_TERMS):
+        term *= x / (a + n)
+        total += term
+        if term < total * _EPS:
+            return 1.0 - front * total
+    raise StatsError(f"gamma series did not converge in {_MAX_TERMS} terms")
+
+
+# --------------------------------------------------------------------------
 # normality
 
 
@@ -84,8 +157,6 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     normalizing transforms of W valid for 3 <= n <= 5000.  A constant
     sample has no defined W and raises.
     """
-    from scipy import special
-
     x = np.sort(_as_array(values, "sample"))
     n = x.size
     if n < 3:
@@ -95,7 +166,7 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     if x[0] == x[-1]:
         raise StatsError("constant sample has undefined W")
 
-    m = special.ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    m = np.array([_ndtri((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ssq_m = float(np.dot(m, m))
     u = 1.0 / math.sqrt(n)
 
@@ -134,7 +205,7 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
         mu = -1.5861 - 0.31082 * ln_n - 0.083751 * ln_n**2 + 0.0038915 * ln_n**3
         sigma = math.exp(-0.4803 - 0.082676 * ln_n + 0.0030302 * ln_n**2)
         z = (math.log1p(-w) - mu) / sigma
-    return w, float(special.ndtr(-z))
+    return w, _ndtr(-z)
 
 
 # --------------------------------------------------------------------------
@@ -155,8 +226,6 @@ def _check_groups(groups: Sequence[Sequence[float]], min_groups: int = 2) -> lis
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Classic one-way F test; returns (F, p) with k-1 and N-k dof."""
-    from scipy import special
-
     gs = _check_groups(groups)
     k = len(gs)
     n_total = sum(g.size for g in gs)
@@ -168,8 +237,7 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
             raise StatsError("all values identical; F is undefined")
         return math.inf, 0.0
     f = (ss_between / (k - 1)) / (ss_within / (n_total - k))
-    p = float(special.fdtrc(k - 1, n_total - k, f))
-    return float(f), p
+    return float(f), _fdtrc(k - 1, n_total - k, f)
 
 
 def _rank_with_ties(groups: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
@@ -186,8 +254,6 @@ def _rank_with_ties(groups: list[np.ndarray]) -> tuple[list[np.ndarray], list[in
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Tie-corrected H statistic with a chi-square(k-1) p-value."""
-    from scipy import special
-
     gs = _check_groups(groups)
     k = len(gs)
     n = sum(g.size for g in gs)
@@ -200,8 +266,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     if correction == 0.0:
         raise StatsError("all values identical; H is undefined")
     h /= correction
-    p = float(special.chdtrc(k - 1, h))
-    return float(h), p
+    return float(h), _chdtrc(k - 1, h)
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +281,6 @@ def t_test_welch(
     ``paired=True`` switches to the paired test (one-sample t on the
     differences); the battery always runs unpaired.
     """
-    from scipy import special
-
     xa = _as_array(a, "sample a")
     xb = _as_array(b, "sample b")
     if xa.size < 2 or xb.size < 2:
@@ -235,7 +298,7 @@ def t_test_welch(
             return math.copysign(math.inf, float(d.mean())), 0.0
         t = float(d.mean()) / math.sqrt(vd / d.size)
         df = d.size - 1
-        return float(t), 2.0 * float(special.stdtr(df, -abs(t)))
+        return float(t), 2.0 * _t_tail(df, t)
     va = float(xa.var(ddof=1))
     vb = float(xb.var(ddof=1))
     na, nb = xa.size, xb.size
@@ -247,8 +310,7 @@ def t_test_welch(
         return math.copysign(math.inf, diff), 0.0
     t = diff / math.sqrt(se2)
     df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * float(special.stdtr(df, -abs(t)))
-    return float(t), p
+    return float(t), 2.0 * _t_tail(df, t)
 
 
 def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +319,6 @@ def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray
     Returns (z, p) as symmetric (k, k) arrays of two-sided unadjusted
     values; the diagonal is 0 and 1.
     """
-    from scipy import special
-
     gs = _check_groups(groups)
     k = len(gs)
     n = sum(g.size for g in gs)
@@ -274,10 +334,9 @@ def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray
     for i, j in combinations(range(k), 2):
         se = math.sqrt(base_var * (1.0 / ranks[i].size + 1.0 / ranks[j].size))
         zij = (mean_ranks[i] - mean_ranks[j]) / se
-        pij = min(2.0 * float(special.ndtr(-abs(zij))), 1.0)
         z[i, j] = zij
         z[j, i] = -zij
-        p[i, j] = p[j, i] = pij
+        p[i, j] = p[j, i] = 2.0 * _ndtr(-abs(zij))
     return z, p
 
 

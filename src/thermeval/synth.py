@@ -59,6 +59,12 @@ def _check_non_negative(value: float, what: str) -> None:
         raise SynthError(f"{what} must be finite and non-negative, got {value!r}")
 
 
+def _check_probability(value: float, label: str) -> None:
+    # NaN fails the comparison; ``label`` names the value, as in "p_drop=1.5"
+    if not (0.0 <= value <= 1.0):
+        raise SynthError(f"{label} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Geometry and radiometry of one synthetic scene family."""
@@ -81,8 +87,7 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
-        if not (0.0 <= self.empty_prob <= 1.0):
-            raise SynthError(f"empty_prob {self.empty_prob} outside [0, 1]")
+        _check_probability(self.empty_prob, f"empty_prob {self.empty_prob}")
         _check_non_negative(self.puddle_extra_lambda, "puddle_extra_lambda")
         for pair, what in (
             (self.puddle_axis, "puddle_axis"),
@@ -326,10 +331,8 @@ class MockDetectorSpec:
     fp_size: tuple[float, float] = (8.0, 80.0)
 
     def __post_init__(self) -> None:
-        for name in ("p_drop", "p_distractor_fp"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise SynthError(f"{name}={p} outside [0, 1]")
+        _check_probability(self.p_drop, f"p_drop={self.p_drop}")
+        _check_probability(self.p_distractor_fp, f"p_distractor_fp={self.p_distractor_fp}")
         _check_non_negative(self.p_fp, "p_fp")
         _check_non_negative(self.jitter_sigma, "jitter_sigma")
         for name in ("hit_score", "fp_score"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,10 +179,22 @@ def test_subset_unknown_image_errors():
         _dataset().subset([5])
 
 
-@pytest.mark.parametrize("ids, bad", [([True], "True"), ([1.0], "1.0"), ("12", "'1'"), ([2, 1.0], "1.0")])
+@pytest.mark.parametrize(
+    "ids, bad",
+    [
+        ([True], "True"),
+        ([1.0], "1.0"),
+        ("12", "'12'"),
+        ([2, 1.0], "1.0"),
+        (b"\x01", "b'\\x01'"),
+        (bytearray(b"\x01\x02"), "bytearray(b'\\x01\\x02')"),
+    ],
+)
 def test_subset_rejects_a_value_that_is_not_an_id(ids, bad):
-    # True and 1.0 hash equal to the id 1, and a string iterates its characters
-    with pytest.raises(DatasetError, match=rf"^image id must be an integer, got {bad}$"):
+    # True and 1.0 hash equal to the id 1; a string iterates its characters
+    # and bytes their ints, so each is rejected as a whole
+    message = rf"^image id must be an integer, got {re.escape(bad)}$"
+    with pytest.raises(DatasetError, match=message):
         _dataset().subset(ids)
 
 

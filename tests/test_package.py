@@ -68,8 +68,18 @@ def test_core_modules_load_without_stats_or_scipy():
 
 
 def test_cli_report_and_stats_load_without_scipy():
-    # scipy.special is imported by the statistics that call it
-    assert _loaded_after("thermeval.cli, thermeval.report, thermeval.stats", ("scipy",)) == []
+    # the battery computes its own distribution functions: one battery takes
+    # the ANOVA + Welch branch, the other Kruskal-Wallis + Dunn
+    code = (
+        "import sys, thermeval.cli, thermeval.report\n"
+        "from thermeval.stats import SampleSet, run_battery\n"
+        "for a, b in [((1, 2, 3, 4, 5), (11, 12, 13, 14, 15)),\n"
+        "             ((1, 1, 1, 1, 9), (20, 20, 20, 20, 30))]:\n"
+        "    r = run_battery([SampleSet('a', a), SampleSet('b', b)])\n"
+        "    print(r.omnibus_method, r.pairwise[0].method)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(code).split() == ["anova", "welch_t", "kruskal_wallis", "dunn", "False"]
 
 
 # -- what each subcommand loads
@@ -89,7 +99,8 @@ _SCORE = ("coco", "metrics", "plan", "report")
 _SCENE = ("coco", "synth", "thermal")
 
 # argv ({d}: the input directory) -> the thermeval modules besides the cli
-# that the process loads, and whether it loads numpy and scipy
+# that the process loads, and whether it loads numpy and scipy (which no
+# subcommand needs)
 _IMPORT_PINS = {
     "version": ("--version", (), False, False),
     "help": ("--help", (), False, False),
@@ -114,11 +125,11 @@ _IMPORT_PINS = {
         " --append results.csv --model m --hpc 4_L_p --run 1 --dataset s",
         _SCORE, True, False,
     ),
-    "stats": ("stats --results {d}/results.csv --metric ap", _SCORE + ("stats",), True, True),
+    "stats": ("stats --results {d}/results.csv --metric ap", _SCORE + ("stats",), True, False),
     "report": ("report --results {d}/results.csv --out table.md", _SCORE, True, False),
     "report-figure": (
         "report --results {d}/results.csv --out table.md --figure-data figure.csv",
-        _SCORE + ("stats",), True, True,
+        _SCORE + ("stats",), True, False,
     ),
 }
 
@@ -153,6 +164,14 @@ def test_each_subcommand_loads_only_what_it_runs(case, cli_inputs, tmp_path):
     ours = sorted(m for m in loaded if m.startswith("thermeval."))
     assert ours == sorted(["thermeval.cli"] + [f"thermeval.{m}" for m in modules])
     assert ("numpy" in loaded, "scipy" in loaded) == (numpy, scipy)
+
+
+@pytest.mark.parametrize("case", ["stats", "report-figure"])
+def test_the_battery_runs_with_scipy_unimportable(case, cli_inputs, tmp_path):
+    code = 'import sys\nsys.modules["scipy"] = None\n' + _RUN_CLI
+    argv = _IMPORT_PINS[case][0].format(d=cli_inputs).split()
+    out = _fresh_python(code, *argv, cwd=tmp_path)
+    assert json.loads(out.splitlines()[-1])[0] == 0
 
 
 def _choices(command: str, dest: str):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from thermeval import stats
 from thermeval.stats import (
     DEFAULT_ALPHA,
     SampleSet,
@@ -64,6 +66,151 @@ def test_dunn_fixture(case):
     z, p = dunn_test(case["groups"])
     assert np.allclose(z, case["z"], atol=1e-3)
     assert np.allclose(p, case["p"], atol=1e-3)
+
+
+# -- distribution functions, against scipy.special as a test-only oracle
+
+_GRID = 20_000
+
+
+def _log_uniform(rng, lo, hi):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), _GRID))
+
+
+def _dofs(rng):
+    # 1 to 1e4, every other one an integer
+    df = _log_uniform(rng, 1.0, 1e4)
+    df[::2] = np.round(df[::2])
+    return df
+
+
+def _statistics(rng):
+    # 0 to far beyond the tail, where a squared t or d1 * F overflows
+    x = _log_uniform(rng, 1e-10, 1e12)
+    x[::97] = 0.0
+    x[1::97] = 1e300
+    return x
+
+
+def _assert_parity(ours, ref):
+    ours = np.asarray(ours)
+    err = np.abs(ours - ref)
+    bad = (err > 1e-10 * np.abs(ref)) & (err > 1e-13)
+    assert not bad.any(), list(zip(ours[bad][:5], ref[bad][:5]))
+
+
+def test_t_tail_matches_scipy():
+    rng = np.random.default_rng(11)
+    df, t = _dofs(rng), _statistics(rng)
+    ref = special.stdtr(df, -t)
+    # scipy's stdtr is off by up to 3e-9 relative at df = 1 and |t| < 4e-7
+    # (mpmath at 40 digits agrees with this module there), so the Cauchy CDF
+    # is the oracle at df = 1
+    cauchy = df == 1.0
+    ref[cauchy] = np.arctan2(1.0, t[cauchy]) / math.pi
+    _assert_parity([stats._t_tail(*a) for a in zip(df.tolist(), t.tolist())], ref)
+
+
+def test_f_upper_tail_matches_scipy():
+    rng = np.random.default_rng(12)
+    d1, d2, f = _dofs(rng), _dofs(rng), _statistics(rng)
+    ours = [stats._fdtrc(*a) for a in zip(d1.tolist(), d2.tolist(), f.tolist())]
+    _assert_parity(ours, special.fdtrc(d1, d2, f))
+
+
+def test_chi_square_upper_tail_matches_scipy():
+    rng = np.random.default_rng(13)
+    k, h = _dofs(rng), _statistics(rng)
+    _assert_parity([stats._chdtrc(*a) for a in zip(k.tolist(), h.tolist())], special.chdtrc(k, h))
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.random.default_rng(14).uniform(-40.0, 40.0, _GRID)
+    x[0] = 0.0
+    _assert_parity([stats._ndtr(v) for v in x.tolist()], special.ndtr(x))
+
+
+def test_normal_quantile_matches_scipy():
+    rng = np.random.default_rng(15)
+    p = _log_uniform(rng, 1e-300, 1.0)
+    p[::2] = 1.0 - _log_uniform(rng, 1e-16, 0.5)[::2]
+    p[:2] = 1e-300, 1.0 - 1e-16
+    _assert_parity([stats._ndtri(v) for v in p.tolist()], special.ndtri(p))
+
+
+@pytest.mark.parametrize("df", [1, 2.5, 9, 1e4])
+def test_distribution_edges_are_exact(df):
+    assert stats._t_tail(df, 0.0) == 0.5
+    assert stats._fdtrc(df, 7, 0.0) == 1.0
+    assert stats._chdtrc(df, 0.0) == 1.0
+
+
+# mpmath at 40 digits, over the degrees of freedom the battery meets and
+# normal tails to z = -20.  Far larger degrees of freedom (1e4) lose about
+# 1e-11 to the lgamma differences, and beyond z = -25 rounding z / sqrt(2)
+# alone costs 1e-13, in scipy too; the parity tests cover those ranges.
+_MPMATH_CASES = [
+    ("t", (1, 4.42e-8)),
+    ("t", (1, 3.0)),
+    ("t", (3.7, 12.5)),
+    ("t", (30, 2.05)),
+    ("t", (2.5, 1e3)),
+    ("f", (3, 72, 4.2)),
+    ("f", (1, 1, 1e6)),
+    ("f", (2.5, 7.5, 0.01)),
+    ("f", (7, 168, 1.2)),
+    ("chi2", (2, 7.8)),
+    ("chi2", (3, 0.5)),
+    ("chi2", (1.5, 60.0)),
+    ("chi2", (7, 700.0)),
+    ("chi2", (100, 90.0)),
+    ("normal", (-20.0,)),
+    ("normal", (-8.0,)),
+    ("normal", (0.3,)),
+    ("quantile", (1e-300,)),
+    ("quantile", (1e-10,)),
+    ("quantile", (0.975,)),
+    ("quantile", (1.0 - 1e-16,)),
+]
+
+
+@pytest.mark.parametrize("name, args", _MPMATH_CASES)
+def test_distribution_functions_match_mpmath(name, args):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = [mp.mpf(v) for v in args]
+        if name == "t":
+            ours = stats._t_tail(*args)
+            ref = mp.betainc(a[0] / 2, 0.5, 0, a[0] / (a[0] + a[1] ** 2), regularized=True) / 2
+        elif name == "f":
+            ours = stats._fdtrc(*args)
+            x = a[1] / (a[1] + a[0] * a[2])
+            ref = mp.betainc(a[1] / 2, a[0] / 2, 0, x, regularized=True)
+        elif name == "chi2":
+            ours = stats._chdtrc(*args)
+            ref = mp.gammainc(a[0] / 2, a[1] / 2, mp.inf, regularized=True)
+        elif name == "normal":
+            ours = stats._ndtr(*args)
+            ref = mp.ncdf(a[0])
+        else:
+            ours = stats._ndtri(*args)
+            ref = mp.findroot(lambda z: mp.ncdf(z) - a[0], ours)
+        assert ours == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stats._t_tail(10.0, 1.0),
+        lambda: stats._chdtrc(3.0, 1.0),
+        lambda: stats._chdtrc(3.0, 9.0),
+    ],
+    ids=["continued fraction", "gamma series", "gamma continued fraction"],
+)
+def test_an_iteration_that_does_not_converge_raises(call, monkeypatch):
+    monkeypatch.setattr(stats, "_MAX_TERMS", 2)
+    with pytest.raises(StatsError, match="did not converge"):
+        call()
 
 
 # -- hand-computed anchors

@@ -52,8 +52,9 @@ def test_spec_rejects_bad_canvas():
 
 
 def test_spec_rejects_bad_empty_prob():
-    with pytest.raises(SynthError):
-        SceneSpec(empty_prob=1.5)
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(SynthError, match=rf"^empty_prob {bad} outside \[0, 1\]$"):
+            SceneSpec(empty_prob=bad)
 
 
 def test_spec_rejects_objects_larger_than_canvas():
@@ -238,6 +239,9 @@ def test_detector_spec_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_detector_spec_rejects_non_finite_values(bad):
+    for field in ("p_drop", "p_distractor_fp"):
+        with pytest.raises(SynthError, match=rf"^{field}={bad} outside \[0, 1\]$"):
+            MockDetectorSpec(**{field: bad})
     for field in ("p_fp", "jitter_sigma"):
         with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
             MockDetectorSpec(**{field: bad})
