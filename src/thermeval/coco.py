@@ -265,8 +265,8 @@ class Dataset:
         There is one fold per image set: the top-level dataset keeps every
         fold cut from it or from its folds, so cutting the same images
         again returns the same object, with the evaluation tables
-        ``metrics`` built for it.  Memory therefore grows with the distinct
-        image sets a caller cuts; a 5x5 protocol plan cuts 5.
+        ``metrics`` built from its own records.  Memory therefore grows with
+        the distinct image sets a caller cuts; a 5x5 protocol plan cuts 5.
         """
         if isinstance(image_ids, (str, bytes, bytearray)):
             # these iterate as characters or small ints, never as image ids
@@ -283,21 +283,12 @@ class Dataset:
             self.image(i)
         root = self if self._root is None else self._root
         if wanted not in root._folds:
-            images = tuple(img for img in root.images if img.id in wanted)
-            # the root's records are already valid, so the fold is built
-            # from them and its indexes without the constructor's checks
-            sub = object.__new__(Dataset)
-            for name, value in (
-                ("images", images),
-                ("annotations", tuple(a for a in root.annotations if a.image_id in wanted)),
-                ("categories", root.categories),
-                ("_image_index", {img.id: img for img in images}),
-                ("_category_index", root._category_index),
-                ("_root", root),
-                ("_folds", None),
-                ("_columns", None),
-            ):
-                object.__setattr__(sub, name, value)
+            sub = Dataset(
+                tuple(img for img in root.images if img.id in wanted),
+                tuple(a for a in root.annotations if a.image_id in wanted),
+                root.categories,
+            )
+            object.__setattr__(sub, "_root", root)
             root._folds[wanted] = sub
         return root._folds[wanted]
 

@@ -12,9 +12,9 @@ eligible ground truth report the sentinel -1.  Cells, one (category,
 image) pair each, are visited in (category id, image id) order, as COCO
 does, so the order a file lists them in never moves a score.  What
 ``evaluate`` needs from the ground truth is built once per dataset, on its
-first ``evaluate``, and serves every sweep and cap: ``Dataset.subset``
-returns one fold per image set, and a fold selects its rows from its
-top-level dataset's columns.  Greedy matching runs for every cell at
+first ``evaluate``, from that dataset's own records, and serves every
+sweep and cap; ``Dataset.subset`` returns one fold per image set, so each
+fold's tables are built once too.  Greedy matching runs for every cell at
 once in steps: a detection that shares no GT with another settles in the
 first step, and contested ones, which do, take one step each per cell in
 score order.  The matching departs from pycocotools in three ways:
@@ -247,17 +247,16 @@ class _Columns:
     """A dataset's ground truth as ``evaluate`` reads it, by (cell, id).
 
     A cell, one (category, image) pair, is numbered category position *
-    image count + image position, positions in the top-level dataset's id
-    order.  A top-level dataset's rows come from its records; a fold's are
-    selected from its top-level dataset's rows.  Built once per dataset, on
-    its first ``evaluate``; nothing here depends on the threshold sweep or
-    ``max_dets``, so one set serves every call.
+    image count + image position, positions in the dataset's own id order.
+    Every dataset, a fold too, builds its rows from its own records: a
+    fold's ids are a subsequence of its parent's, so cells keep their
+    order.  Built once per dataset, on its first ``evaluate``; nothing here
+    depends on the threshold sweep or ``max_dets``, so one set serves every
+    call.
     """
 
-    img_ids: np.ndarray  # (I,) the top-level dataset's, sorted
+    img_ids: np.ndarray  # (I,) sorted
     cat_ids: np.ndarray  # (C,) sorted
-    in_gt: np.ndarray  # (I,) which images this dataset holds
-    gt_img: np.ndarray  # (G,) image position
     gt_cell: np.ndarray  # (G,)
     gt_box: np.ndarray  # (G, 4)
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
@@ -275,28 +274,18 @@ def _columns(gt: Dataset) -> _Columns:
     """The evaluation columns of ``gt``, built on first use."""
     if gt._columns is not None:
         return gt._columns
-    if gt._root is None:
-        img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
-        cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
-        anns = gt.annotations
-        ids = np.array(
-            [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
-        ).reshape(-1, 3)
-        gt_img = np.searchsorted(img_ids, ids[:, 0])
-        gt_cell = np.searchsorted(cat_ids, ids[:, 1]) * len(img_ids) + gt_img
-        order = np.lexsort((ids[:, 2], gt_cell))
-        gt_box = _box_columns(anns[i].bbox for i in order.tolist())
-        flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
-        in_gt = np.ones(len(img_ids), dtype=bool)
-        gt_img, gt_cell, gt_ignore = gt_img[order], gt_cell[order], flagged | _outside(gt_box)
-    else:
-        top = _columns(gt._root)
-        img_ids, cat_ids = top.img_ids, top.cat_ids
-        in_gt = np.zeros(len(img_ids), dtype=bool)
-        in_gt[np.searchsorted(img_ids, np.array(gt.image_ids(), dtype=np.int64))] = True
-        keep = in_gt[top.gt_img]
-        gt_img, gt_cell, gt_box = top.gt_img[keep], top.gt_cell[keep], top.gt_box[keep]
-        gt_ignore = top.gt_ignore[:, keep]
+    img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
+    cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
+    anns = gt.annotations
+    ids = np.array(
+        [(a.image_id, a.category_id, a.id) for a in anns], dtype=np.int64
+    ).reshape(-1, 3)
+    img_pos = np.searchsorted(img_ids, ids[:, 0])
+    gt_cell = np.searchsorted(cat_ids, ids[:, 1]) * len(img_ids) + img_pos
+    order = np.lexsort((ids[:, 2], gt_cell))
+    gt_box = _box_columns(anns[i].bbox for i in order.tolist())
+    flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
+    gt_cell, gt_ignore = gt_cell[order], flagged | _outside(gt_box)
     gt_bounds = np.searchsorted(gt_cell, np.arange(len(cat_ids) + 1) * len(img_ids))
     eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
     np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
@@ -311,8 +300,7 @@ def _columns(gt: Dataset) -> _Columns:
         per_category.append((ci, strata, n, np.stack(need)))
     region = gt_ignore if len(gt_cell) else np.zeros((len(_STRATA), 1), dtype=bool)
     cols = _Columns(
-        img_ids, cat_ids, in_gt, gt_img, gt_cell, gt_box, gt_ignore, region,
-        n_eligible > 0, tuple(per_category),
+        img_ids, cat_ids, gt_cell, gt_box, gt_ignore, region, n_eligible > 0, tuple(per_category)
     )
     object.__setattr__(gt, "_columns", cols)
     return cols
@@ -344,7 +332,6 @@ def _corpus_tables(
     n_img = len(cols.img_ids)
     dt_ids = np.array([(d.image_id, d.category_id) for d in dets], dtype=np.int64).reshape(-1, 2)
     dt_img, img_ok = _find(cols.img_ids, dt_ids[:, 0])
-    img_ok[img_ok] = cols.in_gt[dt_img[img_ok]]
     dt_cat, cat_ok = _find(cols.cat_ids, dt_ids[:, 1])
     bad = ~(img_ok & cat_ok)
     if bad.any():

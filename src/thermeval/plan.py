@@ -99,16 +99,13 @@ def hpc_grid() -> tuple[HPC, ...]:
     )
 
 
-# column order used by the results tables: batch 4 block first
-CANONICAL_HPC_ORDER: tuple[str, ...] = (
-    "4_L_p",
-    "4_L_u",
-    "4_l_p",
-    "4_l_u",
-    "16_L_p",
-    "16_L_u",
-    "16_l_p",
-    "16_l_u",
+# column order used by the results tables: batch 4 block first, then by
+# weighting, then by status
+CANONICAL_HPC_ORDER: tuple[str, ...] = tuple(
+    HPC(batch, weight, status).name
+    for batch in reversed(_BATCH_SIZES)
+    for weight in _WEIGHTINGS
+    for status in _STATUSES
 )
 
 

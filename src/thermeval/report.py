@@ -199,6 +199,17 @@ def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> Aggregat
     )
 
 
+def _one_model(table: AggregateTable, model: str | None, purpose: str) -> str:
+    """The table's single model, or the named one, which it must hold."""
+    if model is None:
+        if len(table.models) != 1:
+            raise ReportError(f"table holds models {table.models}; name one to {purpose}")
+        return table.models[0]
+    if model not in table.models:
+        raise ReportError(f"unknown model {model!r}")
+    return model
+
+
 def best_hpc(table: AggregateTable, metric: str, model: str | None = None) -> tuple[str, ...]:
     """Combinations with the highest mean for a metric; ties all listed.
 
@@ -206,14 +217,7 @@ def best_hpc(table: AggregateTable, metric: str, model: str | None = None) -> tu
     """
     if metric not in METRIC_NAMES:
         raise ReportError(f"unknown metric {metric!r}")
-    if model is None:
-        if len(table.models) != 1:
-            raise ReportError(
-                f"table holds models {table.models}; name one to pick a best combination"
-            )
-        model = table.models[0]
-    elif model not in table.models:
-        raise ReportError(f"unknown model {model!r}")
+    model = _one_model(table, model, "pick a best combination")
     candidates = [h for h in table.hpcs if table.has_cell(model, h, metric)]
     if not candidates:
         raise ReportError(f"no defined {metric!r} cells for model {model!r}")
@@ -251,14 +255,7 @@ def emit_table(
     """
     if style not in ("markdown", "csv"):
         raise ReportError(f"style must be 'markdown' or 'csv', got {style!r}")
-    if model is None:
-        if len(table.models) != 1:
-            raise ReportError(
-                f"table holds models {table.models}; name one to render"
-            )
-        model = table.models[0]
-    elif model not in table.models:
-        raise ReportError(f"unknown model {model!r}")
+    model = _one_model(table, model, "render")
 
     rows: list[list[str]] = []
     for metric in METRIC_NAMES:

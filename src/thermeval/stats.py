@@ -308,8 +308,12 @@ def t_test_welch(
         if diff == 0.0:
             raise StatsError("zero variance in both samples with equal means")
         return math.copysign(math.inf, diff), 0.0
+    # the squared variance terms can underflow to 0 while their sum does not
+    dof_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+    if dof_den == 0.0:
+        raise StatsError("variances too small for Welch-Satterthwaite degrees of freedom")
     t = diff / math.sqrt(se2)
-    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    df = se2**2 / dof_den
     return float(t), 2.0 * _t_tail(df, t)
 
 

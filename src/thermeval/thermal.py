@@ -135,18 +135,21 @@ def _check_boxes(boxes: np.ndarray, width: int, height: int) -> np.ndarray:
     return boxes
 
 
-def _check_image(img: np.ndarray) -> np.ndarray:
+def _checked_sample(img: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image as a 2-d or 3-d array and its boxes as (N, 4), both checked."""
     img = np.asarray(img)
     if img.ndim not in (2, 3):
         raise ThermalError(f"image must be 2-d or 3-d, got shape {img.shape}")
-    return img
+    return img, _check_boxes(boxes, img.shape[1], img.shape[0])
 
 
 def flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     """Mirror an image and its boxes horizontally or vertically."""
-    img = _check_image(img)
+    return _flip(*_checked_sample(img, boxes), axis)
+
+
+def _flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     height, width = img.shape[:2]
-    boxes = _check_boxes(boxes, width, height)
     out = boxes.copy()
     if axis == "horizontal":
         flipped = img[:, ::-1].copy()
@@ -169,9 +172,11 @@ def rotate(img: np.ndarray, boxes: np.ndarray, angle: float) -> tuple[np.ndarray
     corners, clipped to the canvas; boxes that leave the canvas entirely
     are dropped.  ``angle`` is in degrees; 0 is an exact no-op.
     """
-    img = _check_image(img)
+    return _rotate(*_checked_sample(img, boxes), angle)
+
+
+def _rotate(img: np.ndarray, boxes: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
     height, width = img.shape[:2]
-    boxes = _check_boxes(boxes, width, height)
     angle = float(angle) % 360.0
     if angle == 0.0:
         return img.copy(), boxes.copy()
@@ -237,14 +242,13 @@ def augment_sample(
     do_h = rng.random() < policy.p_hflip
     do_v = rng.random() < policy.p_vflip
     do_r = rng.random() < policy.p_rotate
-    img = _check_image(img)
-    boxes = _check_boxes(boxes, img.shape[1], img.shape[0])
+    img, boxes = _checked_sample(img, boxes)
     if do_h:
-        img, boxes = flip(img, boxes, "horizontal")
+        img, boxes = _flip(img, boxes, "horizontal")
     if do_v:
-        img, boxes = flip(img, boxes, "vertical")
+        img, boxes = _flip(img, boxes, "vertical")
     if do_r:
-        img, boxes = rotate(img, boxes, rng.uniform(0.0, 360.0))
+        img, boxes = _rotate(img, boxes, rng.uniform(0.0, 360.0))
     return img, boxes
 
 

@@ -644,6 +644,17 @@ def test_prepared_columns_follow_their_own_dataset():
     assert filtered._columns is not fold._columns
 
 
+def test_folds_build_their_tables_without_the_parent():
+    anns = [_gt(1, _box(0, 0, 30, 30)), _gt(2, _box(0, 0, 30, 30), image_id=2)]
+    gt = parse_coco(write_coco(_corpus(anns, n_images=3)))
+    dets = [_det(_box(0, 0, 30, 30), 0.9, image_id=2)]
+    for ids in ([2], [1, 2], [2, 3]):
+        fold = gt.subset(ids)
+        rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
+        assert evaluate(fold, dets) == evaluate(rebuilt, dets)
+    assert gt._columns is None
+
+
 # any valid sweep: folds are compared with their records rebuilt, not with
 # the reference
 _any_sweep = st.one_of(

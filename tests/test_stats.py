@@ -236,6 +236,12 @@ def test_welch_hand_value():
     assert t == pytest.approx(-4 / math.sqrt(2))
 
 
+def test_welch_rejects_variances_whose_dof_terms_underflow():
+    # the second sample's variance term is 2.5e-321; its square is 0
+    with pytest.raises(StatsError, match="Welch-Satterthwaite"):
+        t_test_welch([1.0, 1.0], [0.0, 1e-160])
+
+
 def test_paired_mode_matches_reference():
     a = [1.1, 2.3, 3.0, 4.2, 5.1]
     b = [0.9, 2.0, 3.1, 3.8, 4.9]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from thermeval import thermal
 from thermeval.thermal import (
     RAW_MAGIC,
     AugmentPolicy,
@@ -260,6 +261,26 @@ def test_augment_certain_hflip_matches_manual_flip():
     want_img, want_boxes = flip(img, boxes, axis="horizontal")
     assert np.array_equal(out, want_img)
     assert np.array_equal(out_boxes, want_boxes)
+
+
+def test_augment_checks_the_boxes_once(monkeypatch):
+    img = _checker(12, 16)
+    boxes = np.array([[3.0, 2.0, 6.0, 5.0], [0.0, 0.0, 16.0, 12.0]])
+    seed = 5
+    rng = np.random.default_rng(seed)
+    rng.random(3)
+    angle = rng.uniform(0.0, 360.0)
+    want = rotate(*flip(*flip(img, boxes, "horizontal"), "vertical"), angle)
+    calls = []
+    check = thermal._check_boxes
+    monkeypatch.setattr(
+        thermal, "_check_boxes", lambda *args: calls.append(args) or check(*args)
+    )
+    policy = AugmentPolicy(1.0, 1.0, 1.0)
+    out, out_boxes = augment_sample(img, boxes, policy=policy, rng_seed=seed)
+    assert len(calls) == 1
+    assert np.array_equal(out, want[0])
+    assert np.array_equal(out_boxes, want[1])
 
 
 def test_augment_policy_validates_probabilities():
