@@ -43,20 +43,17 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(
-    anchor: Path,
-    command: str,
-    seed: int | None,
-    inputs: list[Path],
-    outputs: list[Path],
-) -> None:
-    """Record what produced the output next to the output itself."""
-    target_dir = anchor if anchor.is_dir() else anchor.parent
+def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path]) -> None:
+    """With ``--manifest``, record what produced the outputs next to the
+    first of them, or in the ``--out`` directory when there is none."""
+    if not args.manifest:
+        return
+    target_dir = outputs[0].parent if outputs else Path(args.out)
     manifest = {
         "tool": "thermeval",
         "version": __version__,
-        "command": command,
-        "seed": seed,
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
@@ -112,8 +109,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             print(f"thermeval convert: error: {raw_path.name}: {exc}", file=sys.stderr)
             failed += 1
     print(f"converted {len(written)} of {len(raw_files)} frames")
-    if args.manifest:
-        _write_manifest(out, "convert", None, raw_files, written)
+    _write_manifest(args, raw_files, written)
     return 1 if failed else 0
 
 
@@ -129,8 +125,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         if b.ignore and not a.ignore
     )
     print(f"marked {flipped} of {len(ds.annotations)} annotations as ignore")
-    if args.manifest:
-        _write_manifest(Path(args.out), "filter", None, [Path(args.gt)], [Path(args.out)])
+    _write_manifest(args, [Path(args.gt)], [Path(args.out)])
     return 0
 
 
@@ -141,8 +136,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     plan = plan_splits(ds.image_ids(), args.k_outer, args.k_inner, args.seed)
     Path(args.out).write_text(write_plan(plan), encoding="utf-8")
     print(f"planned {len(plan.runs)} runs over {len(ds.image_ids())} images")
-    if args.manifest:
-        _write_manifest(Path(args.out), "split", args.seed, [Path(args.gt)], [Path(args.out)])
+    _write_manifest(args, [Path(args.gt)], [Path(args.out)])
     return 0
 
 
@@ -183,10 +177,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.append is not None:
         _replace_text(path, write_results_csv(rows))
         outputs.append(path)
-    if args.manifest:
-        _write_manifest(
-            outputs[0], "evaluate", None, [Path(args.gt), Path(args.dets)], outputs
-        )
+    _write_manifest(args, [Path(args.gt), Path(args.dets)], outputs)
     return 0
 
 
@@ -198,14 +189,15 @@ def _batteries(
 ) -> dict[str, StatReport]:
     """The battery's report on ``results`` for each metric it can test.
 
-    A metric it cannot test is skipped, with a note on stderr when
-    ``prog`` names the command; a lone metric's error is raised as it
-    is, and a StatsError when no metric is left.
+    An alpha outside (0, 1) fails before any battery runs.  A metric it
+    cannot test is skipped, with a note on stderr when ``prog`` names the
+    command; a lone metric's error is raised as it is, and a StatsError
+    when no metric is left.
     """
     from .report import metric_samples
-    from .stats import DEFAULT_ALPHA, StatsError, run_battery
+    from .stats import DEFAULT_ALPHA, StatsError, check_alpha, run_battery
 
-    alpha = DEFAULT_ALPHA if alpha is None else alpha
+    alpha = DEFAULT_ALPHA if alpha is None else check_alpha(alpha)
     batteries = {}
     for metric in metrics:
         try:
@@ -237,11 +229,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{metric}: omnibus={battery.omnibus_method}"
             f" p={battery.omnibus_p:.4g} {letters}"
         )
+    outputs: list[Path] = []
     if args.out is not None:
         reports = {metric: battery.as_dict() for metric, battery in batteries.items()}
         Path(args.out).write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
-    if args.manifest:
-        _write_manifest(Path(args.out), "stats", None, [Path(args.results)], [Path(args.out)])
+        outputs.append(Path(args.out))
+    _write_manifest(args, [Path(args.results)], outputs)
     return 0
 
 
@@ -260,20 +253,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         text = "\n".join(parts)
     else:
         text = emit_table(table, style=args.style, decimal=args.decimal, model=args.model)
-    Path(args.out).write_text(text, encoding="utf-8")
-    outputs = [Path(args.out)]
+    writes = [(Path(args.out), text)]
     if args.figure_data is not None:
-        # only the figure data needs the battery
+        # only the figure data needs the battery; it fails before any write
         from .metrics import METRIC_NAMES
         from .report import emit_significance_figure_data
 
         batteries = _batteries(results, METRIC_NAMES, args.alpha)
-        Path(args.figure_data).write_text(
-            emit_significance_figure_data(batteries, table), encoding="utf-8"
-        )
-        outputs.append(Path(args.figure_data))
-    if args.manifest:
-        _write_manifest(Path(args.out), "report", None, [Path(args.results)], outputs)
+        writes.append((Path(args.figure_data), emit_significance_figure_data(batteries, table)))
+    for path, body in writes:
+        path.write_text(body, encoding="utf-8")
+    _write_manifest(args, [Path(args.results)], [path for path, _ in writes])
     return 0
 
 
@@ -306,8 +296,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         outputs.append(Path(args.emit_distractors))
     n_ann = len(corpus.dataset.annotations)
     print(f"generated {args.n} images with {n_ann} annotations (preset {args.preset})")
-    if args.manifest:
-        _write_manifest(Path(args.out), "synth", args.seed, [], outputs)
+    _write_manifest(args, [], outputs)
     return 0
 
 
@@ -346,8 +335,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     dets = mock_detect(gt, spec, args.seed, distractors)
     Path(args.out).write_text(write_detections(dets), encoding="utf-8")
     print(f"emitted {len(dets)} detections over {len(gt.images)} images")
-    if args.manifest:
-        _write_manifest(Path(args.out), "detect", args.seed, inputs, [Path(args.out)])
+    _write_manifest(args, inputs, [Path(args.out)])
     return 0
 
 
@@ -364,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="destination directory")
     p.add_argument("--cal-lo", type=float, required=True, help="calibration low bound")
     p.add_argument("--cal-hi", type=float, required=True, help="calibration high bound")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("filter", help="mark tiny ground-truth boxes as ignore")
     p.add_argument("--gt", required=True, help="ground-truth JSON")
     p.add_argument("--out", required=True, help="filtered JSON destination")
     p.add_argument("--threshold", type=float, default=10.0, help="side length cutoff")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("split", help="plan nested cross-validation runs")
@@ -380,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-outer", type=int, default=5, help="outer fold count")
     p.add_argument("--k-inner", type=int, default=5, help="inner fold count")
     p.add_argument("--seed", type=int, default=0, help="shuffle seed")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("evaluate", help="score detections against ground truth")
@@ -399,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hpc", help="combination tag for --append")
     p.add_argument("--run", type=int, help="run index for --append")
     p.add_argument("--dataset", help="dataset tag for --append")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", help="run the significance battery on a results CSV")
@@ -412,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", type=float)
     p.add_argument("--out", help="battery report JSON destination")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("report", help="render the aggregate metric table")
@@ -423,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="restrict the table to one model")
     p.add_argument("--figure-data", help="also write letter figure data CSV here")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
@@ -433,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="ground-truth JSON destination")
     p.add_argument("--frames", help="directory to render .raw frames into")
     p.add_argument("--emit-distractors", help="write distractor boxes JSON here")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("detect", help="run a mock detector over a corpus")
@@ -450,9 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-distractor confusion probability",
     )
     p.add_argument("--distractors", help="distractor boxes JSON from synth")
-    p.add_argument("--manifest", action="store_true", help="write manifest.json")
     p.set_defaults(func=cmd_detect)
 
+    # added after each subcommand's own options, so --help lists it last
+    for p in sub.choices.values():
+        p.add_argument("--manifest", action="store_true", help="write manifest.json")
     return parser
 
 

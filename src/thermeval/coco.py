@@ -180,6 +180,21 @@ class CategoryRecord:
             raise DatasetError(f"category {self.id}: name must be a non-empty string")
 
 
+def _image_id_set(image_ids: Iterable[int]) -> frozenset[int]:
+    """The distinct ids in ``image_ids``, each of which must be an integer."""
+    if isinstance(image_ids, (str, bytes, bytearray)):
+        # these iterate as characters or small ints, never as image ids
+        raise DatasetError(f"image id must be an integer, got {image_ids!r}")
+    ids = tuple(image_ids)
+    # a bool or 1.0 would hash equal to the id 1; each type is checked
+    # once, in listing order, as the ABC check is slow
+    for kind in dict.fromkeys(map(type, ids)):
+        if not issubclass(kind, Integral) or issubclass(kind, bool):
+            bad = next(i for i in ids if type(i) is kind)
+            raise DatasetError(f"image id must be an integer, got {bad!r}")
+    return frozenset(map(int, ids))
+
+
 def _by_id(records: Iterable[ImageRecord | CategoryRecord], what: str) -> dict:
     """Index records by id, rejecting a repeated id."""
     index = {}
@@ -208,10 +223,8 @@ class Dataset:
     _category_index: Mapping[int, CategoryRecord] = field(
         init=False, repr=False, compare=False, default=None
     )
-    # the top-level dataset a subset was cut from (None: this one), the
-    # folds cut from a top-level dataset by image set, and the evaluation
+    # the folds cut from this dataset by image set, and the evaluation
     # tables ``metrics`` prepares once per dataset
-    _root: Dataset | None = field(init=False, repr=False, compare=False, default=None)
     _folds: dict[frozenset[int], Dataset] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -262,35 +275,22 @@ class Dataset:
     def subset(self, image_ids: Iterable[int]) -> "Dataset":
         """Restrict to the given images, keeping their annotations.
 
-        There is one fold per image set: the top-level dataset keeps every
-        fold cut from it or from its folds, so cutting the same images
-        again returns the same object, with the evaluation tables
-        ``metrics`` built from its own records.  Memory therefore grows with
-        the distinct image sets a caller cuts; a 5x5 protocol plan cuts 5.
+        Folds are cached per dataset, one per image set: cutting the same
+        images from the same dataset again returns the same object, with
+        the evaluation tables ``metrics`` built from its own records.
+        Memory therefore grows with the distinct image sets a caller cuts
+        from each dataset; a 5x5 protocol plan cuts 5 from the corpus.
         """
-        if isinstance(image_ids, (str, bytes, bytearray)):
-            # these iterate as characters or small ints, never as image ids
-            raise DatasetError(f"image id must be an integer, got {image_ids!r}")
-        ids = tuple(image_ids)
-        # a bool or 1.0 would hash equal to the id 1; each type is checked
-        # once, in listing order, as the ABC check is slow
-        for kind in dict.fromkeys(map(type, ids)):
-            if not issubclass(kind, Integral) or issubclass(kind, bool):
-                bad = next(i for i in ids if type(i) is kind)
-                raise DatasetError(f"image id must be an integer, got {bad!r}")
-        wanted = frozenset(map(int, ids))
+        wanted = _image_id_set(image_ids)
         for i in wanted:
             self.image(i)
-        root = self if self._root is None else self._root
-        if wanted not in root._folds:
-            sub = Dataset(
-                tuple(img for img in root.images if img.id in wanted),
-                tuple(a for a in root.annotations if a.image_id in wanted),
-                root.categories,
+        if wanted not in self._folds:
+            self._folds[wanted] = Dataset(
+                tuple(img for img in self.images if img.id in wanted),
+                tuple(a for a in self.annotations if a.image_id in wanted),
+                self.categories,
             )
-            object.__setattr__(sub, "_root", root)
-            root._folds[wanted] = sub
-        return root._folds[wanted]
+        return self._folds[wanted]
 
 
 def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD) -> Dataset:

@@ -392,10 +392,6 @@ class MetricReport:
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
-    @classmethod
-    def from_dict(cls, d: dict[str, float]) -> "MetricReport":
-        return cls(**{name: float(d[name]) for name in METRIC_NAMES})
-
 
 def evaluate(
     gt: Dataset,

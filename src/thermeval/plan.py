@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .coco import DatasetError, _image_id_set
+
 __all__ = [
     "PlanError",
     "HPC",
@@ -136,11 +138,15 @@ def plan_splits(
 ) -> SplitPlan:
     """Build the full nested split plan; a pure function of its arguments.
 
-    Ids are deduplicated, shuffled once with the seeded generator, and
+    Ids must be integers (a bool, float or string is not); they are
+    deduplicated, shuffled once with the seeded generator, and
     divided as described in the module docstring.  Within each run the
     three id sets are disjoint and cover the pool.
     """
-    ids = sorted(set(int(i) for i in image_ids))
+    try:
+        ids = sorted(_image_id_set(image_ids))
+    except DatasetError as exc:
+        raise PlanError(str(exc)) from None
     if k_outer < 2 or k_inner < 2:
         raise PlanError(f"fold counts must be at least 2, got {k_outer}/{k_inner}")
     if len(ids) < k_outer * k_inner:
@@ -249,8 +255,4 @@ def select_best_epoch(ap_log: Sequence[float]) -> int:
         raise PlanError("empty epoch log")
     if not all(map(math.isfinite, ap_log)):
         raise PlanError(f"non-finite validation AP in {list(ap_log)}")
-    best = 0
-    for i, v in enumerate(ap_log):
-        if v > ap_log[best]:
-            best = i
-    return best + 1
+    return int(np.argmax(ap_log)) + 1  # argmax returns the first maximum

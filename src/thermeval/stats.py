@@ -32,6 +32,7 @@ __all__ = [
     "dunn_test",
     "bonferroni",
     "compact_letters",
+    "check_alpha",
     "run_battery",
     "DEFAULT_ALPHA",
 ]
@@ -212,9 +213,9 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
 # omnibus tests
 
 
-def _check_groups(groups: Sequence[Sequence[float]], min_groups: int = 2) -> list[np.ndarray]:
-    if len(groups) < min_groups:
-        raise StatsError(f"need at least {min_groups} groups, got {len(groups)}")
+def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    if len(groups) < 2:
+        raise StatsError(f"need at least 2 groups, got {len(groups)}")
     out = []
     for i, g in enumerate(groups):
         arr = _as_array(g, f"group #{i}")
@@ -491,6 +492,13 @@ class StatReport:
         }
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` itself, once it is a family level the battery can use."""
+    if not (0.0 < alpha < 1.0):  # NaN fails the comparison
+        raise StatsError(f"alpha {alpha} outside (0, 1)")
+    return alpha
+
+
 def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> StatReport:
     """Run the full comparison battery over k labeled result groups.
 
@@ -502,8 +510,7 @@ def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> St
     of pairs, and the letter display reflects that corrected level.  With
     a non-significant omnibus every group shares one letter.
     """
-    if not (0.0 < alpha < 1.0):
-        raise StatsError(f"alpha {alpha} outside (0, 1)")
+    check_alpha(alpha)
     if len(groups) < 2:
         raise StatsError(f"need at least 2 groups, got {len(groups)}")
     names = [g.label for g in groups]

@@ -267,7 +267,6 @@ def build_corpus(
     n: int,
     seed: int,
     render: bool = False,
-    file_prefix: str = "scene",
 ) -> Corpus:
     """Generate n scenes as a ready-to-evaluate Dataset.
 
@@ -288,7 +287,7 @@ def build_corpus(
         images.append(
             ImageRecord(
                 id=image_id,
-                file_name=f"{file_prefix}_{image_id:05d}.raw",
+                file_name=f"scene_{image_id:05d}.raw",
                 width=spec.width,
                 height=spec.height,
             )
@@ -313,6 +312,13 @@ def build_corpus(
     )
 
 
+# mock detector scores for hits (true or distractor boxes) and for random
+# false boxes, and the side-length range of a random false box, in pixels
+_HIT_SCORE = (0.6, 1.0)
+_FP_SCORE = (0.05, 0.5)
+_FP_SIZE = (8.0, 80.0)
+
+
 @dataclass(frozen=True)
 class MockDetectorSpec:
     """Error model of a simulated detector.
@@ -326,20 +332,12 @@ class MockDetectorSpec:
     p_fp: float = 0.0
     jitter_sigma: float = 0.0
     p_distractor_fp: float = 0.0
-    hit_score: tuple[float, float] = (0.6, 1.0)
-    fp_score: tuple[float, float] = (0.05, 0.5)
-    fp_size: tuple[float, float] = (8.0, 80.0)
 
     def __post_init__(self) -> None:
         _check_probability(self.p_drop, f"p_drop={self.p_drop}")
         _check_probability(self.p_distractor_fp, f"p_distractor_fp={self.p_distractor_fp}")
         _check_non_negative(self.p_fp, "p_fp")
         _check_non_negative(self.jitter_sigma, "jitter_sigma")
-        for name in ("hit_score", "fp_score"):
-            lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise SynthError(f"{name} range ({lo}, {hi}) invalid")
-        _check_range(self.fp_size, "fp_size", lo_min=1.0)
 
 
 def _jitter_box(bbox: BBox, sigma: float, rng: np.random.Generator) -> BBox:
@@ -380,7 +378,7 @@ def mock_detect(
             if rng.random() < spec.p_drop:
                 continue
             bbox = _jitter_box(ann.bbox, spec.jitter_sigma, rng)
-            score = rng.uniform(*spec.hit_score)
+            score = rng.uniform(*_HIT_SCORE)
             out.append(
                 Detection(
                     image_id=img.id,
@@ -393,7 +391,7 @@ def mock_detect(
             for dbox in distractors.get(img.id, ()):
                 if rng.random() < spec.p_distractor_fp:
                     bbox = _jitter_box(dbox, spec.jitter_sigma, rng)
-                    score = rng.uniform(*spec.hit_score)
+                    score = rng.uniform(*_HIT_SCORE)
                     out.append(
                         Detection(
                             image_id=img.id,
@@ -403,13 +401,13 @@ def mock_detect(
                         )
                     )
         for _ in range(int(rng.poisson(spec.p_fp))):
-            w = rng.uniform(*spec.fp_size)
-            h = rng.uniform(*spec.fp_size)
+            w = rng.uniform(*_FP_SIZE)
+            h = rng.uniform(*_FP_SIZE)
             w = min(w, float(img.width))
             h = min(h, float(img.height))
             x = rng.uniform(0.0, img.width - w)
             y = rng.uniform(0.0, img.height - h)
-            score = rng.uniform(*spec.fp_score)
+            score = rng.uniform(*_FP_SCORE)
             out.append(
                 Detection(
                     image_id=img.id,

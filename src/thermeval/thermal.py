@@ -272,12 +272,14 @@ def read_raw(fp: BinaryIO) -> RawFrame:
     if width == 0 or height == 0:
         raise ThermalError(f"raw frame with zero dimension {width}x{height}")
     expected = width * height * 2
-    payload = fp.read(expected)
-    if len(payload) != expected:
+    # the rest of the file, read once: a header's size can be far larger
+    # than any file, and a read of that size fails or asks for gigabytes
+    payload = fp.read()
+    if len(payload) < expected:
         raise ThermalError(
             f"raw payload holds {len(payload)} bytes, expected {expected}"
         )
-    if fp.read(1):
+    if len(payload) > expected:
         raise ThermalError("trailing bytes after raw payload")
     pixels = np.frombuffer(payload, dtype="<i2").reshape(height, width)
     return RawFrame(pixels.astype(np.int16))
@@ -320,8 +322,8 @@ def read_pgm(fp: BinaryIO) -> GrayFrame:
         raise ThermalError(f"unsupported PGM maxval {maxval}")
     if width <= 0 or height <= 0:
         raise ThermalError(f"bad PGM dimensions {width}x{height}")
-    payload = fp.read(width * height)
-    if len(payload) != width * height:
+    payload = fp.read()  # the rest of the file, as in read_raw
+    if len(payload) < width * height:
         raise ThermalError("truncated PGM payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(payload, dtype=np.uint8, count=width * height).reshape(height, width)
     return GrayFrame(pixels.copy())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +12,14 @@ from thermeval.coco import parse_coco, parse_detections, write_coco, write_detec
 from thermeval.metrics import METRIC_NAMES, MetricReport
 from thermeval.report import RunResult, write_results_csv
 from thermeval.synth import PRESET_A, MockDetectorSpec, build_corpus, mock_detect
-from thermeval.thermal import CalibrationRange, RawFrame, normalize_frame, read_pgm, write_raw
+from thermeval.thermal import (
+    RAW_MAGIC,
+    CalibrationRange,
+    RawFrame,
+    normalize_frame,
+    read_pgm,
+    write_raw,
+)
 
 
 def _write_raw_file(path, values):
@@ -113,6 +122,26 @@ def test_convert_keeps_going_past_bad_files(tmp_path, capsys):
     assert rc == 1
     assert (out / "good.pgm").exists()
     assert "bad.raw" in captured.err
+    assert "converted 1 of 2 frames" in captured.out
+
+
+def test_convert_reports_a_header_larger_than_its_file(tmp_path, capsys):
+    src = tmp_path / "raw"
+    out = tmp_path / "pgm"
+    src.mkdir()
+    _write_raw_file(src / "good.raw", [[1500]])
+    (src / "huge.raw").write_bytes(struct.pack("<4sIII", RAW_MAGIC, 2**32 - 1, 2**32 - 1, 0))
+    rc = main([
+        "convert", "--src", str(src), "--out", str(out),
+        "--cal-lo", "0", "--cal-hi", "3000",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["good.pgm"]
+    assert captured.err == (
+        "thermeval convert: error: huge.raw: raw payload holds 0 bytes,"
+        f" expected {2 * (2**32 - 1) ** 2}\n"
+    )
     assert "converted 1 of 2 frames" in captured.out
 
 
@@ -349,6 +378,18 @@ def test_stats_single_metric_raises_its_own_error(tmp_path, capsys):
     assert captured.err == "thermeval stats: error: need at least 2 groups, got 1\n"
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "nan"])
+def test_stats_rejects_an_alpha_before_any_battery(tmp_path, capsys, alpha):
+    results = _results_csv(tmp_path)
+    out = tmp_path / "stats.json"
+    rc = main(["stats", "--results", str(results), "--alpha", alpha, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"thermeval stats: error: alpha {float(alpha)} outside (0, 1)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_stats_manifest_needs_out(tmp_path, capsys):
     results = _results_csv(tmp_path)
     rc = main(["stats", "--results", str(results), "--manifest"])
@@ -420,6 +461,18 @@ def test_report_figure_data_with_one_model_fails(tmp_path, capsys):
         "thermeval report: error: no metric supports the battery\n"
     )
     assert not (tmp_path / "figure.csv").exists()
+    assert not (tmp_path / "t.md").exists()
+
+
+def test_report_rejects_an_alpha_before_any_write(tmp_path, capsys):
+    results = _results_csv(tmp_path)
+    rc = main([
+        "report", "--results", str(results), "--out", str(tmp_path / "t.md"),
+        "--figure-data", str(tmp_path / "figure.csv"), "--alpha", "1.5", "--manifest",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "thermeval report: error: alpha 1.5 outside (0, 1)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
 # -- synth / detect
@@ -535,3 +588,69 @@ def test_manifest_hashes_inputs(tmp_path):
     assert len(digest) == 64
     assert all(c in "0123456789abcdef" for c in digest)
     assert manifest["outputs"] == [str(out)]
+
+
+def _manifest_case(tmp_path, case):
+    """One ``--manifest`` run of each command, as (argv, exit code, seed,
+    inputs, outputs, directory the manifest must land in)."""
+    out = tmp_path / "out"
+    out.mkdir()
+    if case.startswith("convert"):
+        src = tmp_path / "raw"
+        src.mkdir()
+        raw = src / "a.raw"
+        if case == "convert":
+            _write_raw_file(raw, [[1500]])
+        else:  # no frame converted: the manifest goes into --out
+            raw.write_bytes(b"JUNK")
+        argv = ["convert", "--src", str(src), "--out", str(out), "--cal-lo", "0", "--cal-hi", "9"]
+        written = [out / "a.pgm"] if case == "convert" else []
+        return argv, 0 if written else 1, None, [raw], written, out
+    if case == "synth":
+        gt, dist = out / "gt.json", out / "d.json"
+        argv = [
+            "synth", "--preset", "a", "--n", "2", "--seed", "3", "--out", str(gt),
+            "--frames", str(out / "raw"), "--emit-distractors", str(dist),
+        ]
+        frames = [out / "raw" / f"scene_0000{i}.raw" for i in (1, 2)]
+        return argv, 0, 3, [], [gt, *frames, dist], out
+    if case in ("stats", "report"):
+        results = _results_csv(tmp_path)
+        first, fig = out / f"{case}.out", tmp_path / "fig.csv"
+        argv = [case, "--results", str(results), "--out", str(first)]
+        if case == "stats":
+            return [*argv, "--metric", "ap"], 0, None, [results], [first], out
+        return [*argv, "--figure-data", str(fig)], 0, None, [results], [first, fig], out
+    gt, dets = _eval_inputs(tmp_path)
+    if case == "evaluate":
+        report, csv = out / "r.json", tmp_path / "r.csv"
+        argv = [*_append_args(gt, dets, csv), "--out", str(report)]
+        return argv, 0, None, [gt, dets], [report, csv], out
+    dest = out / f"{case}.json"
+    argv = [case, "--gt", str(gt), "--out", str(dest)]
+    if case == "filter":
+        return argv, 0, None, [gt], [dest], out
+    if case == "split":
+        argv += ["--k-outer", "2", "--k-inner", "2", "--seed", "5"]
+        return argv, 0, 5, [gt], [dest], out
+    dist = tmp_path / "d.json"
+    dist.write_text('{"1": [[0, 0, 5, 5]]}')
+    argv += ["--seed", "4", "--distractors", str(dist), "--p-distractor-fp", "1"]
+    return argv, 0, 4, [gt, dist], [dest], out
+
+
+@pytest.mark.parametrize(
+    "case", "convert convert-none filter split evaluate stats report synth detect".split()
+)
+def test_every_command_writes_its_manifest(tmp_path, case):
+    argv, rc, seed, inputs, outputs, where = _manifest_case(tmp_path, case)
+    assert main([*argv, "--manifest"]) == rc
+    manifest = json.loads((where / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
+    }
+    assert manifest["outputs"] == [str(p) for p in outputs]
+    assert all(p.exists() for p in outputs)
+    assert list(tmp_path.rglob("manifest.json")) == [where / "manifest.json"]

@@ -209,18 +209,16 @@ def test_subset_returns_one_fold_per_image_set():
     fold = ds.subset([1, 2])
     # listing order and repeats do not matter
     assert ds.subset([2, 1, 2]) is fold
-    # a fold of a fold resolves through the top-level dataset
-    assert fold.subset([2]) is ds.subset([2])
-    assert ds.subset([3]).subset([]) is fold.subset([]) is ds.subset(())
+    # a fold caches the folds cut from it in turn
+    assert fold.subset([2]) is fold.subset([2])
     # a fold is equal to, hashes and prints as its records rebuilt
     rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
     assert (fold, hash(fold), repr(fold)) == (rebuilt, hash(rebuilt), repr(rebuilt))
-    # every id is checked against the dataset cut from, even when the
-    # top-level dataset already holds a fold of those images
+    # every id is checked against the dataset cut from
     for cut in (lambda: fold.subset([3]), lambda: ds.subset([1, 5])):
         with pytest.raises(DatasetError, match=r"^unknown image id (3|5)$"):
             cut()
-    # a derived dataset is a new top-level dataset with folds of its own
+    # a derived dataset has folds of its own
     assert filter_small_objects(ds).subset([1, 2]) is not fold
 
 
@@ -269,7 +267,7 @@ def test_subset_equals_its_records_rebuilt(chain):
         assert fold.annotations == tuple(
             a for a in parent.annotations if fold.has_image(a.image_id)
         )
-        assert fold._root is chain[0]
+        assert parent.subset(fold.image_ids()) is fold
         for image_id in set(parent.image_ids()) - set(fold.image_ids()):
             with pytest.raises(DatasetError, match=f"unknown image id {image_id}"):
                 fold.subset([image_id])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,28 @@ def test_plan_deduplicates_ids():
     plan = plan_splits([1, 1, 2, 3, 4] + list(range(5, 60)), k_outer=3, k_inner=3)
     run = plan.runs[0]
     assert len(run.train_ids) + len(run.val_ids) + len(run.test_ids) == 59
+
+
+@pytest.mark.parametrize(
+    "ids, bad",
+    [
+        ([i + 0.5 for i in range(25)], 0.5),  # int() would read these as 0, 1, ...
+        ([True, *range(2, 26)], True),
+        ("0123456789", "0123456789"),  # would iterate as ten one-digit ids
+        (b"0123456789", b"0123456789"),
+    ],
+    ids=["float", "bool", "str", "bytes"],
+)
+def test_plan_rejects_ids_that_are_not_integers(ids, bad):
+    message = f"^image id must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(PlanError, match=message):
+        plan_splits(ids, k_outer=2, k_inner=2)
+
+
+def test_plan_takes_numpy_integer_ids():
+    plan = plan_splits(np.arange(1, 11, dtype=np.int32), k_outer=2, k_inner=2, seed=4)
+    assert plan == plan_splits(range(1, 11), k_outer=2, k_inner=2, seed=4)
+    assert {type(i) for run in plan.runs for i in run.train_ids} == {int}
 
 
 @pytest.mark.parametrize("k_outer,k_inner", [(1, 5), (5, 1), (0, 0)])

@@ -230,10 +230,6 @@ def test_detector_spec_validation():
     with pytest.raises(SynthError):
         MockDetectorSpec(p_drop=1.5)
     with pytest.raises(SynthError):
-        MockDetectorSpec(hit_score=(0.9, 0.2))
-    with pytest.raises(SynthError):
-        MockDetectorSpec(fp_size=(0.0, 10.0))
-    with pytest.raises(SynthError):
         MockDetectorSpec(jitter_sigma=-1.0)
 
 
@@ -245,9 +241,6 @@ def test_detector_spec_rejects_non_finite_values(bad):
     for field in ("p_fp", "jitter_sigma"):
         with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
             MockDetectorSpec(**{field: bad})
-    for fp_size in ((8.0, bad), (bad, 80.0)):
-        with pytest.raises(SynthError, match="fp_size range"):
-            MockDetectorSpec(fp_size=fp_size)
 
 
 def test_mock_detect_follows_dataset_order():

@@ -359,6 +359,26 @@ def test_raw_rejects_trailing_bytes():
         read_raw(io.BytesIO(buf.getvalue() + b"\x00"))
 
 
+class _ReadSizes(io.BytesIO):
+    """A byte stream that records the size asked of each read."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(data)
+        self.sizes: list[int | None] = []
+
+    def read(self, size: int | None = -1) -> bytes:
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("side", [60000, 2**32 - 1])
+def test_raw_header_larger_than_the_file_fails_without_a_large_read(side):
+    fp = _ReadSizes(struct.pack("<4sIII", RAW_MAGIC, side, side, 0) + bytes(8))
+    with pytest.raises(ThermalError, match=f"^raw payload holds 8 bytes, expected {2 * side**2}$"):
+        read_raw(fp)
+    assert max(fp.sizes) <= 16
+
+
 # -- pgm container
 
 
@@ -393,3 +413,11 @@ def test_pgm_rejects_wrong_magic():
 def test_pgm_rejects_truncated_payload():
     with pytest.raises(ThermalError, match="truncated"):
         read_pgm(io.BytesIO(b"P5\n2 2\n255\n\x00"))
+
+
+@pytest.mark.parametrize("width", [60000, 10**30])
+def test_pgm_header_larger_than_the_file_fails_without_a_large_read(width):
+    fp = _ReadSizes(b"P5\n%d 60000\n255\n" % width + bytes(4))
+    with pytest.raises(ThermalError, match="^truncated PGM payload$"):
+        read_pgm(fp)
+    assert max(fp.sizes) <= 2
