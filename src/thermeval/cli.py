@@ -92,7 +92,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
     raw_files = sorted(src.glob("*.raw"))
     if not raw_files:
         print(f"thermeval convert: warning: no .raw files in {src}", file=sys.stderr)
-        return 0
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     failed = 0
@@ -241,6 +240,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import aggregate, emit_table, read_results_csv
 
+    if args.alpha is not None and args.figure_data is None:
+        raise ValueError("--alpha needs --figure-data")
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
     table = aggregate(results)
     if args.model is None and len(table.models) > 1:

@@ -142,11 +142,12 @@ def _match_cells(
     lowest threshold, and cells share no GT.  So every detection settles
     in step 0 except the contested ones, which share such a GT: step r
     settles the r-th contested detection of every cell, in score order.
-    Each step works on one flat row per (detection, GT) pair.  Returns the
-    matched GT index per (stratum, threshold, detection), or -1.
+    Each step works on one flat row per (detection, GT) pair.  Returns an
+    int8 outcome per (stratum, threshold, detection): 0 unmatched, 1
+    matched a real GT, 2 absorbed by an ignore region.
     """
     n_rows = len(gt_ignore) * len(thresholds)
-    hits = np.full((n_rows, len(dt_box)), -1, dtype=np.intp)
+    outcome = np.zeros((n_rows, len(dt_box)), dtype=np.int8)
     first_gt = np.searchsorted(gt_cell, dt_cell, side="left")
     n_gt = np.searchsorted(gt_cell, dt_cell, side="right") - first_gt
     # one row per same-cell pair, by detection; a detection's k-th pair is
@@ -177,7 +178,7 @@ def _match_cells(
     # row = stratum * T + threshold index.  A pair in reach keys its
     # position, plus P for an ignore region; out of reach or taken, 2P.  A
     # detection's least key is then its first free real GT, else its first
-    # free ignore region.
+    # free ignore region, and the key alone gives the outcome code.
     n_pairs = len(pair_gt)
     thr = np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None]
     ignored = np.repeat(gt_ignore[:, pair_gt], len(thresholds), axis=0)
@@ -187,10 +188,11 @@ def _match_cells(
         free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, pair_key[:, lo:hi])
         pick = np.minimum.reduceat(free_key, dt_starts[s_lo:s_hi] - lo, axis=1)
         rows, segs = np.nonzero(pick < 2 * n_pairs)
-        won = pick[rows, segs] % n_pairs
+        key = pick[rows, segs]
+        won = key % n_pairs
         taken[rows, pair_gt[won]] = True
-        hits[rows, pair_dt[won]] = pair_gt[won]
-    return hits.reshape(len(gt_ignore), len(thresholds), -1)
+        outcome[rows, pair_dt[won]] = 1 + (key >= n_pairs)
+    return outcome.reshape(len(gt_ignore), len(thresholds), -1)
 
 
 def _accumulate(
@@ -252,7 +254,8 @@ class _Columns:
     fold's ids are a subsequence of its parent's, so cells keep their
     order.  Built once per dataset, on its first ``evaluate``; nothing here
     depends on the threshold sweep or ``max_dets``, so one set serves every
-    call.
+    call.  Only the matching reads ``gt_ignore``: its outcome codes already
+    say which detections an ignore region absorbed.
     """
 
     img_ids: np.ndarray  # (I,) sorted
@@ -260,9 +263,6 @@ class _Columns:
     gt_cell: np.ndarray  # (G,)
     gt_box: np.ndarray  # (G, 4)
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
-    # ``gt_ignore``, or with no GT one blank column, so that a miss (-1)
-    # can index it
-    region: np.ndarray
     defined: np.ndarray  # (S, C) which pairs hold eligible GT
     # per category with eligible GT: its position, its defined strata, their
     # eligible counts n, and per stratum the least TP count k with k / n at
@@ -298,9 +298,8 @@ def _columns(gt: Dataset) -> _Columns:
         # first reached at the least k with k / n at or above it
         need = [np.searchsorted(np.arange(k + 1) / k, _RECALL_SAMPLES) for k in n.tolist()]
         per_category.append((ci, strata, n, np.stack(need)))
-    region = gt_ignore if len(gt_cell) else np.zeros((len(_STRATA), 1), dtype=bool)
     cols = _Columns(
-        img_ids, cat_ids, gt_cell, gt_box, gt_ignore, region, n_eligible > 0, tuple(per_category)
+        img_ids, cat_ids, gt_cell, gt_box, gt_ignore, n_eligible > 0, tuple(per_category)
     )
     object.__setattr__(gt, "_columns", cols)
     return cols
@@ -348,14 +347,11 @@ def _corpus_tables(
     dt_cell, dt_cat, scores = dt_cell[order], dt_cat[order], scores[order]
     dt_box = _box_columns(dets[i].bbox for i in order.tolist())
 
-    hits = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, thresholds)
-    matched = hits >= 0
-    # a miss (-1) reads the last column, which ``matched`` overrides
-    absorbed = cols.region[np.arange(len(_STRATA))[:, None, None], hits]
+    outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, thresholds)
     # within each category, by score descending; ties stay in cell order
     by_score = np.lexsort((-scores, dt_cat))
-    tps = (matched & ~absorbed)[..., by_score]
-    fps = (~matched & ~_outside(dt_box)[:, None, :])[..., by_score]
+    tps = (outcome == 1)[..., by_score]
+    fps = ((outcome == 0) & ~_outside(dt_box)[:, None, :])[..., by_score]
 
     # each category's detection column range
     dt_bounds = np.searchsorted(dt_cell, np.arange(len(cols.cat_ids) + 1) * n_img)

@@ -347,8 +347,7 @@ def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray
 
 def bonferroni(alpha: float, m: int) -> float:
     """Per-comparison level for m comparisons at family level alpha."""
-    if not (0.0 < alpha <= 1.0):
-        raise StatsError(f"alpha {alpha} outside (0, 1]")
+    check_alpha(alpha)
     if m < 1:
         raise StatsError(f"comparison count must be positive, got {m}")
     return alpha / m
@@ -448,8 +447,8 @@ class StatReport:
     omnibus_method: str  # "anova" or "kruskal_wallis"
     omnibus_stat: float
     omnibus_p: float
-    anova_f: float | None
-    anova_p: float | None
+    anova_f: float
+    anova_p: float
     kruskal_h: float | None
     kruskal_p: float | None
     alpha: float
@@ -470,9 +469,7 @@ class StatReport:
                 "statistic": self.omnibus_stat,
                 "p": self.omnibus_p,
             },
-            "anova": None
-            if self.anova_f is None
-            else {"f": self.anova_f, "p": self.anova_p},
+            "anova": {"f": self.anova_f, "p": self.anova_p},
             "kruskal_wallis": None
             if self.kruskal_h is None
             else {"h": self.kruskal_h, "p": self.kruskal_p},

@@ -372,34 +372,21 @@ def mock_detect(
     out: list[Detection] = []
     for idx, img in enumerate(ds.images):
         rng = np.random.default_rng(children[idx])
+
+        def hit(box: BBox, category_id: int) -> None:
+            # a fired box: the jitter, then the score
+            bbox = _jitter_box(box, spec.jitter_sigma, rng)
+            score = float(rng.uniform(*_HIT_SCORE))
+            out.append(Detection(img.id, category_id, bbox, score))
+
+        # each box's firing draw comes first: true boxes, then distractors
         for ann in by_image.get(img.id, ()):
-            if ann.ignore:
-                continue
-            if rng.random() < spec.p_drop:
-                continue
-            bbox = _jitter_box(ann.bbox, spec.jitter_sigma, rng)
-            score = rng.uniform(*_HIT_SCORE)
-            out.append(
-                Detection(
-                    image_id=img.id,
-                    category_id=ann.category_id,
-                    bbox=bbox,
-                    score=float(score),
-                )
-            )
-        if distractors is not None:
-            for dbox in distractors.get(img.id, ()):
-                if rng.random() < spec.p_distractor_fp:
-                    bbox = _jitter_box(dbox, spec.jitter_sigma, rng)
-                    score = rng.uniform(*_HIT_SCORE)
-                    out.append(
-                        Detection(
-                            image_id=img.id,
-                            category_id=fallback_cat,
-                            bbox=bbox,
-                            score=float(score),
-                        )
-                    )
+            if not ann.ignore and rng.random() >= spec.p_drop:
+                hit(ann.bbox, ann.category_id)
+        for box in () if distractors is None else distractors.get(img.id, ()):
+            if rng.random() < spec.p_distractor_fp:
+                hit(box, fallback_cat)
+        # false boxes: w, h, x, y, then the score
         for _ in range(int(rng.poisson(spec.p_fp))):
             w = rng.uniform(*_FP_SIZE)
             h = rng.uniform(*_FP_SIZE)
@@ -407,13 +394,6 @@ def mock_detect(
             h = min(h, float(img.height))
             x = rng.uniform(0.0, img.width - w)
             y = rng.uniform(0.0, img.height - h)
-            score = rng.uniform(*_FP_SCORE)
-            out.append(
-                Detection(
-                    image_id=img.id,
-                    category_id=fallback_cat,
-                    bbox=BBox(x, y, w, h),
-                    score=float(score),
-                )
-            )
+            score = float(rng.uniform(*_FP_SCORE))
+            out.append(Detection(img.id, fallback_cat, BBox(x, y, w, h), score))
     return tuple(out)

@@ -256,6 +256,22 @@ def augment_sample(
 # file formats
 
 
+def _read_payload(fp: BinaryIO, size: int, fmt: str, short: str) -> bytes:
+    """The rest of ``fp``, which must hold exactly ``size`` bytes.
+
+    Read once: a header's size can be far larger than any file, and a read
+    of that size fails or asks for gigabytes.  Too few bytes raise
+    ``short``, formatted with the ``held`` and ``size`` byte counts; too
+    many raise "trailing bytes".
+    """
+    payload = fp.read()
+    if len(payload) < size:
+        raise ThermalError(short.format(held=len(payload), size=size))
+    if len(payload) > size:
+        raise ThermalError(f"trailing bytes after {fmt} payload")
+    return payload
+
+
 def write_raw(frame: RawFrame, fp: BinaryIO) -> None:
     """16-byte header (magic, width, height, reserved) + LE int16 samples."""
     fp.write(_RAW_HEADER.pack(RAW_MAGIC, frame.width, frame.height, 0))
@@ -272,15 +288,7 @@ def read_raw(fp: BinaryIO) -> RawFrame:
     if width == 0 or height == 0:
         raise ThermalError(f"raw frame with zero dimension {width}x{height}")
     expected = width * height * 2
-    # the rest of the file, read once: a header's size can be far larger
-    # than any file, and a read of that size fails or asks for gigabytes
-    payload = fp.read()
-    if len(payload) < expected:
-        raise ThermalError(
-            f"raw payload holds {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise ThermalError("trailing bytes after raw payload")
+    payload = _read_payload(fp, expected, "raw", "raw payload holds {held} bytes, expected {size}")
     pixels = np.frombuffer(payload, dtype="<i2").reshape(height, width)
     return RawFrame(pixels.astype(np.int16))
 
@@ -292,6 +300,8 @@ def write_pgm(frame: GrayFrame, fp: BinaryIO) -> None:
 
 
 def read_pgm(fp: BinaryIO) -> GrayFrame:
+    """One binary PGM image, as ``write_pgm`` writes it; the file ends
+    with its payload."""
     magic = fp.read(2)
     if magic != b"P5":
         raise ThermalError(f"bad PGM magic {magic!r}")
@@ -322,8 +332,6 @@ def read_pgm(fp: BinaryIO) -> GrayFrame:
         raise ThermalError(f"unsupported PGM maxval {maxval}")
     if width <= 0 or height <= 0:
         raise ThermalError(f"bad PGM dimensions {width}x{height}")
-    payload = fp.read()  # the rest of the file, as in read_raw
-    if len(payload) < width * height:
-        raise ThermalError("truncated PGM payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8, count=width * height).reshape(height, width)
+    payload = _read_payload(fp, width * height, "PGM", "truncated PGM payload")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return GrayFrame(pixels.copy())

@@ -464,6 +464,18 @@ def test_report_figure_data_with_one_model_fails(tmp_path, capsys):
     assert not (tmp_path / "t.md").exists()
 
 
+def test_report_rejects_an_alpha_without_figure_data(tmp_path, capsys):
+    # only the figure data runs the battery, so an alpha without it is a mistake
+    results = _results_csv(tmp_path)
+    rc = main([
+        "report", "--results", str(results), "--out", str(tmp_path / "t.md"),
+        "--alpha", "5", "--manifest",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "thermeval report: error: --alpha needs --figure-data\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
 def test_report_rejects_an_alpha_before_any_write(tmp_path, capsys):
     results = _results_csv(tmp_path)
     rc = main([
@@ -595,6 +607,11 @@ def _manifest_case(tmp_path, case):
     inputs, outputs, directory the manifest must land in)."""
     out = tmp_path / "out"
     out.mkdir()
+    if case == "convert-empty":  # no frame to convert: --out is made for the manifest
+        (tmp_path / "raw").mkdir()
+        dest = out / "gray"
+        argv = ["convert", "--src", str(tmp_path / "raw"), "--out", str(dest)]
+        return [*argv, "--cal-lo", "0", "--cal-hi", "9"], 0, None, [], [], dest
     if case.startswith("convert"):
         src = tmp_path / "raw"
         src.mkdir()
@@ -640,7 +657,8 @@ def _manifest_case(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "case", "convert convert-none filter split evaluate stats report synth detect".split()
+    "case",
+    "convert convert-none convert-empty filter split evaluate stats report synth detect".split(),
 )
 def test_every_command_writes_its_manifest(tmp_path, case):
     argv, rc, seed, inputs, outputs, where = _manifest_case(tmp_path, case)

@@ -312,6 +312,8 @@ def test_bonferroni_rejects_bad_inputs():
     with pytest.raises(StatsError):
         bonferroni(0.0, 3)
     with pytest.raises(StatsError):
+        bonferroni(1.0, 3)
+    with pytest.raises(StatsError):
         bonferroni(0.05, 0)
 
 

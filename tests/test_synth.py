@@ -14,6 +14,7 @@ from thermeval.coco import (
     Dataset,
     ImageRecord,
     SizeClass,
+    write_detections,
 )
 from thermeval.metrics import evaluate
 from thermeval.synth import (
@@ -262,6 +263,27 @@ def test_mock_detect_follows_dataset_order():
     assert mock_detect(moved, MockDetectorSpec(p_drop=0.3, jitter_sigma=1.0), seed=4) == (
         mock_detect(ds, MockDetectorSpec(p_drop=0.3, jitter_sigma=1.0), seed=4)
     )
+
+
+_PINNED_SPECS = (
+    MockDetectorSpec(),
+    MockDetectorSpec(p_drop=0.3, p_fp=1.5, jitter_sigma=2.0, p_distractor_fp=0.5),
+    MockDetectorSpec(p_drop=0.1, p_fp=0.5, jitter_sigma=0.5, p_distractor_fp=1.0),
+)
+
+
+def test_mock_detect_is_pinned():
+    # every run's detections, in order: true-box hits, distractor hits and
+    # false boxes drawn from each image's own stream in a fixed order
+    h = hashlib.sha256()
+    for preset in (PRESET_A, PRESET_B):
+        corpus = build_corpus(preset, n=12, seed=3)
+        for spec in _PINNED_SPECS:
+            for seed in (0, 1, 2):
+                for distractors in (None, corpus.distractors):
+                    dets = mock_detect(corpus.dataset, spec, seed, distractors=distractors)
+                    h.update(write_detections(dets).encode())
+    assert h.hexdigest() == "c2fdbe5dea12ef8bed0f70536d8b47ed8ba10158c7b98857460d1576506ee10c"
 
 
 def test_perfect_detector_returns_ground_truth_boxes():

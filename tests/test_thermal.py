@@ -415,6 +415,24 @@ def test_pgm_rejects_truncated_payload():
         read_pgm(io.BytesIO(b"P5\n2 2\n255\n\x00"))
 
 
+def _raw_bytes() -> bytes:
+    buf = io.BytesIO()
+    write_raw(_raw([[7]]), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "read, blob, fmt",
+    [(read_raw, _raw_bytes(), "raw"), (read_pgm, b"P5\n1 1\n255\n\x07", "PGM")],
+    ids=["raw", "pgm"],
+)
+def test_readers_reject_trailing_bytes(read, blob, fmt):
+    # one file holds one frame: both readers end at the payload's last byte
+    assert read(io.BytesIO(blob)).pixels.tolist() == [[7]]
+    with pytest.raises(ThermalError, match=f"^trailing bytes after {fmt} payload$"):
+        read(io.BytesIO(blob + b"garbage"))
+
+
 @pytest.mark.parametrize("width", [60000, 10**30])
 def test_pgm_header_larger_than_the_file_fails_without_a_large_read(width):
     fp = _ReadSizes(b"P5\n%d 60000\n255\n" % width + bytes(4))
