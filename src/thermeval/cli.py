@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 
 if TYPE_CHECKING:
-    from .coco import BBox
     from .report import RunResult
     from .stats import StatReport
 
@@ -270,7 +269,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     from .coco import write_coco
-    from .synth import PRESETS, build_corpus
+    from .synth import PRESETS, build_corpus, write_distractors
     from .thermal import write_raw
 
     spec = PRESETS[args.preset]
@@ -287,12 +286,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 write_raw(frame, fp)
             outputs.append(dest)
     if args.emit_distractors is not None:
-        payload = {
-            str(image_id): [box.as_list() for box in boxes]
-            for image_id, boxes in corpus.distractors.items()
-        }
         Path(args.emit_distractors).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+            write_distractors(corpus.distractors), encoding="utf-8"
         )
         outputs.append(Path(args.emit_distractors))
     n_ann = len(corpus.dataset.annotations)
@@ -301,25 +296,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_distractors(path: Path) -> dict[int, tuple[BBox, ...]]:
-    from .coco import _parse_bbox
-    from .synth import SynthError
-
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise SynthError("distractor file must hold an object keyed by image id")
-    out = {}
-    for key, boxes in raw.items():
-        try:
-            out[int(key)] = tuple(_parse_bbox(b, "distractor") for b in boxes)
-        except (TypeError, ValueError) as exc:
-            raise SynthError(f"malformed distractor entry {key!r}: {exc}") from None
-    return out
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     from .coco import write_detections
-    from .synth import MockDetectorSpec, mock_detect
+    from .synth import MockDetectorSpec, mock_detect, parse_distractors
 
     gt = _load_dataset(Path(args.gt))
     spec = MockDetectorSpec(
@@ -331,7 +310,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     distractors = None
     inputs = [Path(args.gt)]
     if args.distractors is not None:
-        distractors = _load_distractors(Path(args.distractors))
+        distractors = parse_distractors(Path(args.distractors).read_text(encoding="utf-8"))
         inputs.append(Path(args.distractors))
     dets = mock_detect(gt, spec, args.seed, distractors)
     Path(args.out).write_text(write_detections(dets), encoding="utf-8")

@@ -117,10 +117,15 @@ class BBox:
         return [self.x, self.y, self.w, self.h]
 
 
-def _check_id(value: object, what: str) -> int:
+def _check_int(value: object, what: str) -> int:
+    """Reject a value that is not an int; a bool or an integral float is not one."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DatasetError(f"{what} must be an integer, got {value!r}")
-    if not (_ID_MIN <= value <= _ID_MAX):
+    return value
+
+
+def _check_id(value: object, what: str) -> int:
+    if not (_ID_MIN <= _check_int(value, what) <= _ID_MAX):
         raise DatasetError(f"{what} {value} outside 64-bit range")
     return value
 
@@ -136,10 +141,8 @@ class ImageRecord:
         _check_id(self.id, "image id")
         if not isinstance(self.file_name, str) or not self.file_name:
             raise DatasetError(f"image {self.id}: file_name must be a non-empty string")
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)
-        ):
-            raise DatasetError(f"image {self.id}: width/height must be integers")
+        _check_int(self.width, f"image {self.id}: width")
+        _check_int(self.height, f"image {self.id}: height")
         if self.width <= 0 or self.height <= 0:
             raise DatasetError(
                 f"image {self.id}: non-positive dimensions {self.width}x{self.height}"
@@ -323,6 +326,12 @@ def _as_dict(obj: object, what: str) -> dict:
     return obj
 
 
+def _as_list(obj: object, what: str) -> list:
+    if not isinstance(obj, list):
+        raise DatasetError(f"{what} must be a list, got {type(obj).__name__}")
+    return obj
+
+
 def _require(record: dict, key: str, what: str):
     if key not in record:
         raise DatasetError(f"{what} missing required field {key!r}")
@@ -348,14 +357,15 @@ def _json_flag(value: object, what: str) -> bool:
 
 
 def _load_json(text: str | bytes, what: str) -> object:
+    """The one JSON decode of every reader; nesting too deep to decode is malformed too."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DatasetError(f"malformed {what}: {exc}") from None
 
 
 def _parse_bbox(raw: object, what: str) -> BBox:
-    if not isinstance(raw, list) or len(raw) != 4:
+    if len(_as_list(raw, f"{what}: bbox")) != 4:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
     x, y, w, h = (_json_number(v, f"{what}: bbox value") for v in raw)
     try:
@@ -367,14 +377,13 @@ def _parse_bbox(raw: object, what: str) -> BBox:
 def parse_coco(text: str | bytes) -> Dataset:
     """Parse a COCO ground-truth document into a validated Dataset."""
     doc = _as_dict(_load_json(text, "document"), "document root")
-    for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise DatasetError(f"document missing top-level {key!r}")
-        if not isinstance(doc[key], list):
-            raise DatasetError(f"top-level {key!r} must be a list")
+    raw_images, raw_annotations, raw_categories = (
+        _as_list(_require(doc, key, "document"), f"top-level {key!r}")
+        for key in ("images", "annotations", "categories")
+    )
 
     images = []
-    for raw in doc["images"]:
+    for raw in raw_images:
         raw = _as_dict(raw, "image record")
         images.append(
             ImageRecord(
@@ -386,7 +395,7 @@ def parse_coco(text: str | bytes) -> Dataset:
         )
 
     annotations = []
-    for raw in doc["annotations"]:
+    for raw in raw_annotations:
         raw = _as_dict(raw, "annotation record")
         ann_id = _check_id(_require(raw, "id", "annotation record"), "annotation id")
         what = f"annotation {ann_id}"
@@ -412,7 +421,7 @@ def parse_coco(text: str | bytes) -> Dataset:
         )
 
     categories = []
-    for raw in doc["categories"]:
+    for raw in raw_categories:
         raw = _as_dict(raw, "category record")
         categories.append(
             CategoryRecord(
@@ -479,9 +488,7 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> tuple[Dete
     When a Dataset is supplied, image and category references are checked
     against it.
     """
-    doc = _load_json(text, "detections document")
-    if not isinstance(doc, list):
-        raise DatasetError("detections document must be a list")
+    doc = _as_list(_load_json(text, "detections document"), "detections document")
     dets = []
     for i, raw in enumerate(doc):
         raw = _as_dict(raw, f"detection #{i}")

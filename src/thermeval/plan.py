@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coco import DatasetError, _image_id_set
+from .coco import DatasetError, _as_dict, _as_list, _check_int, _image_id_set, _load_json, _require
 
 __all__ = [
     "PlanError",
@@ -198,48 +198,25 @@ def write_plan(plan: SplitPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _json_int(value: object, what: str) -> int:
-    # int() would read 2.9 as 2, true as 1 and "7" as 7
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PlanError(f"malformed plan document: {what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_list(value: object, what: str) -> list:
-    if not isinstance(value, list):
-        raise PlanError(f"malformed plan document: {what} must be a list, got {value!r}")
-    return value
-
-
-def _json_ids(value: object, what: str) -> tuple[int, ...]:
-    return tuple(_json_int(v, f"{what} id") for v in _json_list(value, what))
-
-
 def read_plan(text: str | bytes) -> SplitPlan:
     """Parse a plan document; every number in it must be a JSON integer."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise PlanError(f"malformed plan document: {exc}") from None
-    try:
-        runs = tuple(
-            RunSplit(
-                outer_fold=_json_int(r["outer_fold"], "outer_fold"),
-                inner_fold=_json_int(r["inner_fold"], "inner_fold"),
-                train_ids=_json_ids(r["train"], "train"),
-                val_ids=_json_ids(r["val"], "val"),
-                test_ids=_json_ids(r["test"], "test"),
+        doc = _as_dict(_load_json(text, "JSON"), "document root")
+        runs = []
+        for r in _as_list(_require(doc, "runs", "plan"), "runs"):
+            r = _as_dict(r, "run")
+            folds = (_check_int(_require(r, k, "run"), k) for k in ("outer_fold", "inner_fold"))
+            ids = (
+                tuple(_check_int(v, f"{k} id") for v in _as_list(_require(r, k, "run"), k))
+                for k in ("train", "val", "test")
             )
-            for r in _json_list(doc["runs"], "runs")
+            runs.append(RunSplit(*folds, *ids))
+        seed, k_outer, k_inner = (
+            _check_int(_require(doc, k, "plan"), k) for k in ("seed", "k_outer", "k_inner")
         )
-        plan = SplitPlan(
-            seed=_json_int(doc["seed"], "seed"),
-            k_outer=_json_int(doc["k_outer"], "k_outer"),
-            k_inner=_json_int(doc["k_inner"], "k_inner"),
-            runs=runs,
-        )
-    except (KeyError, TypeError) as exc:
+    except DatasetError as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
+    plan = SplitPlan(seed, k_outer, k_inner, tuple(runs))
     for r in plan.runs:
         train, val, test = map(set, (r.train_ids, r.val_ids, r.test_ids))
         if train & val or train & test or val & test:

@@ -83,13 +83,16 @@ def write_results_csv(results: Sequence[RunResult]) -> str:
 def read_results_csv(text: str) -> tuple[RunResult, ...]:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ReportError("empty results file") from None
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ReportError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ReportError("empty results file")
+    header = tuple(rows[0])
     if header != _CSV_HEADER:
         raise ReportError(f"unexpected results header {header!r}")
     out = []
-    for ln, row in enumerate(reader, start=2):
+    for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(_CSV_HEADER):

@@ -292,29 +292,24 @@ def t_test_welch(
                 f"paired test needs equal sizes, got {xa.size} and {xb.size}"
             )
         d = xa - xb
-        vd = float(d.var(ddof=1))
-        if vd == 0.0:
-            if float(d.mean()) == 0.0:
-                raise StatsError("zero variance in both samples with equal means")
-            return math.copysign(math.inf, float(d.mean())), 0.0
-        t = float(d.mean()) / math.sqrt(vd / d.size)
+        diff = float(d.mean())
+        se2 = float(d.var(ddof=1)) / d.size
         df = d.size - 1
-        return float(t), 2.0 * _t_tail(df, t)
-    va = float(xa.var(ddof=1))
-    vb = float(xb.var(ddof=1))
-    na, nb = xa.size, xb.size
-    se2 = va / na + vb / nb
-    diff = float(xa.mean() - xb.mean())
+    else:
+        va, vb = float(xa.var(ddof=1)), float(xb.var(ddof=1))
+        na, nb = xa.size, xb.size
+        diff = float(xa.mean() - xb.mean())
+        se2 = va / na + vb / nb
+        # the squared variance terms can underflow to 0 while their sum does not
+        dof_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+        df = se2**2 / dof_den if dof_den else None
     if se2 == 0.0:
         if diff == 0.0:
             raise StatsError("zero variance in both samples with equal means")
         return math.copysign(math.inf, diff), 0.0
-    # the squared variance terms can underflow to 0 while their sum does not
-    dof_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-    if dof_den == 0.0:
+    if df is None:
         raise StatsError("variances too small for Welch-Satterthwaite degrees of freedom")
     t = diff / math.sqrt(se2)
-    df = se2**2 / dof_den
     return float(t), 2.0 * _t_tail(df, t)
 
 

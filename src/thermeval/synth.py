@@ -10,6 +10,7 @@ them.  Everything is a pure function of (spec, seed).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,8 +22,14 @@ from .coco import (
     BBox,
     CategoryRecord,
     Dataset,
+    DatasetError,
     Detection,
     ImageRecord,
+    _as_dict,
+    _as_list,
+    _check_id,
+    _load_json,
+    _parse_bbox,
 )
 from .thermal import RawFrame
 
@@ -37,6 +44,8 @@ __all__ = [
     "PRESETS",
     "generate_scene",
     "build_corpus",
+    "write_distractors",
+    "parse_distractors",
     "mock_detect",
 ]
 
@@ -310,6 +319,34 @@ def build_corpus(
         frames=tuple(frames) if render else None,
         distractors=distractors,
     )
+
+
+def write_distractors(distractors: Mapping[int, Sequence[BBox]]) -> str:
+    """The distractor file: an object keyed by decimal image id, mapping
+    each image to its distractor boxes as ``[x, y, w, h]`` lists."""
+    payload = {str(i): [box.as_list() for box in boxes] for i, boxes in distractors.items()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def parse_distractors(text: str | bytes) -> dict[int, tuple[BBox, ...]]:
+    """Read a distractor file.  Each key must be an id as ``str`` writes it,
+    so " 1" and "01" are not read as a second name for image 1."""
+    out = {}
+    try:
+        for key, boxes in _as_dict(_load_json(text, "JSON"), "document root").items():
+            try:
+                image_id = int(key)
+            except ValueError:  # not digits, or more of them than int() reads
+                image_id = None
+            if image_id is None or str(image_id) != key:
+                raise DatasetError(f"key {key!r} is not a decimal image id")
+            out[_check_id(image_id, "image id")] = tuple(
+                _parse_bbox(b, f"image {key} distractor")
+                for b in _as_list(boxes, f"image {key} distractors")
+            )
+    except DatasetError as exc:
+        raise SynthError(f"malformed distractor file: {exc}") from None
+    return out
 
 
 # mock detector scores for hits (true or distractor boxes) and for random

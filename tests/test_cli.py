@@ -576,6 +576,11 @@ def test_detect_rejects_a_non_finite_rate(tmp_path, capsys, flags):
         '{"1": [[0, 0, NaN, 1]]}',
         '{"1": [[true, 0, 5, 5]]}',
         '{"1": [["3", "4", 5, 5]]}',
+        '{"1": {}}',
+        '{"1": ""}',
+        '{" 1": []}',
+        # "01" is not image 1, so it cannot overwrite image 1's boxes
+        '{"1": [[1, 2, 3, 4]], "01": []}',
     ],
 )
 def test_detect_rejects_malformed_distractor_file(tmp_path, capsys, doc):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thermeval.coco import DatasetError, parse_coco, parse_detections
 from thermeval.plan import PlanError, plan_splits, read_plan, write_plan
+from thermeval.synth import SynthError, parse_distractors
 
 _GT = {
     "images": [
@@ -33,6 +34,7 @@ _DETS = [
     {"image_id": 2, "category_id": 1, "bbox": [0, 0, 3, 4], "score": 1},
 ]
 _PLAN = json.loads(write_plan(plan_splits(range(8), k_outer=2, k_inner=2, seed=3)))
+_DISTRACTORS = {"1": [[5, 6, 40, 30], [0, 0, 2, 2.5]], "2": []}
 
 _GT_DATASET = parse_coco(json.dumps(_GT))
 
@@ -40,6 +42,7 @@ _CASES = {
     "parse_coco": (_GT, parse_coco, DatasetError),
     "parse_detections": (_DETS, lambda text: parse_detections(text, _GT_DATASET), DatasetError),
     "read_plan": (_PLAN, read_plan, PlanError),
+    "parse_distractors": (_DISTRACTORS, parse_distractors, SynthError),
 }
 
 # values that a lax reader could take for a number, or that overflow a float
@@ -87,3 +90,11 @@ def test_reader_returns_or_raises_its_own_error(name, data):
         read(json.dumps(_replaced(doc, path, value)))
     except error:
         pass
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_reader_rejects_deep_nesting_with_its_own_error(name):
+    # json.loads gives up on nesting this deep with a RecursionError
+    _, read, error = _CASES[name]
+    with pytest.raises(error, match="malformed"):
+        read("[" * 100_000)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermeval.coco import (
+    MEDIUM_MAX_AREA,
+    SMALL_MAX_AREA,
     AnnotationRecord,
     BBox,
     CategoryRecord,
@@ -16,6 +19,8 @@ from thermeval.coco import (
     DatasetError,
     Detection,
     ImageRecord,
+    SizeClass,
+    classify_size,
     filter_small_objects,
     parse_coco,
     parse_detections,
@@ -381,6 +386,30 @@ def test_ap_ignores_out_of_stratum_detections():
     assert report.aps == pytest.approx(1.0)
     # in the unstratified view the same detection is a plain FP
     assert report.ap < 1.0
+
+
+@pytest.mark.parametrize(
+    "area, size",
+    [
+        (SMALL_MAX_AREA, SizeClass.SMALL),
+        (math.nextafter(SMALL_MAX_AREA, math.inf), SizeClass.MEDIUM),
+        (MEDIUM_MAX_AREA, SizeClass.MEDIUM),
+        (math.nextafter(MEDIUM_MAX_AREA, math.inf), SizeClass.LARGE),
+    ],
+)
+def test_strata_agree_with_classify_size_on_the_boundaries(area, size):
+    box = _box(0, 0, 32, area / 32)  # dividing by a power of two is exact
+    assert box.area == area and classify_size(area) is size
+    report = evaluate(_corpus([_gt(1, box)]), [_det(box, 0.9)])
+    # a stratum without the GT has nothing to score
+    counted = {name for name in ("aps", "ars", "apm", "arm") if getattr(report, name) != UNDEFINED}
+    assert counted == {
+        SizeClass.SMALL: {"aps", "ars"},
+        SizeClass.MEDIUM: {"apm", "arm"},
+        SizeClass.LARGE: set(),
+    }[size]
+    for name in ("ap", "ar", *counted):
+        assert getattr(report, name) == pytest.approx(1.0)
 
 
 # -- full evaluation

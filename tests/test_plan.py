@@ -145,6 +145,19 @@ def test_plan_round_trip():
     assert read_plan(write_plan(plan)) == plan
 
 
+@given(
+    n=st.integers(min_value=4, max_value=60),
+    k_outer=st.integers(min_value=2, max_value=4),
+    k_inner=st.integers(min_value=2, max_value=4),
+    # a seed is any integer numpy takes, not only a 64-bit id
+    seed=st.just(2**70) | st.integers(min_value=0, max_value=2**80),
+)
+@settings(max_examples=30, deadline=None)
+def test_plan_round_trips_any_seed(n, k_outer, k_inner, seed):
+    plan = plan_splits(range(max(n, k_outer * k_inner)), k_outer, k_inner, seed)
+    assert read_plan(write_plan(plan)) == plan
+
+
 def test_read_plan_rejects_malformed():
     with pytest.raises(PlanError):
         read_plan("{not json")

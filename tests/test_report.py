@@ -74,6 +74,13 @@ def test_read_results_rejects_bad_number():
             read_results_csv(text)
 
 
+def test_read_results_rejects_an_oversized_field():
+    # longer than csv.field_size_limit(), 131072 characters by default
+    text = write_results_csv([_result(1)]).replace("net", "n" * 200_000, 1)
+    with pytest.raises(ReportError, match="line 2: field larger than field limit"):
+        read_results_csv(text)
+
+
 def test_read_results_empty_file():
     with pytest.raises(ReportError, match="empty"):
         read_results_csv("")

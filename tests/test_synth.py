@@ -27,6 +27,8 @@ from thermeval.synth import (
     build_corpus,
     generate_scene,
     mock_detect,
+    parse_distractors,
+    write_distractors,
 )
 
 
@@ -222,6 +224,28 @@ def test_preset_b_reaches_every_stratum_and_emits_distractors():
     assert n_distractors > 100
     # distractors are side information, never annotations
     assert set(corpus.distractors) == set(corpus.dataset.image_ids())
+
+
+def test_distractor_file_round_trips():
+    distractors = build_corpus(PRESET_B, n=12, seed=4).distractors
+    text = write_distractors(distractors)
+    payload = {str(k): [b.as_list() for b in boxes] for k, boxes in distractors.items()}
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert parse_distractors(text) == distractors
+    assert parse_distractors('{"-3": [[1, 2, 3, 4]], "0": []}') == {
+        -3: (BBox(1.0, 2.0, 3.0, 4.0),),
+        0: (),
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    # the command-line tests cover lists, boxes, " 1" and "01"
+    ["[]", '{"-0": []}', '{"1_0": []}', '{"x": []}', '{"2e3": []}', '{"9223372036854775808": []}'],
+)
+def test_parse_distractors_rejects_malformed_files(doc):
+    with pytest.raises(SynthError, match="^malformed distractor file: "):
+        parse_distractors(doc)
 
 
 # -- mock detectors
