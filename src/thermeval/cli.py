@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 # needs no thermeval module, so a process loads only what its command uses
 # (``filter``, ``--help`` and ``--version`` load no numpy).  The two choice
 # lists argparse checks at parse time are spelled out here; tests pin them
-# to ``metrics.METRIC_NAMES`` and ``synth.PRESETS``.
+# to ``report.METRIC_NAMES`` and ``synth.PRESETS``.
 _METRIC_CHOICES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm", "all")
 _PRESET_CHOICES = ("a", "b")
 
@@ -211,8 +211,7 @@ def _batteries(
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .metrics import METRIC_NAMES
-    from .report import read_results_csv
+    from .report import METRIC_NAMES, read_results_csv
 
     if args.manifest and args.out is None:
         raise ValueError("--manifest needs --out")
@@ -256,8 +255,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     writes = [(Path(args.out), text)]
     if args.figure_data is not None:
         # only the figure data needs the battery; it fails before any write
-        from .metrics import METRIC_NAMES
-        from .report import emit_significance_figure_data
+        from .report import METRIC_NAMES, emit_significance_figure_data
 
         batteries = _batteries(results, METRIC_NAMES, args.alpha)
         writes.append((Path(args.figure_data), emit_significance_figure_data(batteries, table)))

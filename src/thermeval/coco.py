@@ -356,11 +356,21 @@ def _json_flag(value: object, what: str) -> bool:
     raise DatasetError(f"{what} must be a boolean or 0/1, got {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise DatasetError(f"repeated key {key!r}")
+    return doc
+
+
 def _load_json(text: str | bytes, what: str) -> object:
-    """The one JSON decode of every reader; nesting too deep to decode is malformed too."""
+    """The one JSON decode of every reader; nesting too deep to decode and an
+    object that repeats a key are malformed too."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, DatasetError) as exc:
         raise DatasetError(f"malformed {what}: {exc}") from None
 
 

@@ -42,6 +42,7 @@ from .coco import (
     SMALL_MAX_AREA,
     SizeClass,
 )
+from .report import METRIC_NAMES, UNDEFINED, MetricReport  # re-exported; defined numpy-free
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
@@ -56,11 +57,6 @@ __all__ = [
 
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
 DEFAULT_MAX_DETS = 100
-
-# reported when a size stratum holds no eligible ground truth
-UNDEFINED = -1.0
-
-METRIC_NAMES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm")
 
 _RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
 
@@ -370,23 +366,6 @@ def _corpus_tables(
         prec[strata, ci] = p.reshape(len(strata), n_thr, -1)
         rec[strata, ci] = r.reshape(len(strata), n_thr)
     return prec, rec, cols.defined
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """The eight-value summary; -1 marks an undefined size stratum."""
-
-    ap: float
-    ap50: float
-    ap75: float
-    aps: float
-    apm: float
-    ar: float
-    ars: float
-    arm: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 def evaluate(

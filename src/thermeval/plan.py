@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .coco import DatasetError, _as_dict, _as_list, _check_int, _image_id_set, _load_json, _require
 
 __all__ = [
@@ -153,6 +151,8 @@ def plan_splits(
         raise PlanError(
             f"{len(ids)} ids cannot fill {k_outer}x{k_inner} folds"
         )
+    import numpy as np  # only the seeded shuffle needs it; the grid and plan files do not
+
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(len(ids))]
 
@@ -232,4 +232,4 @@ def select_best_epoch(ap_log: Sequence[float]) -> int:
         raise PlanError("empty epoch log")
     if not all(map(math.isfinite, ap_log)):
         raise PlanError(f"non-finite validation AP in {list(ap_log)}")
-    return int(np.argmax(ap_log)) + 1  # argmax returns the first maximum
+    return max(range(len(ap_log)), key=ap_log.__getitem__) + 1  # max keeps the first maximum

@@ -1,7 +1,9 @@
 """Aggregation and presentation of per-run metric results: mean/std
 tables per model and combination, best-combination selection with ties,
 markdown/CSV rendering with period or comma decimals, and the flat data
-file behind the significance figures.
+file behind the significance figures.  The eight metric names and
+``MetricReport`` live here, and ``metrics`` re-exports them, so that the
+results tail (``stats`` and ``report``) runs with the standard library alone.
 """
 
 from __future__ import annotations
@@ -11,17 +13,19 @@ import io
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
-from .metrics import METRIC_NAMES, MetricReport, UNDEFINED
 from .plan import CANONICAL_HPC_ORDER
 
 if TYPE_CHECKING:
     from .stats import SampleSet, StatReport
 
 __all__ = [
+    "UNDEFINED",
+    "METRIC_NAMES",
+    "MetricReport",
     "ReportError",
     "RunResult",
     "AggregateCell",
@@ -35,6 +39,11 @@ __all__ = [
     "write_results_csv",
     "METRIC_LABELS",
 ]
+
+# reported when a size stratum holds no eligible ground truth
+UNDEFINED = -1.0
+
+METRIC_NAMES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm")
 
 METRIC_LABELS: Mapping[str, str] = {
     "ap": "AP",
@@ -52,6 +61,23 @@ _CSV_HEADER = ("run", "model", "hpc", "dataset") + METRIC_NAMES
 
 class ReportError(ValueError):
     """Raised for inconsistent result collections or rendering requests."""
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """The eight-value summary; -1 marks an undefined size stratum."""
+
+    ap: float
+    ap50: float
+    ap75: float
+    aps: float
+    apm: float
+    ar: float
+    ars: float
+    arm: float
+
+    def as_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -98,19 +124,11 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
         if len(row) != len(_CSV_HEADER):
             raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
         try:
-            values = {name: float(row[4 + i]) for i, name in enumerate(METRIC_NAMES)}
-            if not all(map(math.isfinite, values.values())):
-                raise ValueError(f"non-finite metric in {row[4:]}")
-            metrics = MetricReport(**values)
-            out.append(
-                RunResult(
-                    model=row[1],
-                    hpc=row[2],
-                    run=int(row[0]),
-                    dataset=row[3],
-                    metrics=metrics,
-                )
-            )
+            values = tuple(map(float, row[4:]))
+            for name, field, v in zip(METRIC_NAMES, row[4:], values):
+                if not (0.0 <= v <= 1.0 or v == UNDEFINED):  # NaN and inf fail both
+                    raise ValueError(f"{name} {field!r} is neither in [0, 1] nor {UNDEFINED}")
+            out.append(RunResult(row[1], row[2], int(row[0]), row[3], MetricReport(*values)))
         except (ValueError, TypeError) as exc:
             raise ReportError(f"line {ln}: {exc}") from None
     return tuple(out)
@@ -125,8 +143,28 @@ class AggregateCell:
     n: int
 
 
-def _is_defined(value: float) -> bool:
-    return value != UNDEFINED
+def _sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` in numpy's order of additions (plain below 8 values,
+    8 interleaved partial sums up to 128, halves above), so that a mean or a
+    standard deviation here equals numpy's bit for bit."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[j:m:8], 0.0) for j in range(8)]
+        return reduce(add, values[m:], (r[0] + r[1] + (r[2] + r[3])) + (r[4] + r[5] + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _sum(values[:half]) + _sum(values[half:])
+
+
+def _mean(values: Sequence[float]) -> float:
+    return _sum(values) / len(values)
+
+
+def _sum_sq_dev(values: Sequence[float], mean: float) -> float:
+    """The sum of squared deviations from ``mean``; a product overflows to inf, not an error."""
+    return _sum([(v - mean) * (v - mean) for v in values])
 
 
 def _hpc_sort_key(name: str):
@@ -186,14 +224,14 @@ def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> Aggregat
         hpcs.add(r.hpc)
         for name in metrics:
             v = getattr(r.metrics, name)
-            if _is_defined(v):
+            if v != UNDEFINED:
                 by_cell.setdefault((r.model, r.hpc, name), []).append(v)
 
     cells = {}
     for key, vals in by_cell.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        cells[key] = AggregateCell(mean=float(arr.mean()), std=std, n=arr.size)
+        n, mean = len(vals), _mean(vals)
+        std = math.sqrt(_sum_sq_dev(vals, mean) / (n - 1)) if n > 1 else 0.0
+        cells[key] = AggregateCell(mean=mean, std=std, n=n)
     return AggregateTable(
         dataset=results[0].dataset,
         models=tuple(models),
@@ -312,9 +350,7 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
             (r for r in results if r.model == model and r.hpc == hpc),
             key=lambda r: r.run,
         )
-        values = [
-            getattr(r.metrics, metric) for r in runs if _is_defined(getattr(r.metrics, metric))
-        ]
+        values = [v for v in (getattr(r.metrics, metric) for r in runs) if v != UNDEFINED]
         out.append(SampleSet(label=model, values=tuple(values)))
     return out
 

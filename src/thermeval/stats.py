@@ -6,19 +6,21 @@ The battery mirrors common practice for k result groups: Shapiro-Wilk on
 each group decides between (ANOVA + Welch t) and (Kruskal-Wallis + Dunn);
 pairwise tests only run when the omnibus test is significant, and letters
 come from the corrected-alpha significance graph.  The test statistics
-and their distribution functions are computed here, with nothing beyond
-numpy and the standard library.
+and their distribution functions are computed here with the standard
+library alone, sums in numpy's order (``report._sum``); a sample whose
+arithmetic overflows a float raises StatsError, as a degenerate one does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, count, islice
+from functools import reduce
+from itertools import chain, combinations, count, groupby, islice
 from statistics import NormalDist
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+from .report import _mean, _sum, _sum_sq_dev
 
 __all__ = [
     "StatsError",
@@ -59,13 +61,23 @@ class SampleSet:
             raise StatsError(f"sample set {self.label!r} needs at least 2 values")
 
 
-def _as_array(values: Sequence[float], what: str) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise StatsError(f"{what} must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(x)):
+def _as_floats(values: Sequence[float], what: str) -> list[float]:
+    try:
+        x = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        x = []
+    if not x:
+        raise StatsError(f"{what} must be a non-empty 1-d sequence of numbers")
+    if not all(map(math.isfinite, x)):
         raise StatsError(f"{what} contains non-finite values")
     return x
+
+
+def _check_finite(value: float, what: str) -> float:
+    """``value``, unless arithmetic on extreme samples took it to inf or NaN."""
+    if not math.isfinite(value):
+        raise StatsError(f"{what} overflows a float")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +158,7 @@ def _chdtrc(k: float, h: float) -> float:
 
 
 # polynomial corrections for the two largest order-statistic weights,
-# evaluated in u = 1/sqrt(n) (Royston 1995 fit)
+# evaluated in u = 1/sqrt(n) by Horner's rule, as numpy's polyval (Royston 1995 fit)
 _C1 = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
 _C2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
 
@@ -158,8 +170,8 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     normalizing transforms of W valid for 3 <= n <= 5000.  A constant
     sample has no defined W and raises.
     """
-    x = np.sort(_as_array(values, "sample"))
-    n = x.size
+    x = sorted(_as_floats(values, "sample"))
+    n = len(x)
     if n < 3:
         raise StatsError(f"need at least 3 values, got {n}")
     if n > 5000:
@@ -167,35 +179,40 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     if x[0] == x[-1]:
         raise StatsError("constant sample has undefined W")
 
-    m = np.array([_ndtri((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
-    ssq_m = float(np.dot(m, m))
+    m = [_ndtri((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+    ssq_m = _sum([v * v for v in m])
     u = 1.0 / math.sqrt(n)
 
     if n == 3:
-        a = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+        a = [-math.sqrt(0.5), 0.0, math.sqrt(0.5)]
     else:
-        c = m / math.sqrt(ssq_m)
-        a_n = float(c[-1] + np.polyval(_C1, u))
+        a_n = m[-1] / math.sqrt(ssq_m) + reduce(lambda y, c: y * u + c, _C1, 0.0)
         if n > 5:
-            a_n1 = float(c[-2] + np.polyval(_C2, u))
-            phi = (ssq_m - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (
+            a_n1 = m[-2] / math.sqrt(ssq_m) + reduce(lambda y, c: y * u + c, _C2, 0.0)
+            phi = (ssq_m - 2.0 * (m[-1] * m[-1]) - 2.0 * (m[-2] * m[-2])) / (
                 1.0 - 2.0 * a_n**2 - 2.0 * a_n1**2
             )
-            a = m / math.sqrt(phi)
-            a[-1], a[0] = a_n, -a_n
-            a[-2], a[1] = a_n1, -a_n1
+            ends = [a_n1, a_n]
         else:
-            phi = (ssq_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n**2)
-            a = m / math.sqrt(phi)
-            a[-1], a[0] = a_n, -a_n
+            phi = (ssq_m - 2.0 * (m[-1] * m[-1])) / (1.0 - 2.0 * a_n**2)
+            ends = [a_n]
+        # the largest one or two weights come from the fit, the rest from m
+        a = [v / math.sqrt(phi) for v in m]
+        a[-len(ends):] = ends
+        a[:len(ends)] = [-v for v in reversed(ends)]
 
-    num = float(np.dot(a, x)) ** 2
-    den = float(np.sum((x - x.mean()) ** 2))
-    w = min(num / den, 1.0)
+    # the weights sum to 0, so centring x leaves a . x as it is and keeps its digits
+    mean = _mean(x)
+    d = [v - mean for v in x]
+    den = _check_finite(_sum([e * e for e in d]), "sum of squares")
+    if den == 0.0:
+        raise StatsError("sum of squares underflows a float")
+    dot = _sum([ai * e for ai, e in zip(a, d)])
+    w = min(dot * dot / den, 1.0)
 
     if n == 3:
         p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
-        return w, float(min(max(p, 0.0), 1.0))
+        return w, min(max(p, 0.0), 1.0)
     if n <= 11:
         g = -2.273 + 0.459 * n
         mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
@@ -213,15 +230,15 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
 # omnibus tests
 
 
-def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
+def _check_groups(groups: Sequence[Sequence[float]]) -> list[list[float]]:
     if len(groups) < 2:
         raise StatsError(f"need at least 2 groups, got {len(groups)}")
     out = []
     for i, g in enumerate(groups):
-        arr = _as_array(g, f"group #{i}")
-        if arr.size < 2:
+        x = _as_floats(g, f"group #{i}")
+        if len(x) < 2:
             raise StatsError(f"group #{i} needs at least 2 values")
-        out.append(arr)
+        out.append(x)
     return out
 
 
@@ -229,45 +246,51 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Classic one-way F test; returns (F, p) with k-1 and N-k dof."""
     gs = _check_groups(groups)
     k = len(gs)
-    n_total = sum(g.size for g in gs)
-    grand = float(np.concatenate(gs).mean())
-    ss_between = sum(g.size * (float(g.mean()) - grand) ** 2 for g in gs)
-    ss_within = sum(float(np.sum((g - g.mean()) ** 2)) for g in gs)
+    n_total = sum(map(len, gs))
+    grand = _mean(list(chain.from_iterable(gs)))
+    means = [_mean(g) for g in gs]
+    ss_between = sum(len(g) * ((m - grand) * (m - grand)) for g, m in zip(gs, means))
+    ss_within = sum(_sum_sq_dev(g, m) for g, m in zip(gs, means))
+    _check_finite(ss_between + ss_within, "sum of squares")
     if ss_within == 0.0:
         if ss_between == 0.0:
             raise StatsError("all values identical; F is undefined")
         return math.inf, 0.0
     f = (ss_between / (k - 1)) / (ss_within / (n_total - k))
-    return float(f), _fdtrc(k - 1, n_total - k, f)
+    return f, _fdtrc(k - 1, n_total - k, f)
 
 
-def _rank_with_ties(groups: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+def _rank_with_ties(groups: list[list[float]]) -> tuple[list[list[float]], list[int]]:
     """Midranks over the pooled groups, split back per group, plus the
     sizes of tie runs (size >= 2)."""
-    _, inverse, counts = np.unique(
-        np.concatenate(groups), return_inverse=True, return_counts=True
-    )
-    # a run of c equal values ending at rank e shares the rank e - (c - 1) / 2
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    bounds = np.cumsum([g.size for g in groups[:-1]])
-    return np.split(ranks, bounds), counts[counts > 1].tolist()
+    rank: dict[float, float] = {}
+    ties = []
+    end = 0
+    for value, run in groupby(sorted(chain.from_iterable(groups))):
+        c = len(list(run))
+        end += c
+        # a run of c equal values ending at rank e shares the rank e - (c - 1) / 2
+        rank[value] = end - (c - 1) / 2.0
+        if c > 1:
+            ties.append(c)
+    return [[rank[v] for v in g] for g in groups], ties
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Tie-corrected H statistic with a chi-square(k-1) p-value."""
     gs = _check_groups(groups)
     k = len(gs)
-    n = sum(g.size for g in gs)
+    n = sum(map(len, gs))
     if n < 5:
         raise StatsError(f"chi-square approximation needs N >= 5, got {n}")
     ranks, ties = _rank_with_ties(gs)
-    h = sum(float(r.sum()) ** 2 / r.size for r in ranks)
+    h = sum(_sum(r) ** 2 / len(r) for r in ranks)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - sum(t**3 - t for t in ties) / float(n**3 - n)
     if correction == 0.0:
         raise StatsError("all values identical; H is undefined")
     h /= correction
-    return float(h), _chdtrc(k - 1, h)
+    return h, _chdtrc(k - 1, h)
 
 
 # --------------------------------------------------------------------------
@@ -282,27 +305,26 @@ def t_test_welch(
     ``paired=True`` switches to the paired test (one-sample t on the
     differences); the battery always runs unpaired.
     """
-    xa = _as_array(a, "sample a")
-    xb = _as_array(b, "sample b")
-    if xa.size < 2 or xb.size < 2:
+    xa, xb = _as_floats(a, "sample a"), _as_floats(b, "sample b")
+    na, nb = len(xa), len(xb)
+    if na < 2 or nb < 2:
         raise StatsError("each sample needs at least 2 values")
     if paired:
-        if xa.size != xb.size:
-            raise StatsError(
-                f"paired test needs equal sizes, got {xa.size} and {xb.size}"
-            )
-        d = xa - xb
-        diff = float(d.mean())
-        se2 = float(d.var(ddof=1)) / d.size
-        df = d.size - 1
+        if na != nb:
+            raise StatsError(f"paired test needs equal sizes, got {na} and {nb}")
+        d = [p - q for p, q in zip(xa, xb)]
+        diff = _mean(d)
+        se2 = _sum_sq_dev(d, diff) / (na - 1) / na
+        df = na - 1
     else:
-        va, vb = float(xa.var(ddof=1)), float(xb.var(ddof=1))
-        na, nb = xa.size, xb.size
-        diff = float(xa.mean() - xb.mean())
+        ma, mb = _mean(xa), _mean(xb)
+        va, vb = _sum_sq_dev(xa, ma) / (na - 1), _sum_sq_dev(xb, mb) / (nb - 1)
+        diff = ma - mb
         se2 = va / na + vb / nb
         # the squared variance terms can underflow to 0 while their sum does not
-        dof_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-        df = se2**2 / dof_den if dof_den else None
+        dof_den = (va / na) * (va / na) / (na - 1) + (vb / nb) * (vb / nb) / (nb - 1)
+        df = se2 * se2 / dof_den if dof_den else None
+    _check_finite(diff + se2, "mean or variance")
     if se2 == 0.0:
         if diff == 0.0:
             raise StatsError("zero variance in both samples with equal means")
@@ -310,34 +332,36 @@ def t_test_welch(
     if df is None:
         raise StatsError("variances too small for Welch-Satterthwaite degrees of freedom")
     t = diff / math.sqrt(se2)
-    return float(t), 2.0 * _t_tail(df, t)
+    return t, 2.0 * _t_tail(_check_finite(df, "Welch-Satterthwaite degrees of freedom"), t)
 
 
-def dunn_test(groups: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+def dunn_test(
+    groups: Sequence[Sequence[float]],
+) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
     """Pairwise rank-sum z statistics on pooled ranks with tie correction.
 
-    Returns (z, p) as symmetric (k, k) arrays of two-sided unadjusted
-    values; the diagonal is 0 and 1.
+    Returns (z, p) as symmetric (k, k) nested tuples of two-sided
+    unadjusted values, read as ``z[i][j]``; the diagonal is 0 and 1.
     """
     gs = _check_groups(groups)
     k = len(gs)
-    n = sum(g.size for g in gs)
+    n = sum(map(len, gs))
     ranks, ties = _rank_with_ties(gs)
     tie_term = sum(t**3 - t for t in ties) / (12.0 * (n - 1))
     base_var = n * (n + 1) / 12.0 - tie_term
     if base_var <= 0.0:
         raise StatsError("all values identical; rank variance is zero")
 
-    mean_ranks = [float(r.mean()) for r in ranks]
-    z = np.zeros((k, k))
-    p = np.ones((k, k))
+    mean_ranks = [_mean(r) for r in ranks]
+    z = [[0.0] * k for _ in range(k)]
+    p = [[1.0] * k for _ in range(k)]
     for i, j in combinations(range(k), 2):
-        se = math.sqrt(base_var * (1.0 / ranks[i].size + 1.0 / ranks[j].size))
+        se = math.sqrt(base_var * (1.0 / len(ranks[i]) + 1.0 / len(ranks[j])))
         zij = (mean_ranks[i] - mean_ranks[j]) / se
-        z[i, j] = zij
-        z[j, i] = -zij
-        p[i, j] = p[j, i] = 2.0 * _ndtr(-abs(zij))
-    return z, p
+        z[i][j] = zij
+        z[j][i] = -zij
+        p[i][j] = p[j][i] = 2.0 * _ndtr(-abs(zij))
+    return tuple(map(tuple, z)), tuple(map(tuple, p))
 
 
 def bonferroni(alpha: float, m: int) -> float:
@@ -543,7 +567,7 @@ def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> St
             z, p_mat = dunn_test(values)
             for i, j in pairs:
                 pairwise.append(
-                    PairwiseTest(names[i], names[j], "dunn", float(z[i, j]), float(p_mat[i, j]))
+                    PairwiseTest(names[i], names[j], "dunn", z[i][j], p_mat[i][j])
                 )
 
     if pairwise:
@@ -560,12 +584,12 @@ def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> St
         normality_p=normality_p,
         all_normal=all_normal,
         omnibus_method=omnibus_method,
-        omnibus_stat=float(omnibus_stat),
-        omnibus_p=float(omnibus_p),
-        anova_f=float(anova_f),
-        anova_p=float(anova_p),
-        kruskal_h=None if kruskal_h is None else float(kruskal_h),
-        kruskal_p=None if kruskal_p is None else float(kruskal_p),
+        omnibus_stat=omnibus_stat,
+        omnibus_p=omnibus_p,
+        anova_f=anova_f,
+        anova_p=anova_p,
+        kruskal_h=kruskal_h,
+        kruskal_p=kruskal_p,
         alpha=alpha,
         alpha_corrected=alpha_corrected,
         pairwise=tuple(pairwise),

@@ -409,6 +409,22 @@ def test_stats_manifest_with_out(tmp_path):
     assert manifest["outputs"] == [str(out)]
 
 
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_an_out_of_range_metric_fails_before_any_output(tmp_path, capsys, command):
+    # 1e200 once overflowed Shapiro-Wilk in stats and the half-up rounding in report
+    results = _results_csv(tmp_path)
+    header, first, *rest = results.read_text().splitlines()
+    fields = first.split(",")
+    fields[4] = "1e200"
+    results.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    out = tmp_path / "out.txt"
+    assert main([command, "--results", str(results), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"thermeval {command}: error: line 2: ap '1e200' is neither in [0, 1] nor -1.0\n"
+    )
+    assert not out.exists()
+
+
 # -- report
 
 

@@ -98,3 +98,40 @@ def test_reader_rejects_deep_nesting_with_its_own_error(name):
     _, read, error = _CASES[name]
     with pytest.raises(error, match="malformed"):
         read("[" * 100_000)
+
+
+def _with_first_key_repeated(doc) -> str:
+    """``doc`` as JSON, with the first member of its first object written twice."""
+    obj = next(node for node in _nodes(doc) if isinstance(node, dict))
+    key, value = next(iter(obj.items()))
+    return json.dumps(doc).replace("{", "{" + json.dumps({key: value})[1:-1] + ", ", 1)
+
+
+def _nodes(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_reader_rejects_a_repeated_key_with_its_own_error(name):
+    # json.loads alone keeps the last of two equal keys without a word
+    doc, read, error = _CASES[name]
+    read(json.dumps(doc))
+    with pytest.raises(error, match="malformed.*repeated key"):
+        read(_with_first_key_repeated(doc))
+
+
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        (parse_distractors, '{"1": [[1, 2, 3, 4]], "1": []}', SynthError),
+        (parse_coco, json.dumps(_GT).replace('"bbox"', '"bbox": [0, 0, 1, 1], "bbox"', 1),
+         DatasetError),
+    ],
+    ids=["distractor image", "annotation bbox"],
+)
+def test_a_repeated_key_deep_in_a_document_is_rejected(read, text, error):
+    with pytest.raises(error, match="repeated key"):
+        read(text)

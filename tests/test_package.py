@@ -82,6 +82,11 @@ def test_cli_report_and_stats_load_without_scipy():
     assert _fresh_python(code).split() == ["anova", "welch_t", "kruskal_wallis", "dunn", "False"]
 
 
+def test_the_results_tail_loads_no_numpy():
+    # stats and report compute with the standard library alone
+    assert _loaded_after("thermeval.stats, thermeval.report", ("numpy",)) == []
+
+
 # -- what each subcommand loads
 
 # runs ``thermeval`` as its console script does, then lists the loaded modules
@@ -96,6 +101,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 _SCORE = ("coco", "metrics", "plan", "report")
+_TAIL = ("coco", "plan", "report")
 _SCENE = ("coco", "synth", "thermal")
 
 # argv ({d}: the input directory) -> the thermeval modules besides the cli
@@ -125,11 +131,11 @@ _IMPORT_PINS = {
         " --append results.csv --model m --hpc 4_L_p --run 1 --dataset s",
         _SCORE, True, False,
     ),
-    "stats": ("stats --results {d}/results.csv --metric ap", _SCORE + ("stats",), True, False),
-    "report": ("report --results {d}/results.csv --out table.md", _SCORE, True, False),
+    "stats": ("stats --results {d}/results.csv --metric ap", _TAIL + ("stats",), False, False),
+    "report": ("report --results {d}/results.csv --out table.md", _TAIL, False, False),
     "report-figure": (
         "report --results {d}/results.csv --out table.md --figure-data figure.csv",
-        _SCORE + ("stats",), True, False,
+        _TAIL + ("stats",), False, False,
     ),
 }
 
@@ -172,6 +178,28 @@ def test_the_battery_runs_with_scipy_unimportable(case, cli_inputs, tmp_path):
     argv = _IMPORT_PINS[case][0].format(d=cli_inputs).split()
     out = _fresh_python(code, *argv, cwd=tmp_path)
     assert json.loads(out.splitlines()[-1])[0] == 0
+
+
+# argv ({d}: the input directory) -> the files the command writes
+_TAIL_OUTPUTS = {
+    "stats": ("stats --results {d}/results.csv --out stats.json", ("stats.json",)),
+    "report-figure": (_IMPORT_PINS["report-figure"][0], ("table.md", "figure.csv")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAIL_OUTPUTS))
+def test_the_results_tail_writes_the_same_bytes_with_numpy_unimportable(
+    case, cli_inputs, tmp_path
+):
+    argv, names = _TAIL_OUTPUTS[case]
+    written = []
+    for block in ("", 'import sys\nsys.modules["numpy"] = None\n'):
+        cwd = tmp_path / f"run{len(written)}"
+        cwd.mkdir()
+        out = _fresh_python(block + _RUN_CLI, *argv.format(d=cli_inputs).split(), cwd=cwd)
+        assert json.loads(out.splitlines()[-1])[0] == 0
+        written.append([(cwd / name).read_bytes() for name in names])
+    assert written[0] == written[1]
 
 
 def _choices(command: str, dest: str):

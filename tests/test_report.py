@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from thermeval.metrics import METRIC_NAMES, MetricReport, UNDEFINED
@@ -74,6 +75,14 @@ def test_read_results_rejects_bad_number():
             read_results_csv(text)
 
 
+@pytest.mark.parametrize("bad", ["1e200", "1.0000000000000002", "-1e-300", "-0.5", "-2"])
+def test_read_results_rejects_a_metric_outside_the_unit_interval(bad):
+    # only -1, the undefined-stratum mark, may leave [0, 1]
+    text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
+    with pytest.raises(ReportError, match=f"line 2: ap '{bad}' is neither in"):
+        read_results_csv(text)
+
+
 def test_read_results_rejects_an_oversized_field():
     # longer than csv.field_size_limit(), 131072 characters by default
     text = write_results_csv([_result(1)]).replace("net", "n" * 200_000, 1)
@@ -102,6 +111,24 @@ def test_aggregate_mean_and_sample_std():
     assert cell.mean == pytest.approx(0.52)
     # n-1 denominator: var = ((0.02)^2 + 0 + (0.02)^2) / 2 = 0.0004
     assert cell.std == pytest.approx(0.02)
+
+
+def test_aggregate_mean_and_std_equal_numpys_bit_for_bit():
+    # the figure data writes repr(mean) and repr(std), so "close" would move bytes
+    rng = np.random.default_rng(17)
+    sizes = list(range(1, 301)) + rng.integers(1, 301, 200).tolist()
+    for i, n in enumerate(sizes):
+        values = rng.uniform(0, 1, n) if i % 3 else rng.normal(0.5, 10.0 ** -rng.uniform(1, 8), n)
+        if i % 5 == 0:
+            values = np.round(values, 3)
+        values = np.clip(values, 0.0, 1.0)
+        results = [
+            RunResult("net", "4_L_p", run, "d", MetricReport(*[v] * 8))
+            for run, v in enumerate(values.tolist())
+        ]
+        cell = aggregate(results).cell("net", "4_L_p", "ap")
+        assert cell.mean == values.mean(), n
+        assert cell.std == (values.std(ddof=1) if n > 1 else 0.0), n
 
 
 def test_aggregate_single_run_has_zero_std():

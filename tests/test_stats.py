@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_kruskal_wallis_hand_value():
 
 def test_dunn_hand_value():
     # mean ranks 2, 5, 8 over N=9: z12 = -3 / sqrt(7.5 * 2/3)
-    z, p = dunn_test([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    z, p = map(np.asarray, dunn_test([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]))
     assert z[0, 1] == pytest.approx(-3 / math.sqrt(5))
     assert z[1, 0] == pytest.approx(3 / math.sqrt(5))
     assert np.all(np.diag(p) == 1.0)
@@ -474,3 +475,222 @@ def test_sample_set_validation():
         SampleSet("", (1.0, 2.0))
     with pytest.raises(StatsError):
         SampleSet("x", (1.0,))
+
+
+# -- parity with numpy: the battery's statistics as numpy computes them
+
+def _np_shapiro(values):
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    n = x.size
+    if n < 3 or x[0] == x[-1]:
+        raise StatsError("degenerate")
+    m = np.array([stats._ndtri((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
+    ssq_m = float(np.dot(m, m))
+    u = 1.0 / math.sqrt(n)
+    if n == 3:
+        a = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+    else:
+        a_n = float(m[-1] / math.sqrt(ssq_m) + np.polyval(stats._C1, u))
+        if n > 5:
+            a_n1 = float(m[-2] / math.sqrt(ssq_m) + np.polyval(stats._C2, u))
+            phi = (ssq_m - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (
+                1.0 - 2.0 * a_n**2 - 2.0 * a_n1**2
+            )
+            a = m / math.sqrt(phi)
+            a[-1], a[0], a[-2], a[1] = a_n, -a_n, a_n1, -a_n1
+        else:
+            a = m / math.sqrt((ssq_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n**2))
+            a[-1], a[0] = a_n, -a_n
+    w = min(float(np.dot(a, x)) ** 2 / float(np.sum((x - x.mean()) ** 2)), 1.0)
+    if n == 3:
+        p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
+        return w, min(max(p, 0.0), 1.0)
+    if n <= 11:
+        g = -2.273 + 0.459 * n
+        mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
+        sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
+        z = (-math.log(g - math.log1p(-w)) - mu) / sigma
+    else:
+        ln_n = math.log(n)
+        mu = -1.5861 - 0.31082 * ln_n - 0.083751 * ln_n**2 + 0.0038915 * ln_n**3
+        sigma = math.exp(-0.4803 - 0.082676 * ln_n + 0.0030302 * ln_n**2)
+        z = (math.log1p(-w) - mu) / sigma
+    return w, stats._ndtr(-z)
+
+
+def _np_anova(groups):
+    gs = [np.asarray(g, dtype=np.float64) for g in groups]
+    k, n = len(gs), sum(g.size for g in gs)
+    grand = float(np.concatenate(gs).mean())
+    between = sum(g.size * (float(g.mean()) - grand) ** 2 for g in gs)
+    within = sum(float(np.sum((g - g.mean()) ** 2)) for g in gs)
+    if within == 0.0:
+        if between == 0.0:
+            raise StatsError("degenerate")
+        return math.inf, 0.0
+    f = (between / (k - 1)) / (within / (n - k))
+    return f, stats._fdtrc(k - 1, n - k, f)
+
+
+def _np_ranks(groups):
+    pooled = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    ties = float(np.sum(counts.astype(np.float64) ** 3 - counts))
+    return np.split(ranks, np.cumsum([len(g) for g in groups[:-1]])), ties, pooled.size
+
+
+def _np_kruskal(groups):
+    ranks, ties, n = _np_ranks(groups)
+    h = 12.0 / (n * (n + 1)) * sum(float(r.sum()) ** 2 / r.size for r in ranks) - 3.0 * (n + 1)
+    correction = 1.0 - ties / float(n**3 - n)
+    if correction == 0.0:
+        raise StatsError("degenerate")
+    return h / correction, stats._chdtrc(len(groups) - 1, h / correction)
+
+
+def _np_welch(a, b):
+    xa, xb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    va, vb = float(xa.var(ddof=1)), float(xb.var(ddof=1))
+    na, nb = xa.size, xb.size
+    diff, se2 = float(xa.mean() - xb.mean()), va / na + vb / nb
+    if se2 == 0.0:
+        return math.copysign(math.inf, diff), 0.0
+    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    t = diff / math.sqrt(se2)
+    return t, 2.0 * stats._t_tail(df, t)
+
+
+def _np_dunn(groups):
+    ranks, ties, n = _np_ranks(groups)
+    base_var = n * (n + 1) / 12.0 - ties / (12.0 * (n - 1))
+    k = len(groups)
+    z, p = np.zeros((k, k)), np.ones((k, k))
+    for i, j in combinations(range(k), 2):
+        se = math.sqrt(base_var * (1.0 / ranks[i].size + 1.0 / ranks[j].size))
+        z[i, j] = (float(ranks[i].mean()) - float(ranks[j].mean())) / se
+        z[j, i] = -z[i, j]
+        p[i, j] = p[j, i] = 2.0 * stats._ndtr(-abs(z[i, j]))
+    return z, p
+
+
+_NUMPY_ORACLE = {
+    "shapiro_wilk": _np_shapiro,
+    "one_way_anova": _np_anova,
+    "kruskal_wallis": _np_kruskal,
+    "t_test_welch": _np_welch,
+    "dunn_test": _np_dunn,
+}
+
+
+def _random_battery(rng):
+    """2-5 groups of 3-30 metric-like values; some rounded (ties), some skewed,
+    some sharing a mean, so that both branches and both omnibus outcomes occur."""
+    k, n = int(rng.integers(2, 6)), int(rng.integers(3, 31))
+    shape = int(rng.integers(4))
+    groups = []
+    for gi in range(k):
+        mean = 0.5 + (0.0 if shape == 0 else rng.normal(0, 0.02))
+        if shape == 3 and gi == 0:
+            values = mean + rng.lognormal(-5, 1.5, n)
+        else:
+            values = rng.normal(mean, 10.0 ** rng.uniform(-4, -1), n)
+        if shape == 2:
+            values = np.round(values, int(rng.integers(2, 4)))
+        groups.append(SampleSet(f"m{gi}", tuple(values.tolist())))
+    return groups
+
+
+def _floats(doc):
+    """Every float of a battery report, in a fixed order."""
+    if isinstance(doc, dict):
+        return [v for key in sorted(doc) for v in _floats(doc[key])]
+    if isinstance(doc, list):
+        return [v for item in doc for v in _floats(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+# How far a battery float may lie from numpy's.  Sums, means and variances
+# add in numpy's order; squares are products, which numpy's powers match
+# but for the odd last bit of C's pow.  Shapiro-Wilk's a . x adds centred
+# values where numpy's BLAS dot adds raw ones, so W moves by a few ulp and
+# 1 - W, which p reads, by up to about 1e-11 relative on near-constant
+# rounded groups.  At n = 3, p = 6/pi (asin(sqrt(W)) - asin(sqrt(3/4)))
+# is steep near W = 3/4 and magnifies that up to 2e-10 (seen at p = 0.002);
+# at W = 3/4 itself, two equal values, p is 0 and both sides hold noise.
+_NORMALITY_TOL = {"rel_tol": 1e-9, "abs_tol": 1e-12}
+_OTHER_TOL = {"rel_tol": 1e-14, "abs_tol": 0.0}
+
+
+def test_battery_matches_a_numpy_oracle_on_seeded_groups(monkeypatch):
+    rng = np.random.default_rng(2024)
+    outcomes = {"anova": 0, "kruskal_wallis": 0, "pairwise": 0, "one letter": 0, "error": 0}
+    for _ in range(2_400):
+        groups = _random_battery(rng)
+        reports = []
+        for oracle in (False, True):
+            with monkeypatch.context() as m:
+                if oracle:
+                    for name, fn in _NUMPY_ORACLE.items():
+                        m.setattr(stats, name, fn)
+                try:
+                    reports.append(run_battery(groups))
+                except StatsError:
+                    reports.append(None)
+        ours, theirs = reports
+        assert (ours is None) == (theirs is None)
+        if ours is None:
+            outcomes["error"] += 1
+            continue
+        assert ours.omnibus_method == theirs.omnibus_method
+        assert ours.letters == theirs.letters
+        assert [(t.group_a, t.group_b) for t in ours.pairwise] == [
+            (t.group_a, t.group_b) for t in theirs.pairwise
+        ]
+        a, b = ours.as_dict(), theirs.as_dict()
+        parts = [(a.pop("normality"), b.pop("normality"), _NORMALITY_TOL), (a, b, _OTHER_TOL)]
+        for a_doc, b_doc, tol in parts:
+            x, y = _floats(a_doc), _floats(b_doc)
+            assert len(x) == len(y) and all(map(math.isfinite, x))
+            assert all(math.isclose(p, q, **tol) for p, q in zip(x, y)), (x, y)
+        outcomes[ours.omnibus_method] += 1
+        outcomes["pairwise" if ours.pairwise else "one letter"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+# -- samples whose arithmetic overflows a float
+
+_HUGE = [[1e200, 2e200, 4e200, 3.5e200], [5e200, 6e200, 9e200, 7e200]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: shapiro_wilk(_HUGE[0]),
+        lambda: one_way_anova(_HUGE),
+        lambda: t_test_welch(*_HUGE),
+        lambda: t_test_welch(*_HUGE, paired=True),
+        lambda: run_battery([SampleSet("a", _HUGE[0]), SampleSet("b", _HUGE[1])]),
+        # each sum of the largest float overflows before any square does
+        lambda: shapiro_wilk([1.7e308, 1.7e308, 1.6e308]),
+        lambda: t_test_welch([1.7e308, 1.6e308], [1.7e308, 1.5e308]),
+    ],
+    ids=["shapiro", "anova", "welch", "paired", "battery", "shapiro sum", "welch sum"],
+)
+def test_overflow_raises_stats_error(call):
+    # Python's x ** 2 raises OverflowError where x * x gives inf; neither,
+    # nor a NaN made of inf - inf, may leave the module
+    with pytest.raises(StatsError, match="overflows a float"):
+        call()
+
+
+def test_squares_that_underflow_raise_stats_error():
+    with pytest.raises(StatsError, match="underflows"):
+        shapiro_wilk([1e-170, 2e-170, 4e-170])
+
+
+def test_rank_tests_take_huge_values_as_they_take_any_others():
+    # ranks are all Kruskal-Wallis and Dunn read, so scale changes nothing
+    small = [[v / 1e200 for v in g] for g in _HUGE]
+    assert kruskal_wallis(_HUGE) == kruskal_wallis(small)
+    assert dunn_test(_HUGE) == dunn_test(small)
