@@ -357,6 +357,7 @@ def _json_flag(value: object, what: str) -> bool:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's members as a dict; ``json`` alone keeps the last of two equal keys."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         seen: set[str] = set()
