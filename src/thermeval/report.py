@@ -17,6 +17,7 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from .coco import DatasetError, _check_int, _check_number
 from .plan import CANONICAL_HPC_ORDER
 
 if TYPE_CHECKING:
@@ -65,7 +66,7 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The eight-value summary; -1 marks an undefined size stratum."""
+    """The eight-value summary, each in [0, 1]; -1 marks an undefined size stratum."""
 
     ap: float
     ap50: float
@@ -75,6 +76,16 @@ class MetricReport:
     ar: float
     ars: float
     arm: float
+
+    def __post_init__(self) -> None:
+        try:
+            for name in METRIC_NAMES:
+                v = getattr(self, name)
+                _check_number(v, name)
+                if not (0.0 <= v <= 1.0 or v == UNDEFINED):  # NaN and inf fail both
+                    raise ReportError(f"{name} {v!r} is neither in [0, 1] nor {UNDEFINED}")
+        except DatasetError as exc:
+            raise ReportError(str(exc)) from None
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
@@ -91,8 +102,12 @@ class RunResult:
     metrics: MetricReport
 
     def __post_init__(self) -> None:
-        if not self.model or not self.hpc or not self.dataset:
-            raise ReportError("model, hpc, and dataset tags must be non-empty")
+        try:
+            _check_int(self.run, "run")
+        except DatasetError as exc:
+            raise ReportError(str(exc)) from None
+        if not all(isinstance(t, str) and t for t in (self.model, self.hpc, self.dataset)):
+            raise ReportError("model, hpc, and dataset tags must be non-empty strings")
 
 
 def write_results_csv(results: Sequence[RunResult]) -> str:
@@ -124,12 +139,9 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
         if len(row) != len(_CSV_HEADER):
             raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
         try:
-            values = tuple(map(float, row[4:]))
-            for name, field, v in zip(METRIC_NAMES, row[4:], values):
-                if not (0.0 <= v <= 1.0 or v == UNDEFINED):  # NaN and inf fail both
-                    raise ValueError(f"{name} {field!r} is neither in [0, 1] nor {UNDEFINED}")
-            out.append(RunResult(row[1], row[2], int(row[0]), row[3], MetricReport(*values)))
-        except (ValueError, TypeError) as exc:
+            metrics = MetricReport(*map(float, row[4:]))
+            out.append(RunResult(row[1], row[2], int(row[0]), row[3], metrics))
+        except ValueError as exc:  # ReportError is one
             raise ReportError(f"line {ln}: {exc}") from None
     return tuple(out)
 
@@ -163,7 +175,7 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _sum_sq_dev(values: Sequence[float], mean: float) -> float:
-    """The sum of squared deviations from ``mean``; a product overflows to inf, not an error."""
+    """The sum of squared deviations from ``mean``, in ``_sum``'s order."""
     return _sum([(v - mean) * (v - mean) for v in values])
 
 

@@ -7,8 +7,9 @@ each group decides between (ANOVA + Welch t) and (Kruskal-Wallis + Dunn);
 pairwise tests only run when the omnibus test is significant, and letters
 come from the corrected-alpha significance graph.  The test statistics
 and their distribution functions are computed here with the standard
-library alone, sums in numpy's order (``report._sum``); a sample whose
-arithmetic overflows a float raises StatsError, as a degenerate one does.
+library alone, sums in numpy's order (``report._sum``).  Shapiro-Wilk,
+ANOVA and Welch read their samples rescaled by an exact power of two
+(``_rescaled``), so no sum or square of a finite sample leaves the float range.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def _as_floats(values: Sequence[float], what: str) -> list[float]:
     return x
 
 
-def _check_finite(value: float, what: str) -> float:
-    """``value``, unless arithmetic on extreme samples took it to inf or NaN."""
-    if not math.isfinite(value):
-        raise StatsError(f"{what} overflows a float")
-    return value
+def _rescaled(groups: Sequence[list[float]]) -> list[list[float]]:
+    """``groups`` times the power of two that takes their largest magnitude into [0.5, 1),
+    exactly: no statistic here changes, and no sum or square can then overflow."""
+    e = math.frexp(max(abs(v) for g in groups for v in g))[1]
+    return [[math.ldexp(v, -e) for v in g] for g in groups]
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     normalizing transforms of W valid for 3 <= n <= 5000.  A constant
     sample has no defined W and raises.
     """
-    x = sorted(_as_floats(values, "sample"))
+    x = sorted(_rescaled([_as_floats(values, "sample")])[0])
     n = len(x)
     if n < 3:
         raise StatsError(f"need at least 3 values, got {n}")
@@ -204,9 +205,7 @@ def shapiro_wilk(values: Sequence[float]) -> tuple[float, float]:
     # the weights sum to 0, so centring x leaves a . x as it is and keeps its digits
     mean = _mean(x)
     d = [v - mean for v in x]
-    den = _check_finite(_sum([e * e for e in d]), "sum of squares")
-    if den == 0.0:
-        raise StatsError("sum of squares underflows a float")
+    den = _sum([e * e for e in d])
     dot = _sum([ai * e for ai, e in zip(a, d)])
     w = min(dot * dot / den, 1.0)
 
@@ -244,14 +243,13 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> list[list[float]]:
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Classic one-way F test; returns (F, p) with k-1 and N-k dof."""
-    gs = _check_groups(groups)
+    gs = _rescaled(_check_groups(groups))
     k = len(gs)
     n_total = sum(map(len, gs))
     grand = _mean(list(chain.from_iterable(gs)))
     means = [_mean(g) for g in gs]
     ss_between = sum(len(g) * ((m - grand) * (m - grand)) for g, m in zip(gs, means))
     ss_within = sum(_sum_sq_dev(g, m) for g, m in zip(gs, means))
-    _check_finite(ss_between + ss_within, "sum of squares")
     if ss_within == 0.0:
         if ss_between == 0.0:
             raise StatsError("all values identical; F is undefined")
@@ -305,14 +303,15 @@ def t_test_welch(
     ``paired=True`` switches to the paired test (one-sample t on the
     differences); the battery always runs unpaired.
     """
-    xa, xb = _as_floats(a, "sample a"), _as_floats(b, "sample b")
+    xa, xb = _rescaled([_as_floats(a, "sample a"), _as_floats(b, "sample b")])
     na, nb = len(xa), len(xb)
     if na < 2 or nb < 2:
         raise StatsError("each sample needs at least 2 values")
     if paired:
         if na != nb:
             raise StatsError(f"paired test needs equal sizes, got {na} and {nb}")
-        d = [p - q for p, q in zip(xa, xb)]
+        # differences can cancel far below the samples' scale, so they get their own
+        d = _rescaled([[p - q for p, q in zip(xa, xb)]])[0]
         diff = _mean(d)
         se2 = _sum_sq_dev(d, diff) / (na - 1) / na
         df = na - 1
@@ -324,7 +323,6 @@ def t_test_welch(
         # the squared variance terms can underflow to 0 while their sum does not
         dof_den = (va / na) * (va / na) / (na - 1) + (vb / nb) * (vb / nb) / (nb - 1)
         df = se2 * se2 / dof_den if dof_den else None
-    _check_finite(diff + se2, "mean or variance")
     if se2 == 0.0:
         if diff == 0.0:
             raise StatsError("zero variance in both samples with equal means")
@@ -332,7 +330,7 @@ def t_test_welch(
     if df is None:
         raise StatsError("variances too small for Welch-Satterthwaite degrees of freedom")
     t = diff / math.sqrt(se2)
-    return t, 2.0 * _t_tail(_check_finite(df, "Welch-Satterthwaite degrees of freedom"), t)
+    return t, 2.0 * _t_tail(df, t)
 
 
 def dunn_test(

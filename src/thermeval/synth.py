@@ -189,7 +189,6 @@ def _draw_stripe(rng: np.random.Generator, spec: SceneSpec) -> _Blob:
     vertical = rng.random() < 0.5
     span = spec.height if vertical else spec.width
     length = rng.uniform(0.2, 0.7) * span
-    length = min(length, float(span))
     if vertical:
         w, h = thickness, length
     else:

@@ -420,7 +420,7 @@ def test_an_out_of_range_metric_fails_before_any_output(tmp_path, capsys, comman
     out = tmp_path / "out.txt"
     assert main([command, "--results", str(results), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"thermeval {command}: error: line 2: ap '1e200' is neither in [0, 1] nor -1.0\n"
+        f"thermeval {command}: error: line 2: ap 1e+200 is neither in [0, 1] nor -1.0\n"
     )
     assert not out.exists()
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -15,8 +17,9 @@ import pytest
 
 import thermeval
 from thermeval.cli import build_parser, main
-from thermeval.coco import write_coco, write_detections
+from thermeval.coco import DEFAULT_SIZE_THRESHOLD, write_coco, write_detections
 from thermeval.metrics import METRIC_NAMES, MetricReport
+from thermeval.plan import plan_splits
 from thermeval.report import RunResult, write_results_csv
 from thermeval.synth import PRESET_A, PRESETS, MockDetectorSpec, build_corpus, mock_detect
 from thermeval.thermal import RawFrame, write_raw
@@ -202,17 +205,27 @@ def test_the_results_tail_writes_the_same_bytes_with_numpy_unimportable(
     assert written[0] == written[1]
 
 
-def _choices(command: str, dest: str):
+def _option(command: str, dest: str) -> argparse.Action:
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    return next(a.choices for a in subparsers.choices[command]._actions if a.dest == dest)
+    return next(a for a in subparsers.choices[command]._actions if a.dest == dest)
 
 
 def test_parser_choices_match_the_modules_that_own_them():
     # the parser spells these out so that building it imports no thermeval module
-    assert tuple(_choices("stats", "metric")) == METRIC_NAMES + ("all",)
-    assert list(_choices("synth", "preset")) == sorted(PRESETS)
+    assert tuple(_option("stats", "metric").choices) == METRIC_NAMES + ("all",)
+    assert list(_option("synth", "preset").choices) == sorted(PRESETS)
+
+
+def test_parser_defaults_match_the_library_defaults():
+    # restated in the parser for the same reason as the choices
+    assert _option("filter", "threshold").default == DEFAULT_SIZE_THRESHOLD
+    split = inspect.signature(plan_splits).parameters
+    for dest in ("k_outer", "k_inner", "seed"):
+        assert _option("split", dest).default == split[dest].default, dest
+    for field in dataclasses.fields(MockDetectorSpec):
+        assert _option("detect", field.name).default == field.default, field.name
 
 
 @pytest.mark.parametrize(

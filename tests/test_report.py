@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -79,7 +82,7 @@ def test_read_results_rejects_bad_number():
 def test_read_results_rejects_a_metric_outside_the_unit_interval(bad):
     # only -1, the undefined-stratum mark, may leave [0, 1]
     text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
-    with pytest.raises(ReportError, match=f"line 2: ap '{bad}' is neither in"):
+    with pytest.raises(ReportError, match=re.escape(f"line 2: ap {float(bad)!r} is neither in")):
         read_results_csv(text)
 
 
@@ -98,6 +101,47 @@ def test_read_results_empty_file():
 def test_run_result_requires_tags():
     with pytest.raises(ReportError):
         RunResult(model="", hpc="4_L_p", run=1, dataset="d", metrics=_metrics(0.5))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "ap nan is neither in [0, 1] nor -1.0"),
+        (math.inf, "ap inf is neither in [0, 1] nor -1.0"),
+        (1e200, "ap 1e+200 is neither in [0, 1] nor -1.0"),
+        (-0.5, "ap -0.5 is neither in [0, 1] nor -1.0"),
+        (True, "ap must be a number, got True"),
+    ],
+)
+def test_metric_report_built_in_process_meets_the_reader_s_domain(bad, message):
+    # NaN once rendered as NaN±NaN and 1e200 ended in decimal.InvalidOperation
+    with pytest.raises(ReportError, match=re.escape(message)):
+        MetricReport(bad, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+
+
+def test_metric_report_takes_the_ends_of_its_domain():
+    m = MetricReport(0.0, 1.0, UNDEFINED, 0, 1, 0.5, 0.25, 1e-300)
+    assert m.as_dict()["apm"] == 1
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"run": "2"}, "run must be an integer, got '2'"),
+        ({"run": True}, "run must be an integer, got True"),
+        ({"run": 2.0}, "run must be an integer, got 2.0"),
+        ({"model": 3}, "tags must be non-empty strings"),
+        ({"hpc": None}, "tags must be non-empty strings"),
+        ({"dataset": ""}, "tags must be non-empty strings"),
+    ],
+)
+def test_run_result_rejects_a_run_that_is_not_an_int_and_a_tag_that_is_not_a_string(
+    fields, message
+):
+    # a string run once failed only in metric_samples' sort, and model=3 read back as "3"
+    args = {"model": "net", "hpc": "4_L_p", "run": 1, "dataset": "d", "metrics": _metrics(0.5)}
+    with pytest.raises(ReportError, match=re.escape(message)):
+        RunResult(**{**args, **fields})
 
 
 # -- aggregation

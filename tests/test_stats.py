@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy import stats as scipy_stats
 
 from thermeval import stats
 from thermeval.stats import (
@@ -658,35 +659,101 @@ def test_battery_matches_a_numpy_oracle_on_seeded_groups(monkeypatch):
     assert min(outcomes.values()) >= 50, outcomes
 
 
-# -- samples whose arithmetic overflows a float
+# -- samples at the ends of the float range
 
 _HUGE = [[1e200, 2e200, 4e200, 3.5e200], [5e200, 6e200, 9e200, 7e200]]
 
 
+def _scaled(groups, k):
+    """``groups`` times 2**k, exactly."""
+    return [[math.ldexp(v, k) for v in g] for g in groups]
+
+
+def _finite(result):
+    """Whether every float of a statistic's result or a battery report is finite."""
+    doc = result.as_dict() if isinstance(result, stats.StatReport) else list(result)
+    return all(map(math.isfinite, _floats(doc)))
+
+
+def _battery(*groups):
+    return run_battery([SampleSet(chr(ord("a") + i), g) for i, g in enumerate(groups)])
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, groups, k",
     [
-        lambda: shapiro_wilk(_HUGE[0]),
-        lambda: one_way_anova(_HUGE),
-        lambda: t_test_welch(*_HUGE),
-        lambda: t_test_welch(*_HUGE, paired=True),
-        lambda: run_battery([SampleSet("a", _HUGE[0]), SampleSet("b", _HUGE[1])]),
+        (lambda g: shapiro_wilk(g[0]), _HUGE, -664),
+        (one_way_anova, _HUGE, -664),
+        (lambda g: t_test_welch(*g), _HUGE, -664),
+        (lambda g: t_test_welch(*g, paired=True), _HUGE, -664),
+        (lambda g: _battery(*g), _HUGE, -664),
         # each sum of the largest float overflows before any square does
-        lambda: shapiro_wilk([1.7e308, 1.7e308, 1.6e308]),
-        lambda: t_test_welch([1.7e308, 1.6e308], [1.7e308, 1.5e308]),
+        (lambda g: shapiro_wilk(g[0]), [[1.7e308, 1.7e308, 1.6e308]], -1023),
+        (lambda g: t_test_welch(*g), [[1.7e308, 1.6e308], [1.7e308, 1.5e308]], -1023),
     ],
     ids=["shapiro", "anova", "welch", "paired", "battery", "shapiro sum", "welch sum"],
 )
-def test_overflow_raises_stats_error(call):
-    # Python's x ** 2 raises OverflowError where x * x gives inf; neither,
-    # nor a NaN made of inf - inf, may leave the module
-    with pytest.raises(StatsError, match="overflows a float"):
-        call()
+def test_overflow_raises_stats_error(call, groups, k):
+    # these samples once overflowed a float and raised; rescaled on entry, each
+    # now gives the result of its twin scaled by an exact power of two to order one
+    result = call(groups)
+    assert _finite(result)
+    assert result == call(_scaled(groups, k))
 
 
 def test_squares_that_underflow_raise_stats_error():
-    with pytest.raises(StatsError, match="underflows"):
-        shapiro_wilk([1e-170, 2e-170, 4e-170])
+    # squares near 1e-340 once left Shapiro-Wilk a zero sum of squares
+    x = [1e-170, 2e-170, 4e-170]
+    result = shapiro_wilk(x)
+    assert _finite(result)
+    assert result == shapiro_wilk(_scaled([x], 565)[0])
+
+
+def test_welch_dof_of_samples_spread_over_1e100_is_finite():
+    # the squared standard error of these once overflowed the Welch-Satterthwaite dof
+    a, b = [0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 9.0]
+    t, p = t_test_welch(*_scaled([a, b], 340))
+    assert (t, p) == t_test_welch(a, b)
+    ref = scipy_stats.ttest_ind(a, b, equal_var=False)
+    assert t == pytest.approx(ref.statistic, rel=1e-12)
+    assert p == pytest.approx(ref.pvalue, rel=1e-12)
+
+
+def test_paired_differences_far_below_the_samples_scale_keep_their_variance():
+    # the differences' squares once underflowed to a zero variance and an infinite t
+    a, b = [1.0, math.ldexp(1.0, -700), math.ldexp(1.0, -699)], [1.0, 0.0, 0.0]
+    assert t_test_welch(a, b, paired=True) == t_test_welch([0.0, 1.0, 2.0], [0.0] * 3, paired=True)
+
+
+def _outcome(call, *args, **kwargs):
+    """What ``call`` returns, or the message of the StatsError it raises."""
+    try:
+        return call(*args, **kwargs)
+    except StatsError as exc:
+        return str(exc)
+
+
+def test_every_statistic_is_invariant_under_exact_power_of_two_scaling():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        groups = [
+            np.round(rng.normal(rng.uniform(0.3, 0.7), 0.05, rng.integers(3, 26)), 3).tolist()
+            for _ in range(rng.integers(2, 5))
+        ]
+        k = int(rng.integers(-900, 901))
+        twin = _scaled(groups, k)
+        m = min(len(groups[0]), len(groups[1]))
+        pairs, twin_pairs = [g[:m] for g in groups[:2]], [g[:m] for g in twin[:2]]
+        for call, args, twin_args, kwargs in [
+            (shapiro_wilk, (groups[0],), (twin[0],), {}),
+            (one_way_anova, (groups,), (twin,), {}),
+            (t_test_welch, groups[:2], twin[:2], {}),
+            (t_test_welch, pairs, twin_pairs, {"paired": True}),
+            (_battery, groups, twin, {}),
+        ]:
+            result = _outcome(call, *args, **kwargs)
+            assert result == _outcome(call, *twin_args, **kwargs), (call, k)
+            assert isinstance(result, str) or _finite(result)
 
 
 def test_rank_tests_take_huge_values_as_they_take_any_others():
