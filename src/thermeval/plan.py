@@ -48,6 +48,10 @@ class HPC:
     training_status: str
 
     def __post_init__(self) -> None:
+        try:
+            _check_int(self.batch_size, "batch_size")
+        except DatasetError as exc:
+            raise PlanError(str(exc)) from None
         if self.batch_size not in _BATCH_SIZES:
             raise PlanError(f"batch_size must be one of {_BATCH_SIZES}, got {self.batch_size}")
         if self.loss_weighting not in _WEIGHTINGS:
@@ -72,21 +76,11 @@ class HPC:
 
     @classmethod
     def from_name(cls, name: str) -> "HPC":
-        parts = name.split("_")
-        if len(parts) != 3:
-            raise PlanError(f"malformed combination name {name!r}")
-        batch_s, weight, status = parts
+        """The grid's combination with this canonical name; no other spelling is one."""
         try:
-            batch = int(batch_s)
-        except ValueError:
+            return next(h for h in hpc_grid() if h.name == name)
+        except StopIteration:
             raise PlanError(f"malformed combination name {name!r}") from None
-        if weight not in ("L", "l") or status not in ("p", "u"):
-            raise PlanError(f"malformed combination name {name!r}")
-        return cls(
-            batch_size=batch,
-            loss_weighting="original" if weight == "L" else "reduced",
-            training_status="pretrained" if status == "p" else "untrained",
-        )
 
 
 def hpc_grid() -> tuple[HPC, ...]:
@@ -136,13 +130,15 @@ def plan_splits(
 ) -> SplitPlan:
     """Build the full nested split plan; a pure function of its arguments.
 
-    Ids must be integers (a bool, float or string is not); they are
-    deduplicated, shuffled once with the seeded generator, and
-    divided as described in the module docstring.  Within each run the
-    three id sets are disjoint and cover the pool.
+    Ids, fold counts and the seed must be integers (a bool, float or
+    string is not).  Ids are deduplicated, shuffled once with the seeded
+    generator, and divided as described in the module docstring.  Within
+    each run the three id sets are disjoint and cover the pool.
     """
     try:
         ids = sorted(_image_id_set(image_ids))
+        for value, what in ((k_outer, "k_outer"), (k_inner, "k_inner"), (seed, "seed")):
+            _check_int(value, what)
     except DatasetError as exc:
         raise PlanError(str(exc)) from None
     if k_outer < 2 or k_inner < 2:
@@ -176,7 +172,7 @@ def plan_splits(
                     test_ids=tuple(sorted(test)),
                 )
             )
-    return SplitPlan(seed=int(seed), k_outer=k_outer, k_inner=k_inner, runs=tuple(runs))
+    return SplitPlan(seed=seed, k_outer=k_outer, k_inner=k_inner, runs=tuple(runs))
 
 
 def write_plan(plan: SplitPlan) -> str:

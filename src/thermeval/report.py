@@ -84,6 +84,8 @@ class MetricReport:
                 _check_number(v, name)
                 if not (0.0 <= v <= 1.0 or v == UNDEFINED):  # NaN and inf fail both
                     raise ReportError(f"{name} {v!r} is neither in [0, 1] nor {UNDEFINED}")
+                # a float subclass such as numpy's would leak its repr into the results file
+                object.__setattr__(self, name, float(v))
         except DatasetError as exc:
             raise ReportError(str(exc)) from None
 
@@ -357,7 +359,12 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
     table = _aggregate(results, (metric,) if metric in METRIC_NAMES else ())
     out = []
     for model in table.models:
-        hpc = best_hpc(table, metric, model)[0]
+        # a model that never defines the metric has no best combination and an empty
+        # sample, which SampleSet rejects with the battery's own error
+        undefined = metric in METRIC_NAMES and not any(
+            table.has_cell(model, h, metric) for h in table.hpcs
+        )
+        hpc = None if undefined else best_hpc(table, metric, model)[0]
         runs = sorted(
             (r for r in results if r.model == model and r.hpc == hpc),
             key=lambda r: r.run,

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, count, groupby, islice
+from numbers import Real
 from statistics import NormalDist
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,14 +58,22 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not self.label:
             raise StatsError("sample set needs a non-empty label")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.values) < 2:
             raise StatsError(f"sample set {self.label!r} needs at least 2 values")
+        values = _as_floats(self.values, f"sample set {self.label!r}")
+        object.__setattr__(self, "values", tuple(values))
+
+
+def _real(v: object) -> float:
+    if isinstance(v, bool) or not isinstance(v, Real):  # numpy's scalars are Real
+        raise TypeError(f"{v!r} is not a real number")
+    return float(v)
 
 
 def _as_floats(values: Sequence[float], what: str) -> list[float]:
+    """``values`` as floats: a sequence, not text or bytes, of real numbers, none a bool."""
     try:
-        x = [float(v) for v in values]
+        x = [] if isinstance(values, (str, bytes, bytearray)) else [_real(v) for v in values]
     except (TypeError, ValueError, OverflowError):
         x = []
     if not x:
@@ -410,26 +419,16 @@ def compact_letters(
 
     sig_pairs = [pair for pair in combinations(groups, 2) if frozenset(pair) not in nonsig]
 
-    columns: list[set[str]] = [set(groups)]
+    columns = [frozenset(groups)]
     for a, b in sig_pairs:
-        new_columns: list[set[str]] = []
-        for col in columns:
-            if a in col and b in col:
-                new_columns.append(col - {a})
-                new_columns.append(col - {b})
-            else:
-                new_columns.append(col)
-        # absorb: drop any column contained in another
-        kept: list[set[str]] = []
-        for col in new_columns:
-            if not col:
-                continue
-            if any(col < other for other in new_columns):
-                continue
-            if any(col == other for other in kept):
-                continue
-            kept.append(col)
-        columns = kept
+        split = [
+            part
+            for col in columns
+            for part in ((col - {a}, col - {b}) if a in col and b in col else (col,))
+        ]
+        # absorb: drop duplicates, then every column that another column contains
+        unique = list(dict.fromkeys(split))
+        columns = [col for col in unique if not any(col < other for other in unique)]
 
     columns.sort(key=lambda col: sorted(pos[g] for g in col))
     letters = {g: "" for g in groups}
@@ -455,23 +454,46 @@ class PairwiseTest:
 
 @dataclass(frozen=True)
 class StatReport:
-    """Everything the battery produced for one metric."""
+    """Everything the battery measured for one metric, and the decisions it took.
+
+    The ten fields hold the measurements; the five properties derive the
+    decisions from them.  ``all_normal`` is true when Kruskal-Wallis did not
+    run, which ``run_battery`` decides from the normality p-values;
+    ``omnibus_method``, ``omnibus_stat`` and ``omnibus_p`` are the ANOVA pair
+    or the Kruskal-Wallis pair, chosen by ``all_normal``; ``alpha_corrected``
+    is ``alpha`` Bonferroni-corrected for every pair of groups.
+    """
 
     group_names: tuple[str, ...]
     normality_w: Mapping[str, float]
     normality_p: Mapping[str, float]
-    all_normal: bool
-    omnibus_method: str  # "anova" or "kruskal_wallis"
-    omnibus_stat: float
-    omnibus_p: float
     anova_f: float
     anova_p: float
     kruskal_h: float | None
     kruskal_p: float | None
     alpha: float
-    alpha_corrected: float
     pairwise: tuple[PairwiseTest, ...]
     letters: Mapping[str, str]
+
+    @property
+    def all_normal(self) -> bool:
+        return self.kruskal_h is None
+
+    @property
+    def omnibus_method(self) -> str:
+        return "anova" if self.all_normal else "kruskal_wallis"
+
+    @property
+    def omnibus_stat(self) -> float:
+        return self.anova_f if self.all_normal else self.kruskal_h
+
+    @property
+    def omnibus_p(self) -> float:
+        return self.anova_p if self.all_normal else self.kruskal_p
+
+    @property
+    def alpha_corrected(self) -> float:
+        return bonferroni(self.alpha, math.comb(len(self.group_names), 2))
 
     def as_dict(self) -> dict:
         return {
@@ -532,64 +554,36 @@ def run_battery(groups: Sequence[SampleSet], alpha: float = DEFAULT_ALPHA) -> St
         raise StatsError("duplicate group labels")
     values = [g.values for g in groups]
 
-    normality_w: dict[str, float] = {}
-    normality_p: dict[str, float] = {}
-    for g in groups:
-        w, p = shapiro_wilk(g.values)
-        normality_w[g.label] = w
-        normality_p[g.label] = p
-    all_normal = all(p >= alpha for p in normality_p.values())
-
+    normality_w, normality_p = zip(*[shapiro_wilk(v) for v in values])
+    all_normal = all(p >= alpha for p in normality_p)
     anova_f, anova_p = one_way_anova(values)
-    if all_normal:
-        kruskal_h = kruskal_p = None
-        omnibus_method, omnibus_stat, omnibus_p = "anova", anova_f, anova_p
-    else:
-        kruskal_h, kruskal_p = kruskal_wallis(values)
-        omnibus_method, omnibus_stat, omnibus_p = (
-            "kruskal_wallis",
-            kruskal_h,
-            kruskal_p,
-        )
+    kruskal_h, kruskal_p = (None, None) if all_normal else kruskal_wallis(values)
 
     pairs = list(combinations(range(len(names)), 2))
-    alpha_corrected = bonferroni(alpha, len(pairs))
-
-    pairwise: list[PairwiseTest] = []
-    if omnibus_p < alpha:
+    tests: list[tuple[str, float, float]] = []  # (method, statistic, p) per pair
+    if (anova_p if all_normal else kruskal_p) < alpha:
         if all_normal:
-            for i, j in pairs:
-                t, p = t_test_welch(values[i], values[j])
-                pairwise.append(PairwiseTest(names[i], names[j], "welch_t", t, p))
+            tests = [("welch_t", *t_test_welch(values[i], values[j])) for i, j in pairs]
         else:
-            z, p_mat = dunn_test(values)
-            for i, j in pairs:
-                pairwise.append(
-                    PairwiseTest(names[i], names[j], "dunn", z[i][j], p_mat[i][j])
-                )
+            z, p = dunn_test(values)
+            tests = [("dunn", z[i][j], p[i][j]) for i, j in pairs]
+    pairwise = tuple(PairwiseTest(names[i], names[j], *t) for (i, j), t in zip(pairs, tests))
 
-    if pairwise:
-        nonsig = [
-            (t.group_a, t.group_b) for t in pairwise if t.p_value >= alpha_corrected
-        ]
-    else:
-        nonsig = [(names[i], names[j]) for i, j in pairs]
-    letters = compact_letters(names, nonsig)
-
+    alpha_corrected = bonferroni(alpha, len(pairs))
+    nonsig = (
+        [(t.group_a, t.group_b) for t in pairwise if t.p_value >= alpha_corrected]
+        if pairwise
+        else list(combinations(names, 2))
+    )
     return StatReport(
         group_names=tuple(names),
-        normality_w=normality_w,
-        normality_p=normality_p,
-        all_normal=all_normal,
-        omnibus_method=omnibus_method,
-        omnibus_stat=omnibus_stat,
-        omnibus_p=omnibus_p,
+        normality_w=dict(zip(names, normality_w)),
+        normality_p=dict(zip(names, normality_p)),
         anova_f=anova_f,
         anova_p=anova_p,
         kruskal_h=kruskal_h,
         kruskal_p=kruskal_p,
         alpha=alpha,
-        alpha_corrected=alpha_corrected,
-        pairwise=tuple(pairwise),
-        letters=letters,
+        pairwise=pairwise,
+        letters=compact_letters(names, nonsig),
     )

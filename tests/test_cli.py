@@ -378,6 +378,58 @@ def test_stats_single_metric_raises_its_own_error(tmp_path, capsys):
     assert captured.err == "thermeval stats: error: need at least 2 groups, got 1\n"
 
 
+def _undefined_aps_csv(tmp_path, name="undefined.csv"):
+    """``_results_csv`` with aps undefined in every row, as on a corpus with no small puddles."""
+    header, *rows = _results_csv(tmp_path).read_text().splitlines()
+    col = header.split(",").index("aps")
+    rows = [",".join(f if i != col else "-1.0" for i, f in enumerate(r.split(","))) for r in rows]
+    path = tmp_path / name
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+def test_stats_all_metrics_skip_a_metric_that_no_model_defines(tmp_path, capsys):
+    out = tmp_path / "stats.json"
+    rc = main(["stats", "--results", str(_undefined_aps_csv(tmp_path)), "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == "thermeval stats: skipping aps: sample set 'good' needs at least 2 values\n"
+    assert list(json.loads(out.read_text())) == [m for m in METRIC_NAMES if m != "aps"]
+
+
+def test_report_figure_data_skips_a_metric_that_no_model_defines(tmp_path):
+    table, fig = tmp_path / "table.md", tmp_path / "figure.csv"
+    results = _undefined_aps_csv(tmp_path)
+    argv = ["report", "--results", str(results), "--out", str(table), "--figure-data", str(fig)]
+    assert main(argv) == 0
+    assert "## good" in table.read_text()
+    metrics = [line.split(",")[0] for line in fig.read_text().splitlines()[1:]]
+    assert metrics == [m for m in METRIC_NAMES if m != "aps" for _ in ("good", "bad")]
+
+
+def test_stats_on_a_metric_that_no_model_defines_alone_fails(tmp_path, capsys):
+    results = _undefined_aps_csv(tmp_path)
+    assert main(["stats", "--results", str(results), "--metric", "aps"]) == 1
+    assert capsys.readouterr().err == (
+        "thermeval stats: error: sample set 'good' needs at least 2 values\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_a_repeated_run_fails_stats_and_report(tmp_path, capsys, command):
+    results = _undefined_aps_csv(tmp_path)
+    header, first, *rest = results.read_text().splitlines()
+    results.write_text("\n".join([header, first, first, *rest]) + "\n")
+    argv = [command, "--results", str(results), "--out", str(tmp_path / "out.txt")]
+    if command == "report":
+        argv += ["--figure-data", str(tmp_path / "figure.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"thermeval {command}: error: duplicate run ('good', '4_L_p', 1)\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv", "undefined.csv"]
+
+
 @pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "nan"])
 def test_stats_rejects_an_alpha_before_any_battery(tmp_path, capsys, alpha):
     results = _results_csv(tmp_path)

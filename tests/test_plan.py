@@ -47,7 +47,14 @@ def test_canonical_order_covers_the_grid():
     assert CANONICAL_HPC_ORDER[4:] == ("16_L_p", "16_L_u", "16_l_p", "16_l_u")
 
 
-@pytest.mark.parametrize("bad", ["", "16_L", "16_L_p_x", "7_L_p", "16_X_p", "16_L_z"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "16_L", "16_L_p_x", "7_L_p", "16_X_p", "16_L_z",
+        # int() once read each of these as a batch size of the grid
+        " 4_L_p", "+4_L_p", "\u0664_L_p", "016_L_p",
+    ],
+)
 def test_hpc_from_name_rejects_malformed(bad):
     with pytest.raises(PlanError):
         HPC.from_name(bad)
@@ -56,6 +63,16 @@ def test_hpc_from_name_rejects_malformed(bad):
 def test_hpc_rejects_unknown_batch_size():
     with pytest.raises(PlanError):
         HPC(8, "original", "pretrained")
+
+
+@pytest.mark.parametrize(
+    "batch", [16.0, True, "16", np.int64(16)], ids=["float", "bool", "str", "numpy"]
+)
+def test_hpc_rejects_a_batch_size_that_is_not_an_int(batch):
+    # 16.0 once made a combination named 16.0_L_p
+    message = f"^batch_size must be an integer, got {re.escape(repr(batch))}$"
+    with pytest.raises(PlanError, match=message):
+        HPC(batch, "original", "pretrained")
 
 
 # -- nested split plans
@@ -129,10 +146,18 @@ def test_plan_takes_numpy_integer_ids():
     assert {type(i) for run in plan.runs for i in run.train_ids} == {int}
 
 
-@pytest.mark.parametrize("k_outer,k_inner", [(1, 5), (5, 1), (0, 0)])
+@pytest.mark.parametrize("k_outer,k_inner", [(1, 5), (5, 1), (0, 0), (2.0, 2), (2, 2.5), (True, 2)])
 def test_plan_rejects_degenerate_folds(k_outer, k_inner):
     with pytest.raises(PlanError):
         plan_splits(range(100), k_outer=k_outer, k_inner=k_inner)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_plan_rejects_a_seed_that_is_not_an_int(seed):
+    # True was planned as seed 1, which read_plan then rejected
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(PlanError, match=message):
+        plan_splits(range(100), k_outer=2, k_inner=2, seed=seed)
 
 
 def test_plan_rejects_pool_too_small():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from thermeval.report import (
     read_results_csv,
     write_results_csv,
 )
-from thermeval.stats import SampleSet, run_battery
+from thermeval.stats import SampleSet, StatsError, run_battery
 
 
 def _metrics(base):
@@ -56,6 +57,16 @@ def test_results_round_trip_preserves_floats_exactly():
     )
     back = read_results_csv(write_results_csv([r]))
     assert back == (r,)
+
+
+def test_numpy_floats_are_written_and_read_back_as_floats():
+    # np.float64(0.5) was once written as "np.float64(0.5)", which the reader rejected
+    r = RunResult("net", "4_L_p", 1, "pond", MetricReport(*[np.float64(0.5)] * 8))
+    assert {type(v) for v in r.metrics.as_dict().values()} == {float}
+    text = write_results_csv([r])
+    assert text.splitlines()[1] == "1,net,4_L_p,pond," + ",".join(["0.5"] * 8)
+    assert read_results_csv(text) == (r,)
+    assert type(aggregate([r]).cell("net", "4_L_p", "ap").mean) is float
 
 
 def test_read_results_rejects_wrong_header():
@@ -373,6 +384,21 @@ def test_metric_samples_take_best_hpc_per_model():
     # values come from the winning combination, in run order
     assert by_label["good"].values[0] == pytest.approx(0.703)
     assert by_label["good"].values == tuple(sorted(by_label["good"].values))
+
+
+def test_a_model_that_never_defines_a_metric_gives_the_battery_s_error():
+    # each model's aps is undefined in every run, as on a corpus with no small puddles
+    results = [
+        replace(r, metrics=replace(r.metrics, aps=UNDEFINED)) for r in _battery_results()
+    ]
+    with pytest.raises(StatsError, match="^sample set 'good' needs at least 2 values$"):
+        metric_samples(results, "aps")
+    assert len(metric_samples(results, "ap")) == 2
+    # rows that break the table's rules still fail as before
+    with pytest.raises(ReportError, match="duplicate run"):
+        metric_samples([*results, results[0]], "aps")
+    with pytest.raises(ReportError, match="unknown metric"):
+        metric_samples(results, "apx")
 
 
 def test_figure_data_lists_metrics_models_and_letters():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -471,11 +473,64 @@ def test_battery_report_serializes():
     json.dumps(doc)  # fully JSON-ready
 
 
+def test_battery_report_stores_measurements_and_derives_decisions():
+    derived = ("all_normal", "omnibus_method", "omnibus_stat", "omnibus_p", "alpha_corrected")
+    assert len(dataclasses.fields(stats.StatReport)) == 10
+    assert not {f.name for f in dataclasses.fields(stats.StatReport)} & set(derived)
+    assert all(getattr(stats.StatReport, name).fset is None for name in derived)
+    rep = run_battery(_draw_groups(11, [("a", 0.0, 1.0), ("b", 5.0, 1.0), ("c", 10.0, 1.0)]))
+    # a report with a Kruskal-Wallis result reads its omnibus from it, not from ANOVA
+    ranked = dataclasses.replace(rep, kruskal_h=7.5, kruskal_p=0.02, alpha=0.1)
+    assert (ranked.all_normal, ranked.omnibus_method) == (False, "kruskal_wallis")
+    assert (ranked.omnibus_stat, ranked.omnibus_p) == (7.5, 0.02)
+    assert ranked.alpha_corrected == 0.1 / 3
+    assert (rep.omnibus_stat, rep.omnibus_p) == (rep.anova_f, rep.anova_p)
+
+
 def test_sample_set_validation():
     with pytest.raises(StatsError):
         SampleSet("", (1.0, 2.0))
     with pytest.raises(StatsError):
         SampleSet("x", (1.0,))
+    with pytest.raises(StatsError, match="^sample set 'x' needs at least 2 values$"):
+        SampleSet("x", ())
+
+
+_NOT_NUMBERS = {
+    "str": "1234",
+    "bytes": b"1234",
+    "bytearray": bytearray(b"1234"),
+    "bool": (True, False, True, True),
+    "str element": (1.0, "2", 3.0, 4.0),
+    "complex element": (1.0, 2j, 3.0, 4.0),
+    "nested": ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0)),
+}
+
+
+@pytest.mark.parametrize("values", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS.keys())
+def test_text_bytes_and_bools_are_not_samples_of_numbers(values):
+    # "1234" once gave W = 0.993, and (True, False, True) a sample of 1.0, 0.0, 1.0
+    with pytest.raises(StatsError, match="must be a non-empty 1-d sequence of numbers"):
+        shapiro_wilk(values)
+    with pytest.raises(StatsError, match="must be a non-empty 1-d sequence of numbers"):
+        t_test_welch(values, [0.1, 0.2, 0.4, 0.8])
+    with pytest.raises(StatsError, match="must be a non-empty 1-d sequence of numbers"):
+        one_way_anova([values, [0.1, 0.2, 0.4, 0.8]])
+    with pytest.raises(StatsError, match="^sample set 'x' must be a non-empty 1-d"):
+        SampleSet("x", values)
+
+
+def test_numpy_and_other_real_numbers_are_samples():
+    x = [0.1, 0.25, 0.3, 0.8]
+    want = shapiro_wilk(x)
+    assert shapiro_wilk(np.array(x)) == want
+    assert shapiro_wilk(np.array(x, dtype=np.float32)) == shapiro_wilk(
+        [float(v) for v in np.array(x, dtype=np.float32)]
+    )
+    assert shapiro_wilk([Fraction(1, 10), 0.25, 0.3, 0.8]) == want
+    assert shapiro_wilk(np.array([1, 2, 4, 9], dtype=np.int64)) == shapiro_wilk([1, 2, 4, 9])
+    assert SampleSet("x", np.array(x)).values == tuple(x)
+    assert {type(v) for v in SampleSet("x", np.array(x)).values} == {float}
 
 
 # -- parity with numpy: the battery's statistics as numpy computes them
