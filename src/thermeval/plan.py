@@ -131,9 +131,10 @@ def plan_splits(
     """Build the full nested split plan; a pure function of its arguments.
 
     Ids, fold counts and the seed must be integers (a bool, float or
-    string is not).  Ids are deduplicated, shuffled once with the seeded
-    generator, and divided as described in the module docstring.  Within
-    each run the three id sets are disjoint and cover the pool.
+    string is not), and the seed non-negative.  Ids are deduplicated,
+    shuffled once with the seeded generator, and divided as described in
+    the module docstring.  Within each run the three id sets are disjoint
+    and cover the pool.
     """
     try:
         ids = sorted(_image_id_set(image_ids))
@@ -141,6 +142,8 @@ def plan_splits(
             _check_int(value, what)
     except DatasetError as exc:
         raise PlanError(str(exc)) from None
+    if seed < 0:
+        raise PlanError(f"seed must be non-negative, got {seed}")
     if k_outer < 2 or k_inner < 2:
         raise PlanError(f"fold counts must be at least 2, got {k_outer}/{k_inner}")
     if len(ids) < k_outer * k_inner:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .coco import (
     _load_json,
     _parse_bbox,
 )
-from .thermal import RawFrame
+
+if TYPE_CHECKING:
+    from .thermal import RawFrame
 
 __all__ = [
     "SynthError",
@@ -226,15 +228,17 @@ def _layout(spec: SceneSpec, rng: np.random.Generator) -> tuple[list[_Blob], lis
 
 
 def _paint(spec: SceneSpec, blobs: Sequence[_Blob], rng: np.random.Generator) -> RawFrame:
+    from .thermal import RawFrame  # only rendering needs it; ``detect`` does not load thermal
+
     base = np.full((spec.height, spec.width), float(spec.background_level))
     for blob in blobs:
         h, w = blob.mask.shape
         window = base[blob.i0 : blob.i0 + h, blob.j0 : blob.j0 + w]
         window[blob.mask] = spec.background_level + blob.delta
     if spec.noise_sigma > 0:
-        base = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
-    samples = np.clip(np.rint(base), -32768, 32767).astype(np.int16)
-    return RawFrame(samples)
+        base += rng.normal(0.0, spec.noise_sigma, size=base.shape)
+    np.clip(np.rint(base, out=base), -32768, 32767, out=base)
+    return RawFrame(base.astype(np.int16))
 
 
 def generate_scene(

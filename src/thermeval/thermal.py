@@ -9,8 +9,9 @@ coordinates, matching the ground-truth box convention.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
@@ -46,15 +47,27 @@ class CalibrationRange:
 
     lo: float
     hi: float
+    # the gray level of every int16 sample, indexed by its bits as uint16
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for bound in (self.lo, self.hi):
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                raise ThermalError(f"calibration range bound {bound!r} is not a real number")
+        try:
+            # an infinite bound or width turns every sample into 0 or NaN
+            finite = all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo)))
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise ThermalError("calibration range bounds and width must fit a float") from None
         if not (self.lo < self.hi):
             raise ThermalError(f"calibration range requires lo < hi, got [{self.lo}, {self.hi}]")
-        # an infinite bound or width turns every sample into 0 or NaN
-        if not math.isfinite(self.hi - self.lo):
+        if not finite:
             raise ThermalError(
                 f"calibration range [{self.lo}, {self.hi}] must have finite bounds and width"
             )
+        v = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.float64)
+        table = np.floor(255.0 * np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0) + 0.5)
+        object.__setattr__(self, "_table", table.astype(np.uint8))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +121,12 @@ def normalize_frame(raw: RawFrame, cal: CalibrationRange) -> GrayFrame:
     """Map raw samples onto 0..255 through the calibration window.
 
     Values are clamped to the window, linearly rescaled, and rounded half
-    up, so lo maps to 0, hi to 255, and the midpoint to 128.
+    up, so lo maps to 0, hi to 255, and the midpoint to 128.  ``cal``
+    applies this float64 formula once to each of the 65,536 int16 values,
+    into its table, and a frame is one gather from it: exact, since an
+    entry is the same formula on the same float64 sample value.
     """
-    v = raw.pixels.astype(np.float64)
-    t = np.clip((v - cal.lo) / (cal.hi - cal.lo), 0.0, 1.0)
-    out = np.floor(255.0 * t + 0.5).astype(np.uint8)
-    return GrayFrame(out)
+    return GrayFrame(cal._table.take(raw.pixels.view(np.uint16)))
 
 
 def triple_channels(gray: GrayFrame) -> np.ndarray:

@@ -11,7 +11,7 @@ from thermeval.cli import main
 from thermeval.coco import parse_coco, parse_detections, write_coco, write_detections
 from thermeval.metrics import METRIC_NAMES, MetricReport
 from thermeval.report import RunResult, write_results_csv
-from thermeval.synth import PRESET_A, MockDetectorSpec, build_corpus, mock_detect
+from thermeval.synth import PRESET_A, PRESET_B, MockDetectorSpec, build_corpus, mock_detect
 from thermeval.thermal import (
     RAW_MAGIC,
     CalibrationRange,
@@ -106,6 +106,25 @@ def test_convert_directory_of_frames(tmp_path, capsys):
         gray = read_pgm(fp)
     want = normalize_frame(frame, CalibrationRange(1000.0, 2500.0))
     assert gray == want
+
+
+def test_convert_is_pinned(tmp_path, capsys):
+    # three preset-b frames under an integer, a fractional and a wider-than-int16
+    # window; the digest covers every PGM byte that convert writes
+    src = tmp_path / "raw"
+    src.mkdir()
+    for i, frame in enumerate(build_corpus(PRESET_B, n=3, seed=5, render=True).frames):
+        with open(src / f"f{i}.raw", "wb") as fp:
+            write_raw(frame, fp)
+    h = hashlib.sha256()
+    for lo, hi in [("1800", "3200"), ("2000.5", "2600.25"), ("-40000", "40000")]:
+        out = tmp_path / f"gray_{lo}_{hi}"
+        argv = ["convert", "--src", str(src), "--out", str(out), "--cal-lo", lo, "--cal-hi", hi]
+        assert main(argv) == 0
+        for path in sorted(out.glob("*.pgm")):
+            h.update(path.read_bytes())
+    capsys.readouterr()
+    assert h.hexdigest() == "e0c582e3787839d11f4a1802150725358812521a262c4d27e8b52d6b2f329601"
 
 
 def test_convert_keeps_going_past_bad_files(tmp_path, capsys):
@@ -222,6 +241,17 @@ def test_split_rejects_pool_too_small(tmp_path, capsys):
     rc = main(["split", "--gt", str(gt_path), "--out", str(tmp_path / "p.json")])
     assert rc == 1
     assert "thermeval split: error:" in capsys.readouterr().err
+
+
+def test_split_rejects_a_negative_seed(tmp_path, capsys):
+    gt_path, _ = _gt_file(tmp_path, n=30)
+    out = tmp_path / "p.json"
+    rc = main(["split", "--gt", str(gt_path), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "thermeval split: error: seed must be non-negative, got -1\n"
+    )
+    assert not out.exists()
 
 
 # -- evaluate

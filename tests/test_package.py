@@ -127,7 +127,7 @@ _IMPORT_PINS = {
     ),
     "detect": (
         "detect --gt {d}/gt.json --out dets.json --p-fp 1 --distractors {d}/d.json",
-        _SCENE, True, False,
+        ("coco", "synth"), True, False,
     ),
     "evaluate": (
         "evaluate --gt {d}/gt.json --dets {d}/dets.json --out r.json"

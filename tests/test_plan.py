@@ -160,6 +160,13 @@ def test_plan_rejects_a_seed_that_is_not_an_int(seed):
         plan_splits(range(100), k_outer=2, k_inner=2, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_plan_rejects_a_negative_seed(seed):
+    # numpy's generator raised its own ValueError, which named no seed
+    with pytest.raises(PlanError, match=f"^seed must be non-negative, got {seed}$"):
+        plan_splits(range(20), 2, 2, seed)
+
+
 def test_plan_rejects_pool_too_small():
     with pytest.raises(PlanError):
         plan_splits(range(20), k_outer=5, k_inner=5)

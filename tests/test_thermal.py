@@ -3,10 +3,12 @@ from __future__ import annotations
 import io
 import re
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -67,6 +69,49 @@ def test_calibration_requires_finite_range(lo, hi):
         CalibrationRange(lo=lo, hi=hi)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, bad",
+    [
+        ("a", "b", "a"),
+        (None, 1.0, None),
+        (0, Decimal(1), Decimal(1)),
+        (True, 2, True),
+        (0, False, False),
+        (np.bool_(True), 2.0, np.bool_(True)),
+    ],
+    ids=["str", "none", "decimal", "bool-lo", "bool-hi", "numpy-bool"],
+)
+def test_calibration_bounds_must_be_real_numbers(lo, hi, bad):
+    message = f"^calibration range bound {re.escape(repr(bad))} is not a real number$"
+    with pytest.raises(ThermalError, match=message):
+        CalibrationRange(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 10**400),
+        (-(10**400), 0),
+        (10**400, 10**400 + 1),  # the width fits, the bounds do not
+        (-(10**308), 10**308),  # the bounds fit, the width does not
+        (Fraction(0), Fraction(10**400)),
+        (0, 10**5000),  # more digits than an int may print
+    ],
+    ids=["hi", "lo", "both", "width", "fraction", "huge"],
+)
+def test_calibration_bounds_must_fit_a_float(lo, hi):
+    message = "^calibration range bounds and width must fit a float$"
+    with pytest.raises(ThermalError, match=message):
+        CalibrationRange(lo, hi)
+
+
+def test_calibration_table_leaves_eq_hash_and_repr_alone():
+    cal = CalibrationRange(1.0, 2.0)
+    assert repr(cal) == "CalibrationRange(lo=1.0, hi=2.0)"
+    assert cal == CalibrationRange(1, 2) and hash(cal) == hash(CalibrationRange(1, 2))
+    assert cal != CalibrationRange(1.0, 3.0)
+
+
 def test_raw_frame_requires_int16():
     with pytest.raises(ThermalError, match=r"^raw frame samples must be int16, got float32$"):
         RawFrame(pixels=np.zeros((2, 2), dtype=np.float32))
@@ -117,6 +162,54 @@ def test_normalize_rounds_half_up():
     cal = CalibrationRange(lo=0.0, hi=510.0)
     out = normalize_frame(_raw([1, 2]), cal)
     assert out.pixels.tolist() == [[1, 1]]
+
+
+# every int16 value once, as a 256 x 256 frame
+_ALL_SAMPLES = np.arange(-32768, 32768, dtype=np.int16).reshape(256, 256)
+
+
+def _float_formula(pixels, lo, hi):
+    """The float64 rescale that the calibration's table stands for, kept here as the oracle."""
+    v = pixels.astype(np.float64)
+    return np.floor(255.0 * np.clip((v - lo) / (hi - lo), 0.0, 1.0) + 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1000, 3000),
+        (1800.25, 3200.75),
+        (-1e6, 1e6),  # wider than int16
+        (-40000.5, 40000.5),
+        (2000.0, 2000.5),  # sub-unit width
+        (2000.1, 2000.1 + 1e-9),
+        (0, 510),
+        (np.float32(1800.3), np.int64(3200)),
+        (Fraction(1, 3), Fraction(7, 2)),
+        (2**70, 2**71),
+    ],
+)
+def test_normalize_equals_the_float_formula_on_every_sample(lo, hi):
+    got = normalize_frame(RawFrame(_ALL_SAMPLES), CalibrationRange(lo, hi)).pixels
+    np.testing.assert_array_equal(got, _float_formula(_ALL_SAMPLES, lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6),
+    width=st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 1e5)),
+)
+def test_normalize_equals_the_float_formula_for_random_windows(lo, width):
+    hi = lo + width
+    assume(lo < hi)
+    got = normalize_frame(RawFrame(_ALL_SAMPLES), CalibrationRange(lo, hi)).pixels
+    np.testing.assert_array_equal(got, _float_formula(_ALL_SAMPLES, lo, hi))
+
+
+def test_normalize_takes_a_strided_frame():
+    raw = RawFrame(_ALL_SAMPLES[::3, 1::2])
+    got = normalize_frame(raw, CalibrationRange(-500.0, 700.0)).pixels
+    np.testing.assert_array_equal(got, _float_formula(raw.pixels, -500.0, 700.0))
 
 
 def test_triple_channels_stacks_copies():
