@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "DatasetError",
@@ -24,6 +26,7 @@ __all__ = [
     "CategoryRecord",
     "Dataset",
     "Detection",
+    "Detections",
     "SizeClass",
     "SMALL_MAX_AREA",
     "MEDIUM_MAX_AREA",
@@ -493,14 +496,117 @@ class Detection:
             raise DatasetError(f"detection score {self.score} outside [0, 1]")
 
 
-def parse_detections(text: str | bytes, ds: Dataset | None = None) -> tuple[Detection, ...]:
-    """Parse a flat detection-results list.
+class Detections(Sequence):
+    """A detection run as read-only columns: ``image_ids`` and ``category_ids``
+    (N,) int64, ``scores`` (N,) float64 and ``boxes`` (N, 4) float64 x, y, w, h.
+
+    The columns are checked whole by the rules of ``Detection`` and ``BBox``;
+    the first row that breaks one raises its record's own error.  As a
+    sequence it lists ``Detection`` records, built on demand.
+    """
+
+    __slots__ = ("image_ids", "category_ids", "scores", "boxes")
+
+    def __init__(self, image_ids, category_ids, scores, boxes) -> None:
+        import numpy as np  # loaded on first use, so ``coco`` imports without it
+
+        values = (image_ids, category_ids, scores, boxes)
+        for name, raw, dtype in zip(self.__slots__, values, ("int64",) * 2 + ("float64",) * 2):
+            col = np.asarray(raw)
+            # a bool, or a cast that could change a value, is refused
+            if col.size and (col.dtype.kind == "b" or not np.can_cast(col.dtype, dtype)):
+                raise DatasetError(f"detection {name} must be {dtype} numbers, got {col.dtype}")
+            col = col.astype(dtype).reshape((-1, 4) if name == "boxes" else -1)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if len({len(getattr(self, name)) for name in self.__slots__}) > 1:
+            raise DatasetError("detection columns differ in length")
+        x, y, w, h = self.boxes.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a sum is finite only when both terms are, so each field is too
+            ok = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h)
+        ok &= (w >= 0) & (h >= 0) & (self.scores >= 0) & (self.scores <= 1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            try:
+                self[i]
+            except DatasetError as exc:
+                raise DatasetError(f"detection #{i}: {exc}") from None
+            raise AssertionError(f"detection #{i} breaks a column rule its record keeps")
+
+    @classmethod
+    def from_records(cls, records: Iterable[Detection]) -> Detections:
+        """The columns of ``Detection`` records, in their order."""
+        import numpy as np
+
+        records = tuple(records)
+        return cls(
+            [d.image_id for d in records],
+            [d.category_id for d in records],
+            [d.score for d in records],
+            # a valid box may hold an int too large for int64, but not for a float
+            np.array([d.bbox.as_list() for d in records], dtype=np.float64),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Detections is read-only; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Detections(*(getattr(self, name)[i] for name in self.__slots__))
+        box, score = BBox(*self.boxes[i].tolist()), float(self.scores[i])
+        return Detection(int(self.image_ids[i]), int(self.category_ids[i]), box, score)
+
+    def __iter__(self) -> Iterator[Detection]:
+        cols = (self.image_ids, self.category_ids, self.boxes, self.scores)
+        for image_id, category_id, box, score in zip(*(c.tolist() for c in cols)):
+            yield Detection(image_id, category_id, BBox(*box), score)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        pairs = ((getattr(self, n), getattr(other, n)) for n in self.__slots__)
+        return all(a.shape == b.shape and (a == b).all() for a, b in pairs)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Detections({tuple(self)!r})"
+
+
+def parse_detections(text: str | bytes, ds: Dataset | None = None) -> Detections:
+    """Parse a flat detection-results list into validated columns.
 
     When a Dataset is supplied, image and category references are checked
-    against it.
+    against it.  Whole columns are checked at once; when a check fails, the
+    records are read one by one, so the error names the first failing one.
     """
+    import numpy as np
+
     doc = _as_list(_load_json(text, "detections document"), "detections document")
-    dets = []
+    try:  # an error here is a record that is not an object or lacks a field
+        fields = ("image_id", "category_id", "score", "bbox")
+        ids, cats, scores, boxes = ([raw[k] for raw in doc] for k in fields)
+        flat = list(chain.from_iterable(boxes))
+        if (
+            set(map(type, boxes)) <= {list}
+            and set(map(len, boxes)) <= {4}
+            and set(map(type, ids + cats)) <= {int}
+            and set(map(type, scores + flat)) <= {int, float}
+            and (ds is None or ds._image_index.keys() >= set(ids))
+            and (ds is None or ds._category_index.keys() >= set(cats))
+        ):
+            return Detections(  # an id or a number out of range raises OverflowError
+                np.array(ids, dtype=np.int64),
+                np.array(cats, dtype=np.int64),
+                np.array(scores, dtype=np.float64),
+                np.array(flat, dtype=np.float64),
+            )
+    except (KeyError, TypeError, OverflowError, DatasetError):
+        pass
     for i, raw in enumerate(doc):
         raw = _as_dict(raw, f"detection #{i}")
         what = f"detection #{i}"
@@ -516,8 +622,7 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> tuple[Dete
                 raise DatasetError(f"{what} references missing image {det.image_id}")
             if not ds.has_category(det.category_id):
                 raise DatasetError(f"{what} references missing category {det.category_id}")
-        dets.append(det)
-    return tuple(dets)
+    raise AssertionError("a detection fails a column check that its record passes")
 
 
 def write_detections(dets: Sequence[Detection]) -> str:

@@ -38,6 +38,7 @@ from .coco import (
     Dataset,
     DatasetError,
     Detection,
+    Detections,
     MEDIUM_MAX_AREA,
     SMALL_MAX_AREA,
     SizeClass,
@@ -311,37 +312,35 @@ def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _corpus_tables(
     gt: Dataset,
-    dets: Sequence[Detection],
+    dets: Detections,
     thresholds: Sequence[float],
     max_dets: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
-    Detections become flat columns keyed by cell, beside ``gt``'s prepared
-    ground truth rows.  Every cell is matched in one call for all strata.
+    Detection columns are keyed by cell, beside ``gt``'s prepared ground
+    truth rows.  Every cell is matched in one call for all strata.
     Returns precision samples (S, C, T, 101), final recall (S, C, T) and
     which (stratum, category) pairs hold eligible ground truth (S, C); the
     tables of the other pairs are left 0.
     """
     cols = _columns(gt)
     n_img = len(cols.img_ids)
-    dt_ids = np.array([(d.image_id, d.category_id) for d in dets], dtype=np.int64).reshape(-1, 2)
-    dt_img, img_ok = _find(cols.img_ids, dt_ids[:, 0])
-    dt_cat, cat_ok = _find(cols.cat_ids, dt_ids[:, 1])
+    dt_img, img_ok = _find(cols.img_ids, dets.image_ids)
+    dt_cat, cat_ok = _find(cols.cat_ids, dets.category_ids)
     bad = ~(img_ok & cat_ok)
     if bad.any():
         i = int(np.argmax(bad))
         if not img_ok[i]:
-            raise DatasetError(f"detection references missing image {dets[i].image_id}")
-        raise DatasetError(f"detection references missing category {dets[i].category_id}")
+            raise DatasetError(f"detection references missing image {dets.image_ids[i]}")
+        raise DatasetError(f"detection references missing category {dets.category_ids[i]}")
 
     # detections by (cell, score descending, input index), capped per cell
     dt_cell = dt_cat * n_img + dt_img
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.lexsort((-scores, dt_cell))
+    order = np.lexsort((-dets.scores, dt_cell))
     order = order[_rank_in_run(dt_cell[order]) < max_dets]
-    dt_cell, dt_cat, scores = dt_cell[order], dt_cat[order], scores[order]
-    dt_box = _box_columns(dets[i].bbox for i in order.tolist())
+    dt_cell, dt_cat = dt_cell[order], dt_cat[order]
+    scores, dt_box = dets.scores[order], dets.boxes[order]
 
     outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, thresholds)
     # within each category, by score descending; ties stay in cell order
@@ -370,7 +369,7 @@ def _corpus_tables(
 
 def evaluate(
     gt: Dataset,
-    dets: Sequence[Detection],
+    dets: Detections | Sequence[Detection],
     thresholds: Sequence[float] | None = None,
     max_dets: int = DEFAULT_MAX_DETS,
 ) -> MetricReport:
@@ -380,11 +379,14 @@ def evaluate(
     threshold sweep (AP50/AP75 pick the single threshold and are -1 when
     the sweep does not include it); AR metrics average final recall.
     ``max_dets`` caps detections per image and category, highest scores
-    kept.
+    kept.  ``dets`` is read as columns; a plain sequence of records is
+    turned into them first.
     """
     thresholds = validate_thresholds(thresholds)
     if not isinstance(max_dets, Integral) or isinstance(max_dets, bool) or max_dets < 1:
         raise ValueError(f"max_dets must be a positive integer, got {max_dets!r}")
+    if not isinstance(dets, Detections):
+        dets = Detections.from_records(dets)
     prec, rec, defined = _corpus_tables(gt, dets, thresholds, max_dets)
 
     # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75

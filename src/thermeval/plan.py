@@ -122,6 +122,13 @@ class SplitPlan:
     runs: tuple[RunSplit, ...]
 
 
+def _check_seed(value: object) -> int:
+    """A seed is a non-negative integer, in a plan and in a plan file."""
+    if _check_int(value, "seed") < 0:
+        raise DatasetError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def plan_splits(
     image_ids: Iterable[int],
     k_outer: int = 5,
@@ -138,12 +145,11 @@ def plan_splits(
     """
     try:
         ids = sorted(_image_id_set(image_ids))
-        for value, what in ((k_outer, "k_outer"), (k_inner, "k_inner"), (seed, "seed")):
+        for value, what in ((k_outer, "k_outer"), (k_inner, "k_inner")):
             _check_int(value, what)
+        _check_seed(seed)
     except DatasetError as exc:
         raise PlanError(str(exc)) from None
-    if seed < 0:
-        raise PlanError(f"seed must be non-negative, got {seed}")
     if k_outer < 2 or k_inner < 2:
         raise PlanError(f"fold counts must be at least 2, got {k_outer}/{k_inner}")
     if len(ids) < k_outer * k_inner:
@@ -210,9 +216,8 @@ def read_plan(text: str | bytes) -> SplitPlan:
                 for k in ("train", "val", "test")
             )
             runs.append(RunSplit(*folds, *ids))
-        seed, k_outer, k_inner = (
-            _check_int(_require(doc, k, "plan"), k) for k in ("seed", "k_outer", "k_inner")
-        )
+        seed = _check_seed(_require(doc, "seed", "plan"))
+        k_outer, k_inner = (_check_int(_require(doc, k, "plan"), k) for k in ("k_outer", "k_inner"))
     except DatasetError as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
     plan = SplitPlan(seed, k_outer, k_inner, tuple(runs))

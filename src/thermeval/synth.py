@@ -23,7 +23,7 @@ from .coco import (
     CategoryRecord,
     Dataset,
     DatasetError,
-    Detection,
+    Detections,
     ImageRecord,
     _as_dict,
     _as_list,
@@ -380,13 +380,13 @@ class MockDetectorSpec:
         _check_non_negative(self.jitter_sigma, "jitter_sigma")
 
 
-def _jitter_box(bbox: BBox, sigma: float, rng: np.random.Generator) -> BBox:
+def _jitter_box(bbox: BBox, sigma: float, rng: np.random.Generator) -> list[float]:
     if sigma == 0.0:
-        return bbox
+        return bbox.as_list()
     x1, y1, x2, y2 = bbox.corners
     n = rng.normal(0.0, sigma, size=4)
     x1, y1, x2, y2 = x1 + n[0], y1 + n[1], x2 + n[2], y2 + n[3]
-    return BBox(x1, y1, max(x2 - x1, 0.5), max(y2 - y1, 0.5))
+    return [x1, y1, max(x2 - x1, 0.5), max(y2 - y1, 0.5)]
 
 
 def mock_detect(
@@ -394,7 +394,7 @@ def mock_detect(
     spec: MockDetectorSpec,
     seed: int,
     distractors: Mapping[int, Sequence[BBox]] | None = None,
-) -> tuple[Detection, ...]:
+) -> Detections:
     """Simulate a detector run over a dataset, deterministically per seed.
 
     Each non-ignore ground-truth box survives with probability 1-p_drop,
@@ -409,15 +409,20 @@ def mock_detect(
     for ann in ds.annotations:
         by_image.setdefault(ann.image_id, []).append(ann)
     children = np.random.SeedSequence(seed).spawn(len(ds.images))
-    out: list[Detection] = []
+    image_ids, category_ids, scores, boxes = [], [], [], []  # the run's columns
     for idx, img in enumerate(ds.images):
         rng = np.random.default_rng(children[idx])
+
+        def add(category_id: int, box: list[float], score: float) -> None:
+            image_ids.append(img.id)
+            category_ids.append(category_id)
+            boxes.append(box)
+            scores.append(score)
 
         def hit(box: BBox, category_id: int) -> None:
             # a fired box: the jitter, then the score
             bbox = _jitter_box(box, spec.jitter_sigma, rng)
-            score = float(rng.uniform(*_HIT_SCORE))
-            out.append(Detection(img.id, category_id, bbox, score))
+            add(category_id, bbox, rng.uniform(*_HIT_SCORE))
 
         # each box's firing draw comes first: true boxes, then distractors
         for ann in by_image.get(img.id, ()):
@@ -434,6 +439,5 @@ def mock_detect(
             h = min(h, float(img.height))
             x = rng.uniform(0.0, img.width - w)
             y = rng.uniform(0.0, img.height - h)
-            score = float(rng.uniform(*_FP_SCORE))
-            out.append(Detection(img.id, fallback_cat, BBox(x, y, w, h), score))
-    return tuple(out)
+            add(fallback_cat, [x, y, w, h], rng.uniform(*_FP_SCORE))
+    return Detections(image_ids, category_ids, scores, boxes)

@@ -54,9 +54,9 @@ class CalibrationRange:
         for bound in (self.lo, self.hi):
             if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
                 raise ThermalError(f"calibration range bound {bound!r} is not a real number")
-        try:
-            # an infinite bound or width turns every sample into 0 or NaN
-            finite = all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo)))
+        try:  # an infinite bound or width turns every sample into 0 or NaN
+            with np.errstate(over="ignore"):  # a numpy scalar's width overflows to inf
+                finite = all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo)))
         except OverflowError:  # an int or Fraction beyond the float range
             raise ThermalError("calibration range bounds and width must fit a float") from None
         if not (self.lo < self.hi):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -15,8 +16,10 @@ from thermeval.coco import (
     Dataset,
     DatasetError,
     Detection,
+    Detections,
     ImageRecord,
     SizeClass,
+    _check_number,
     classify_size,
     filter_small_objects,
     parse_coco,
@@ -414,7 +417,7 @@ def test_detections_round_trip():
         Detection(image_id=1, category_id=1, bbox=BBox(1.0, 2.0, 3.0, 4.0), score=0.75),
         Detection(image_id=2, category_id=1, bbox=BBox(0.0, 0.0, 9.5, 2.25), score=0.5),
     )
-    assert parse_detections(write_detections(dets)) == dets
+    assert tuple(parse_detections(write_detections(dets))) == dets
 
 
 def test_parse_detections_checks_references():
@@ -451,4 +454,180 @@ def test_detection_round_trip_property(raw):
         Detection(image_id=1, category_id=1, bbox=BBox(x, y, w, h), score=s)
         for x, y, w, h, s in raw
     )
-    assert parse_detections(write_detections(dets)) == dets
+    assert tuple(parse_detections(write_detections(dets))) == dets
+
+
+def test_write_detections_round_trips_awkward_values_byte_for_byte():
+    # integer fields come back as floats, -0.0 and subnormals keep their sign
+    # and value, and the 64-bit id extremes survive the int64 columns
+    text = json.dumps(
+        [
+            {"image_id": 2**63 - 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 5e-324},
+            {"image_id": -(2**63), "category_id": 7, "bbox": [-0.0, 0, 0.5, 1e-310], "score": -0.0},
+            {"image_id": 3, "category_id": 2, "bbox": [1e300, -1e300, 1e300, 1e-300], "score": 1},
+        ]
+    )
+    assert write_detections(parse_detections(text)) == (
+        '[\n  {\n    "image_id": 9223372036854775807,\n    "category_id": 1,\n'
+        '    "bbox": [\n      1.0,\n      2.0,\n      3.0,\n      4.0\n    ],\n'
+        '    "score": 5e-324\n  },\n  {\n    "image_id": -9223372036854775808,\n'
+        '    "category_id": 7,\n    "bbox": [\n      -0.0,\n      0.0,\n      0.5,\n'
+        '      1e-310\n    ],\n    "score": -0.0\n  },\n  {\n    "image_id": 3,\n'
+        '    "category_id": 2,\n    "bbox": [\n      1e+300,\n      -1e+300,\n'
+        '      1e+300,\n      1e-300\n    ],\n    "score": 1.0\n  }\n]'
+    )
+    huge = json.loads(text)
+    huge[1]["bbox"][0] = 10**400
+    message = "^detection #1: bbox value must be a finite number, got 1000"
+    with pytest.raises(DatasetError, match=message):
+        parse_detections(json.dumps(huge))
+
+
+def test_detections_are_read_only_columns():
+    record = {"image_id": 2, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}
+    dets = parse_detections(json.dumps([record]))
+    assert (dets.image_ids.dtype, dets.category_ids.dtype) == (np.int64, np.int64)
+    assert (dets.scores.dtype, dets.boxes.dtype) == (np.float64, np.float64)
+    assert dets.boxes.shape == (1, 4)
+    record = Detection(image_id=2, category_id=1, bbox=BBox(1.0, 2.0, 3.0, 4.0), score=0.5)
+    assert (len(dets), dets[0], dets[-1]) == (1, record, record)
+    assert tuple(dets) == tuple(dets[:1]) == (record,)
+    assert type(dets[0].image_id) is int and type(dets[0].bbox.x) is float
+    assert dets == Detections.from_records([record]) and dets != Detections.from_records([])
+    with pytest.raises(ValueError, match="read-only"):
+        dets.scores[0] = 0.9
+    with pytest.raises(AttributeError, match="read-only"):
+        dets.scores = np.zeros(1)
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (([1.5], [1], [0.5], [[0, 0, 1, 1]]), "image_ids must be int64 numbers, got float64"),
+        (([1], [True], [0.5], [[0, 0, 1, 1]]), "category_ids must be int64 numbers, got bool"),
+        (([1], [1], ["0.5"], [[0, 0, 1, 1]]), "scores must be float64 numbers"),
+        (([2**63], [1], [0.5], [[0, 0, 1, 1]]), "image_ids must be int64 numbers, got uint64"),
+        (([1, 2], [1], [0.5], [[0, 0, 1, 1]]), "detection columns differ in length"),
+    ],
+)
+def test_detections_refuse_columns_that_would_change_on_the_way(columns, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        Detections(*columns)
+
+
+def _read_record_by_record(doc: object, ds: Dataset | None) -> tuple[Detection, ...]:
+    """A detection list read one record at a time by the scalar checks."""
+    if not isinstance(doc, list):
+        raise DatasetError(f"detections document must be a list, got {type(doc).__name__}")
+    out = []
+    for i, raw in enumerate(doc):
+        what = f"detection #{i}"
+        if not isinstance(raw, dict):
+            raise DatasetError(f"{what} must be an object, got {type(raw).__name__}")
+        if "bbox" not in raw:
+            raise DatasetError(f"{what} missing required field 'bbox'")
+        box = raw["bbox"]
+        if not isinstance(box, list):
+            raise DatasetError(f"{what}: bbox must be a list, got {type(box).__name__}")
+        if len(box) != 4:
+            raise DatasetError(f"{what}: bbox must be a list of four numbers, got {box!r}")
+        fields = []
+        for v in box:
+            _check_number(v, f"{what}: bbox value")
+            try:
+                if math.isfinite(v):
+                    fields.append(float(v))
+                    continue
+            except OverflowError:
+                pass
+            raise DatasetError(f"{what}: bbox value must be a finite number, got {v!r}")
+        try:
+            bbox = BBox(*fields)
+        except DatasetError as exc:
+            raise DatasetError(f"{what}: {exc}") from None
+        for key in ("image_id", "category_id", "score"):
+            if key not in raw:
+                raise DatasetError(f"{what} missing required field {key!r}")
+        score = raw["score"]
+        _check_number(score, f"{what}: score")
+        if not math.isfinite(score):
+            raise DatasetError(f"{what}: score must be a finite number, got {score!r}")
+        det = Detection(raw["image_id"], raw["category_id"], bbox, float(score))
+        if ds is not None and not ds.has_image(det.image_id):
+            raise DatasetError(f"{what} references missing image {det.image_id}")
+        if ds is not None and not ds.has_category(det.category_id):
+            raise DatasetError(f"{what} references missing category {det.category_id}")
+        out.append(det)
+    return tuple(out)
+
+
+def _outcome(read):
+    try:
+        return tuple(read())
+    except DatasetError as exc:
+        return str(exc)
+
+
+# every kind of value a field of a detection file can hold, faults included
+_FIELD = st.one_of(
+    st.sampled_from(
+        [0, 1, 2, 3, -1, 0.5, -0.0, 5e-324, 1e308, -1e308, 2**63 - 1, -(2**63), 2**63, 10**400]
+        + [True, False, "3", None, [], {}]
+    ),
+    st.floats(),
+    st.integers(),
+)
+_RECORD = st.one_of(
+    st.fixed_dictionaries(
+        {"image_id": _FIELD, "category_id": _FIELD, "score": _FIELD},
+        optional={"bbox": st.one_of(st.lists(_FIELD, min_size=3, max_size=5), _FIELD)},
+    ),
+    # a record that holds every field and is valid more often
+    st.builds(
+        lambda i, c, box, s: {"image_id": i, "category_id": c, "bbox": box, "score": s},
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 2]),
+        st.lists(st.sampled_from([0, 1, 2.5, -1, 1e308]) | _FIELD, min_size=4, max_size=4),
+        st.sampled_from([0, 0.5, 1, 1.5]) | _FIELD,
+    ),
+    _FIELD,
+)
+
+
+@given(doc=st.lists(_RECORD, max_size=4), with_dataset=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_column_and_record_checks_agree_on_every_record(doc, with_dataset):
+    # the same verdict, and on failure the same message, whichever form
+    # reads the file
+    ds = _dataset() if with_dataset else None
+    text = json.dumps(doc)
+    assert _outcome(lambda: parse_detections(text, ds)) == _outcome(
+        lambda: _read_record_by_record(json.loads(text), ds)
+    )
+
+
+_NUMBER = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 5e-324, 1e308, -1e308]))
+_ROW = st.tuples(
+    st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1),
+    st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), _NUMBER,
+)
+
+
+@given(rows=st.lists(_ROW, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_detections_columns_agree_with_their_records(rows):
+    # in process, the first row whose record fails names the row and the
+    # record's own error
+    want = None
+    for i, (image_id, category_id, box, score) in enumerate(rows):
+        try:
+            Detection(image_id, category_id, BBox(*box), score)
+        except DatasetError as exc:
+            want = f"detection #{i}: {exc}"
+            break
+    ids, cats, boxes, scores = ([r[k] for r in rows] for k in range(4))
+    got = _outcome(lambda: Detections(ids, cats, scores, boxes))
+    if want is None:
+        assert got == tuple(Detection(i, c, BBox(*b), s) for i, c, b, s in rows)
+    else:
+        assert got == want

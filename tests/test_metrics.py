@@ -18,6 +18,7 @@ from thermeval.coco import (
     Dataset,
     DatasetError,
     Detection,
+    Detections,
     ImageRecord,
     SizeClass,
     classify_size,
@@ -612,6 +613,22 @@ _sweeps = st.one_of(
 def test_evaluate_matches_reference_on_random_corpora(corpus, thresholds, max_dets):
     gt, dets = corpus
     _assert_matches_reference(gt, dets, thresholds, max_dets)
+
+
+@given(
+    corpus=_random_corpus(max_images=4), thresholds=_sweeps, max_dets=st.sampled_from([1, 2, 100])
+)
+@settings(max_examples=100, deadline=None)
+def test_columns_score_as_their_records(corpus, thresholds, max_dets):
+    # the columns a file parses into, or records are turned into, score as
+    # the records do, whatever order the dataset lists its images and
+    # categories in
+    gt, dets = corpus
+    columns = parse_detections(write_detections(dets), gt)
+    assert tuple(columns) == tuple(dets) and columns == Detections.from_records(dets)
+    want = evaluate(gt, tuple(dets), thresholds=thresholds, max_dets=max_dets)
+    assert evaluate(gt, columns, thresholds=thresholds, max_dets=max_dets) == want
+    _assert_matches_reference(gt, columns, thresholds, max_dets)
 
 
 @st.composite

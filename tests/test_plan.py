@@ -167,6 +167,15 @@ def test_plan_rejects_a_negative_seed(seed):
         plan_splits(range(20), 2, 2, seed)
 
 
+def test_read_plan_rejects_a_negative_seed():
+    # plan_splits refuses the seed, so a plan file that holds it is malformed
+    doc = json.loads(write_plan(plan_splits(range(20), 2, 2, seed=3)))
+    doc["seed"] = -1
+    message = "^malformed plan document: seed must be non-negative, got -1$"
+    with pytest.raises(PlanError, match=message):
+        read_plan(json.dumps(doc))
+
+
 def test_plan_rejects_pool_too_small():
     with pytest.raises(PlanError):
         plan_splits(range(20), k_outer=5, k_inner=5)

@@ -329,7 +329,7 @@ def test_perfect_detector_scores_all_ones():
 def test_drop_everything_detector_is_silent():
     corpus = build_corpus(_clean_spec(), n=10, seed=4)
     dets = mock_detect(corpus.dataset, MockDetectorSpec(p_drop=1.0), seed=0)
-    assert dets == ()
+    assert tuple(dets) == ()
 
 
 def test_mock_detect_is_deterministic():
