@@ -550,7 +550,11 @@ def _read_record_by_record(doc: object, ds: Dataset | None) -> tuple[Detection, 
                 raise DatasetError(f"{what} missing required field {key!r}")
         score = raw["score"]
         _check_number(score, f"{what}: score")
-        if not math.isfinite(score):
+        try:
+            finite = math.isfinite(score)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise DatasetError(f"{what}: score must be a finite number, got {score!r}")
         det = Detection(raw["image_id"], raw["category_id"], bbox, float(score))
         if ds is not None and not ds.has_image(det.image_id):

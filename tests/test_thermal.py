@@ -63,8 +63,10 @@ def test_calibration_requires_ordered_range():
         (0.0, np.nan),
         (-1e308, 1e308),  # finite bounds, but the width overflows
         # numpy scalars: the width overflows to inf without a RuntimeWarning
-        (np.float64(-1e308), np.float64(1e308)),
-        (-np.finfo(np.float64).max, np.finfo(np.float64).max),
+        pytest.param(np.float64(-1e308), np.float64(1e308), id="numpy-overflow"),
+        pytest.param(
+            -np.finfo(np.float64).max, np.finfo(np.float64).max, id="numpy-max"
+        ),
     ],
 )
 def test_calibration_requires_finite_range(lo, hi):
