@@ -12,12 +12,13 @@ eligible ground truth report the sentinel -1.  Cells, one (category,
 image) pair each, are visited in (category id, image id) order, as COCO
 does, so the order a file lists them in never moves a score.  What
 ``evaluate`` needs from the ground truth is built once per dataset, on its
-first ``evaluate``, from that dataset's own records, and serves every
-sweep and cap; ``Dataset.subset`` returns one fold per image set, so each
-fold's tables are built once too.  Greedy matching runs for every cell at
-once in steps: a detection that shares no GT with another settles in the
-first step, and contested ones, which do, take one step each per cell in
-score order.  The matching departs from pycocotools in three ways:
+first ``evaluate``, from that dataset's own records; what a threshold
+sweep adds is built once per dataset and sweep.  Both serve every cap.
+``Dataset.subset`` returns one fold per image set, so each fold's tables
+are built once too.  Greedy matching runs for every cell at once in
+steps: a detection that shares no GT with another settles in the first
+step, and contested ones, which do, take one step each per cell in score
+order.  The matching departs from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
@@ -27,7 +28,7 @@ score order.  The matching departs from pycocotools in three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -125,25 +126,28 @@ def _match_cells(
     gt_box: np.ndarray,
     gt_cell: np.ndarray,
     gt_ignore: np.ndarray,
-    thresholds: Sequence[float],
+    thr: np.ndarray,
 ) -> np.ndarray:
     """The greedy matching rule, for every cell, stratum and threshold at once.
 
     Detections (D, 4) come sorted by (cell, score descending, input index)
     and GTs (G, 4) by (cell, id); each row of ``gt_ignore`` (S, G) marks one
-    stratum's ignore regions.  Each detection takes the untaken real GT of
-    its cell with the highest IoU at or above the threshold; failing that,
-    an untaken ignore region, so each region absorbs at most one detection.
-    IoU ties go to the lower annotation id.  Two detections can only
-    affect each other through a GT that both pair with at or above the
-    lowest threshold, and cells share no GT.  So every detection settles
-    in step 0 except the contested ones, which share such a GT: step r
-    settles the r-th contested detection of every cell, in score order.
+    stratum's ignore regions, and ``thr`` (S * T, 1) holds each (stratum,
+    threshold) row's threshold, ascending within a stratum.  Each detection
+    takes the untaken real GT of its cell with the highest IoU at or above
+    the threshold; failing that, an untaken ignore region, so each region
+    absorbs at most one detection.  IoU ties go to the lower annotation id.
+    Two detections can only affect each other through a GT that both pair
+    with at or above the lowest threshold, and cells share no GT.  So every
+    detection settles in step 0 except the contested ones, which share such
+    a GT: step r settles the r-th contested detection of every cell, in
+    score order.  Within one step no two detections share a GT, so the
+    first step finds nothing taken and the last step need mark nothing.
     Each step works on one flat row per (detection, GT) pair.  Returns an
-    int8 outcome per (stratum, threshold, detection): 0 unmatched, 1
-    matched a real GT, 2 absorbed by an ignore region.
+    int8 outcome per (stratum * T + threshold index, detection): 0
+    unmatched, 1 matched a real GT, 2 absorbed by an ignore region.
     """
-    n_rows = len(gt_ignore) * len(thresholds)
+    n_rows = len(thr)
     outcome = np.zeros((n_rows, len(dt_box)), dtype=np.int8)
     first_gt = np.searchsorted(gt_cell, dt_cell, side="left")
     n_gt = np.searchsorted(gt_cell, dt_cell, side="right") - first_gt
@@ -153,7 +157,7 @@ def _match_cells(
     pair_gt = np.arange(len(pair_dt)) + np.repeat(first_gt - (np.cumsum(n_gt) - n_gt), n_gt)
     pair_iou = _pair_iou(dt_box[pair_dt], gt_box[pair_gt])
     # only pairs at or above the lowest threshold can match at all
-    keep = pair_iou >= thresholds[0]
+    keep = pair_iou >= thr[0, 0]
     pair_dt, pair_gt, pair_iou = pair_dt[keep], pair_gt[keep], pair_iou[keep]
 
     # a contested detection shares a GT with another; its step is its rank
@@ -172,24 +176,29 @@ def _match_cells(
     dt_starts = np.flatnonzero(_run_starts(pair_dt))
     seg_bounds = np.searchsorted(dt_starts, bounds)
 
-    # row = stratum * T + threshold index.  A pair in reach keys its
-    # position, plus P for an ignore region; out of reach or taken, 2P.  A
-    # detection's least key is then its first free real GT, else its first
-    # free ignore region, and the key alone gives the outcome code.
+    # A pair in reach keys its position, plus P for an ignore region; out
+    # of reach or taken, 2P.  A detection's least key is then its first
+    # free real GT, else its first free ignore region, and the key alone
+    # gives the outcome code.
     n_pairs = len(pair_gt)
-    thr = np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None]
-    ignored = np.repeat(gt_ignore[:, pair_gt], len(thresholds), axis=0)
+    ignored = np.repeat(gt_ignore[:, pair_gt], n_rows // len(gt_ignore), axis=0)
     pair_key = np.where(pair_iou >= thr, np.arange(n_pairs) + n_pairs * ignored, 2 * n_pairs)
-    taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
-    for lo, hi, s_lo, s_hi in zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:]):
-        free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, pair_key[:, lo:hi])
+    n_steps = len(bounds) - 1
+    taken = np.zeros((n_rows, len(gt_box)), dtype=bool) if n_steps > 1 else None
+    for k, (lo, hi, s_lo, s_hi) in enumerate(
+        zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:])
+    ):
+        free_key = pair_key[:, lo:hi]
+        if k:  # the first step finds nothing taken
+            free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, free_key)
         pick = np.minimum.reduceat(free_key, dt_starts[s_lo:s_hi] - lo, axis=1)
         rows, segs = np.nonzero(pick < 2 * n_pairs)
         key = pick[rows, segs]
         won = key % n_pairs
-        taken[rows, pair_gt[won]] = True
+        if k < n_steps - 1:  # the last step leaves nothing to mark
+            taken[rows, pair_gt[won]] = True
         outcome[rows, pair_dt[won]] = 1 + (key >= n_pairs)
-    return outcome.reshape(len(gt_ignore), len(thresholds), -1)
+    return outcome
 
 
 def _accumulate(
@@ -200,9 +209,11 @@ def _accumulate(
     Each row of ``tps`` and ``fps`` (R, D) flags every capped detection of
     the category in score-descending order, for one (stratum, threshold);
     both are False where it is ignored.  ``n_eligible`` (R,) holds each
-    row's positive eligible GT count, and ``need`` (R, 101) the TP count at
-    which the row's recall first reaches each recall sample.  Returns
-    (precision_samples (R, 101), final_recall (R,)).
+    row's positive eligible GT count.  ``need`` (R, 101) holds, for row r
+    and each recall sample, r * (max(n_eligible) + 1) plus the TP count at
+    which the row's recall first reaches the sample: a flat index into the
+    rows of TP counts.  Returns (precision_samples (R, 101), final_recall
+    (R,)).
     """
     n_rows, n_det = tps.shape
     tp_sum = np.cumsum(tps, axis=1)
@@ -220,9 +231,8 @@ def _accumulate(
     first[:, 0] = 0
     rows, cols = np.nonzero(tps)
     first[rows, tp_sum[rows, cols]] = cols
-    row = np.arange(n_rows)[:, None]
-    prec_samples = envelope[row, first[row, need]]
-    return prec_samples, final_recall
+    row_start = np.arange(0, n_rows * (n_det + 1), n_det + 1)[:, None]
+    return envelope.ravel()[first.ravel()[need] + row_start], final_recall
 
 
 # the size strata in report order: all sizes, small, medium
@@ -251,8 +261,9 @@ class _Columns:
     fold's ids are a subsequence of its parent's, so cells keep their
     order.  Built once per dataset, on its first ``evaluate``; nothing here
     depends on the threshold sweep or ``max_dets``, so one set serves every
-    call.  Only the matching reads ``gt_ignore``: its outcome codes already
-    say which detections an ignore region absorbed.
+    call, and ``sweeps`` keeps what each sweep adds (``_sweep``).  Only the
+    matching reads ``gt_ignore``: its outcome codes already say which
+    detections an ignore region absorbed.
     """
 
     img_ids: np.ndarray  # (I,) sorted
@@ -261,10 +272,11 @@ class _Columns:
     gt_box: np.ndarray  # (G, 4)
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
     defined: np.ndarray  # (S, C) which pairs hold eligible GT
-    # per category with eligible GT: its position, its defined strata, their
-    # eligible counts n, and per stratum the least TP count k with k / n at
-    # or above each recall sample (len(strata), 101)
-    per_category: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    n_defined: tuple[int, ...]  # (S,) how many categories each stratum averages
+    # per category with eligible GT: its position, its defined strata and
+    # their eligible counts
+    per_category: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    sweeps: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _columns(gt: Dataset) -> _Columns:
@@ -290,16 +302,69 @@ def _columns(gt: Dataset) -> _Columns:
     per_category = []
     for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
         strata = np.flatnonzero(n_eligible[:, ci])
-        n = n_eligible[strata, ci]
-        # recall k / n rises with the TP count k, so each recall sample is
-        # first reached at the least k with k / n at or above it
-        need = [np.searchsorted(np.arange(k + 1) / k, _RECALL_SAMPLES) for k in n.tolist()]
-        per_category.append((ci, strata, n, np.stack(need)))
+        per_category.append((ci, strata, n_eligible[strata, ci]))
+    defined = n_eligible > 0
     cols = _Columns(
-        img_ids, cat_ids, gt_cell, gt_box, gt_ignore, n_eligible > 0, tuple(per_category)
+        img_ids,
+        cat_ids,
+        gt_cell,
+        gt_box,
+        gt_ignore,
+        defined,
+        tuple(defined.sum(axis=1).tolist()),
+        tuple(per_category),
     )
     object.__setattr__(gt, "_columns", cols)
     return cols
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What one threshold sweep adds to a dataset's columns.
+
+    Rows are numbered stratum * T + threshold index, as ``_match_cells``
+    numbers them.  Built once per dataset and validated threshold tuple, on
+    the first ``evaluate`` with that sweep, and kept in ``_Columns.sweeps``.
+    """
+
+    thr: np.ndarray  # (S * T, 1) each row's threshold
+    near: np.ndarray  # (2,) the AP50 and AP75 threshold positions, 0 when absent
+    has_near: tuple[bool, bool]
+    # per category with eligible GT: its position, its defined strata, their
+    # rows, each row's eligible count and ``need`` as ``_accumulate`` reads it
+    per_category: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _sweep(cols: _Columns, thresholds: tuple[float, ...]) -> _Sweep:
+    """The tables of one validated sweep on ``cols``' dataset, built on first use.
+
+    They are kept for the dataset's lifetime, so memory grows with the
+    distinct sweeps a caller scores each dataset with.
+    """
+    sweep = cols.sweeps.get(thresholds)
+    if sweep is not None:
+        return sweep
+    n_thr = len(thresholds)
+    per_category = []
+    for ci, strata, n in cols.per_category:
+        rows = (strata[:, None] * n_thr + np.arange(n_thr)).ravel()
+        # recall k / n rises with the TP count k, so each recall sample is
+        # first reached at the least k with k / n at or above it; row r's TP
+        # counts start at r * (max n + 1) in ``_accumulate``'s table
+        need = [np.searchsorted(np.arange(k + 1) / k, _RECALL_SAMPLES) for k in n.tolist()]
+        start = np.arange(len(rows))[:, None] * (n.max() + 1)
+        need = np.repeat(np.stack(need), n_thr, axis=0) + start
+        per_category.append((ci, strata, rows, np.repeat(n, n_thr), need))
+    # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75
+    near = np.abs(np.subtract.outer([0.50, 0.75], thresholds)) < 1e-9
+    sweep = _Sweep(
+        np.tile(np.asarray(thresholds, dtype=np.float64), len(_STRATA))[:, None],
+        near.argmax(axis=1),
+        tuple(near.any(axis=1).tolist()),
+        tuple(per_category),
+    )
+    cols.sweeps[thresholds] = sweep
+    return sweep
 
 
 def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,20 +376,15 @@ def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _corpus_tables(
-    gt: Dataset,
-    dets: Detections,
-    thresholds: Sequence[float],
-    max_dets: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cols: _Columns, sweep: _Sweep, dets: Detections, max_dets: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
-    Detection columns are keyed by cell, beside ``gt``'s prepared ground
-    truth rows.  Every cell is matched in one call for all strata.
-    Returns precision samples (S, C, T, 101), final recall (S, C, T) and
-    which (stratum, category) pairs hold eligible ground truth (S, C); the
-    tables of the other pairs are left 0.
+    Detection columns are keyed by cell, beside the prepared ground truth
+    rows.  Every cell is matched in one call for all strata.  Returns
+    precision samples (S, C, T, 101) and final recall (S, C, T); the tables
+    of (stratum, category) pairs without eligible ground truth are left 0.
     """
-    cols = _columns(gt)
     n_img = len(cols.img_ids)
     dt_img, img_ok = _find(cols.img_ids, dets.image_ids)
     dt_cat, cat_ok = _find(cols.cat_ids, dets.category_ids)
@@ -335,36 +395,33 @@ def _corpus_tables(
             raise DatasetError(f"detection references missing image {dets.image_ids[i]}")
         raise DatasetError(f"detection references missing category {dets.category_ids[i]}")
 
-    # detections by (cell, score descending, input index), capped per cell
+    # detections by (cell, score descending, input index), capped per cell;
+    # no cell holds more than the run
     dt_cell = dt_cat * n_img + dt_img
     order = np.lexsort((-dets.scores, dt_cell))
-    order = order[_rank_in_run(dt_cell[order]) < max_dets]
+    if len(order) > max_dets:
+        order = order[_rank_in_run(dt_cell[order]) < max_dets]
     dt_cell, dt_cat = dt_cell[order], dt_cat[order]
     scores, dt_box = dets.scores[order], dets.boxes[order]
 
-    outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, thresholds)
+    n_thr = len(sweep.thr) // len(_STRATA)
+    outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, sweep.thr)
     # within each category, by score descending; ties stay in cell order
     by_score = np.lexsort((-scores, dt_cat))
-    tps = (outcome == 1)[..., by_score]
-    fps = ((outcome == 0) & ~_outside(dt_box)[:, None, :])[..., by_score]
+    tps = (outcome == 1)[:, by_score]
+    fps = ((outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0))[:, by_score]
 
     # each category's detection column range
     dt_bounds = np.searchsorted(dt_cell, np.arange(len(cols.cat_ids) + 1) * n_img)
-    n_thr = len(thresholds)
     prec = np.zeros((len(_STRATA), len(cols.cat_ids), n_thr, len(_RECALL_SAMPLES)))
     rec = np.zeros(prec.shape[:3])
-    for ci, strata, n, need in cols.per_category:
+    for ci, strata, rows, n, need in sweep.per_category:
         # every defined stratum x threshold of the category in one batch
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
-        p, r = _accumulate(
-            tps[strata, :, cat].reshape(len(strata) * n_thr, -1),
-            fps[strata, :, cat].reshape(len(strata) * n_thr, -1),
-            np.repeat(n, n_thr),
-            np.repeat(need, n_thr, axis=0),
-        )
+        p, r = _accumulate(tps[rows, cat], fps[rows, cat], n, need)
         prec[strata, ci] = p.reshape(len(strata), n_thr, -1)
         rec[strata, ci] = r.reshape(len(strata), n_thr)
-    return prec, rec, cols.defined
+    return prec, rec
 
 
 def evaluate(
@@ -387,31 +444,29 @@ def evaluate(
         raise ValueError(f"max_dets must be a positive integer, got {max_dets!r}")
     if not isinstance(dets, Detections):
         dets = Detections.from_records(dets)
-    prec, rec, defined = _corpus_tables(gt, dets, thresholds, max_dets)
+    cols = _columns(gt)
+    sweep = _sweep(cols, thresholds)
+    prec, rec = _corpus_tables(cols, sweep, dets, max_dets)
 
-    # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75
-    near = np.abs(np.subtract.outer([0.50, 0.75], thresholds)) < 1e-9
-    # (S, 4, C): each category's mean AP, AR, AP50 and AP75 table
-    per_cat = np.stack(
-        [
-            prec.mean(axis=(2, 3)),
-            rec.mean(axis=2),
-            *prec[:, :, near.argmax(axis=1)].mean(axis=3).transpose(2, 0, 1),
-        ],
-        axis=1,
-    )
+    # (S, 4, C): each category's mean AP, AR, AP50 and AP75.  Each mean is
+    # the sum and division ``np.mean`` does, so the floats are its floats.
+    n_thr, n_samples = prec.shape[2:]
+    per_cat = np.empty((len(_STRATA), 4, len(cols.cat_ids)))
+    per_cat[:, 0] = np.add.reduce(prec, axis=(2, 3)) / (n_thr * n_samples)
+    per_cat[:, 1] = np.add.reduce(rec, axis=2) / n_thr
+    per_cat[:, 2:] = np.add.reduce(prec[:, :, sweep.near], axis=3).transpose(0, 2, 1) / n_samples
     # each stratum averages its defined categories; ``compress`` keeps the
     # rows contiguous, so each row sums in the order of a 1-D mean
     (ap, ar, ap50, ap75), (aps, ars, _, _), (apm, arm, _, _) = (
-        np.compress(defined[s], per_cat[s], axis=1).mean(axis=1).tolist()
-        if defined[s].any()
+        (np.add.reduce(np.compress(cols.defined[s], per_cat[s], axis=1), axis=1) / k).tolist()
+        if k
         else [UNDEFINED] * 4
-        for s in range(len(_STRATA))
+        for s, k in enumerate(cols.n_defined)
     )
     return MetricReport(
         ap=ap,
-        ap50=ap50 if near[0].any() else UNDEFINED,
-        ap75=ap75 if near[1].any() else UNDEFINED,
+        ap50=ap50 if sweep.has_near[0] else UNDEFINED,
+        ap75=ap75 if sweep.has_near[1] else UNDEFINED,
         aps=aps,
         apm=apm,
         ar=ar,

@@ -54,19 +54,19 @@ class CalibrationRange:
         for bound in (self.lo, self.hi):
             if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
                 raise ThermalError(f"calibration range bound {bound!r} is not a real number")
-        try:  # an infinite bound or width turns every sample into 0 or NaN
-            with np.errstate(over="ignore"):  # a numpy scalar's width overflows to inf
-                finite = all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo)))
+        lo, hi = (b.item() if isinstance(b, np.generic) else b for b in (self.lo, self.hi))
+        try:  # numpy bounds are Python numbers here, so a float16 or float32 width is a float64
+            finite = all(map(math.isfinite, (lo, hi, hi - lo)))
         except OverflowError:  # an int or Fraction beyond the float range
             raise ThermalError("calibration range bounds and width must fit a float") from None
         if not (self.lo < self.hi):
             raise ThermalError(f"calibration range requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not finite:
+        if not finite:  # an infinite bound or width turns every sample into 0 or NaN
             raise ThermalError(
                 f"calibration range [{self.lo}, {self.hi}] must have finite bounds and width"
             )
         v = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.float64)
-        table = np.floor(255.0 * np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0) + 0.5)
+        table = np.floor(255.0 * np.clip((v - lo) / (hi - lo), 0.0, 1.0) + 0.5)
         object.__setattr__(self, "_table", table.astype(np.uint8))
 
 

@@ -29,10 +29,13 @@ from thermeval.coco import (
     write_detections,
 )
 from thermeval.metrics import (
+    _RECALL_SAMPLES,
     DEFAULT_IOU_THRESHOLDS,
     METRIC_NAMES,
     UNDEFINED,
     MetricReport,
+    _accumulate,
+    _match_cells,
     evaluate,
     iou,
     validate_thresholds,
@@ -325,6 +328,125 @@ def test_match_crowded_cell_with_a_few_contests(max_dets):
     gt = _corpus(anns)
     _assert_matches_reference(gt, dets, list(DEFAULT_IOU_THRESHOLDS), max_dets)
     _assert_matches_reference(gt, dets, [0.3, 0.5, 0.75], max_dets)
+
+
+def _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, threshold):
+    """The matching rule, one detection at a time in the given order.
+
+    Each detection takes the untaken real GT of its cell with the highest
+    IoU at or above the threshold, else the untaken ignore region with the
+    highest; IoU ties go to the lower position.  0 unmatched, 1 matched, 2
+    absorbed.
+    """
+    taken, out = set(), []
+    for box, cell in zip(dt_box, dt_cell):
+        reach = [
+            (iou(_box(*box), _box(*gt_box[g])), -g)
+            for g in range(len(gt_box))
+            if gt_cell[g] == cell and g not in taken
+        ]
+        reach = [(v, g) for v, g in reach if v >= threshold]
+        real = [c for c in reach if not ignore[-c[1]]]
+        pick = max(real or reach, default=None)
+        if pick is None:
+            out.append(0)
+        else:
+            taken.add(-pick[1])
+            out.append(2 if ignore[-pick[1]] else 1)
+    return out
+
+
+def test_match_cells_steps_agree_with_the_greedy_rule():
+    # Cell 0 holds four contested detections, so it settles in four steps:
+    # D1 and D2 share GT 0 (IoU 1 and 9/11), D3 and D4 share GT 1 (9/11
+    # and 2/3).  Region 2 is in reach of D4 alone (9/11; D3 pairs it at
+    # 3/7), so it is contested only in the last step.  Cell 1 beside it
+    # settles in one step: D5 hits GT 3, D6 misses, and region 4 absorbs D7.
+    # In stratum 1, GT 1 is the ignore region and GT 2 is real.
+    gt_box = np.array(
+        [(0, 0, 10, 10), (30, 0, 10, 10), (33, 0, 10, 10), (100, 0, 10, 10), (130, 0, 10, 10)],
+        dtype=float,
+    )
+    gt_cell = np.array([0, 0, 0, 1, 1])
+    gt_ignore = np.array([[0, 0, 1, 0, 1], [0, 1, 0, 0, 1]], dtype=bool)
+    dt_box = np.array(
+        [(0, 0, 10, 10), (1, 0, 10, 10), (29, 0, 10, 10), (32, 0, 10, 10),
+         (100, 0, 10, 10), (200, 0, 10, 10), (131, 0, 10, 10)],
+        dtype=float,
+    )
+    dt_cell = np.array([0, 0, 0, 0, 1, 1, 1])
+    thresholds = [0.5, 0.75, 0.85]
+    thr = np.tile(thresholds, len(gt_ignore))[:, None]
+    got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thr)
+    want = [
+        _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, t)
+        for ignore in gt_ignore
+        for t in thresholds
+    ]
+    np.testing.assert_array_equal(got, want)
+    # D2 finds GT 0 taken in step 1, and D4 finds GT 1 taken in step 3
+    assert want[0] == [1, 0, 1, 2, 1, 0, 2]
+    assert want[3] == [1, 0, 2, 1, 1, 0, 2]  # stratum 1: D4 prefers real GT 2
+    assert want[2] == [1, 0, 0, 0, 1, 0, 0]  # 0.85: only the exact boxes match
+
+
+def _accumulate_2d(tps, fps, n_eligible, need):
+    """``_accumulate`` with the recall samples gathered by (row, column)."""
+    n_rows, n_det = tps.shape
+    tp_sum, fp_sum = np.cumsum(tps, axis=1), np.cumsum(fps, axis=1)
+    pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
+    envelope = np.zeros((n_rows, n_det + 1))
+    envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
+    first = np.full((n_rows, n_eligible.max() + 1), n_det)
+    first[:, 0] = 0
+    for r in range(n_rows):
+        for c in np.flatnonzero(tps[r]):
+            first[r, tp_sum[r, c]] = c
+    row = np.arange(n_rows)[:, None]
+    final = tp_sum[:, -1] / n_eligible if n_det else np.zeros(n_rows)
+    return envelope[row, first[row, need]], final
+
+
+@st.composite
+def _flag_rows(draw):
+    """TP/FP rows (some without a TP, some whose TPs reach the eligible count)."""
+    n_rows, n_det = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    fate = st.lists(st.sampled_from([0, 1, 2]), min_size=n_det, max_size=n_det)
+    codes = np.array([draw(fate) for _ in range(n_rows)], dtype=np.int8).reshape(n_rows, n_det)
+    tps, fps = codes == 1, codes == 2
+    hits = tps.sum(axis=1)
+    n_eligible = np.array([max(h, 1) + draw(st.sampled_from([0, 0, 1, 3])) for h in hits.tolist()])
+    return tps, fps, n_eligible
+
+
+def _check_flat_gather(tps, fps, n_eligible):
+    """``_accumulate`` on flat ``need`` indices equals the 2-D gather; returns its result."""
+    need = np.stack([np.searchsorted(np.arange(k + 1) / k, _RECALL_SAMPLES) for k in n_eligible])
+    flat = need + np.arange(len(need))[:, None] * (n_eligible.max() + 1)
+    got = _accumulate(tps, fps, n_eligible, flat)
+    want = _accumulate_2d(tps, fps, n_eligible, need)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    return got
+
+
+@given(rows=_flag_rows())
+@settings(max_examples=200, deadline=None)
+def test_accumulate_flat_gather_equals_the_2d_gather(rows):
+    _check_flat_gather(*rows)
+
+
+def test_accumulate_flat_gather_edge_rows():
+    no_dets = np.zeros((3, 0), bool)
+    prec, rec = _check_flat_gather(no_dets, no_dets, np.array([1, 2, 5]))
+    assert not prec.any() and not rec.any()
+    # row 0 holds no TP; row 1's two TPs reach its 2 eligible GTs at
+    # precision 2/3, which answers every recall sample
+    tps = np.array([[0, 0, 0], [1, 0, 1]], bool)
+    fps = np.array([[1, 0, 1], [0, 1, 0]], bool)
+    prec, rec = _check_flat_gather(tps, fps, np.array([2, 2]))
+    assert not prec[0].any() and rec.tolist() == [0.0, 1.0]
+    assert prec[1, 51:].tolist() == pytest.approx([2 / 3] * 50)
 
 
 @pytest.mark.parametrize("bad", [0, 1.5, True])
@@ -725,6 +847,27 @@ def test_folds_cut_and_scored_in_any_order_score_as_rebuilt(corpus, data):
         assert evaluate(ds, kept, thresholds=thresholds, max_dets=max_dets) == evaluate(
             rebuilt, kept, thresholds=thresholds, max_dets=max_dets
         )
+
+
+@given(
+    case=_folded_corpus(),
+    sweeps=st.lists(st.tuples(_sweeps, st.sampled_from([1, 2, 100])), min_size=1, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_sweep_tables_do_not_leak_between_sweeps(case, sweeps):
+    # one fold scored under alternating sweeps and caps, the default sweep
+    # twice, scores each time as a fold rebuilt for that call alone
+    _, fold, dets = case
+    kept = [d for d in dets if fold.has_image(d.image_id)]
+    calls = [(None, 100), *sweeps, (None, 2), *sweeps[::-1]]
+    for thresholds, max_dets in calls:
+        rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
+        assert evaluate(fold, kept, thresholds=thresholds, max_dets=max_dets) == evaluate(
+            rebuilt, kept, thresholds=thresholds, max_dets=max_dets
+        )
+    # one table per distinct sweep, whatever the cap
+    distinct = {validate_thresholds(t) for t, _ in calls}
+    assert set(fold._columns.sweeps) == distinct
 
 
 def test_evaluate_matches_reference_at_one_ulp_recall():

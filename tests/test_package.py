@@ -240,3 +240,14 @@ def test_an_unknown_choice_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# the hot-path modules' size budgets: growth here has to pay for itself
+_LINE_BUDGETS = {"metrics.py": 514, "thermal.py": 350}
+
+
+@pytest.mark.parametrize("module, budget", sorted(_LINE_BUDGETS.items()))
+def test_modules_stay_within_their_line_budgets(module, budget):
+    path = Path(thermeval.__file__).parent / module
+    n_lines = len(path.read_text(encoding="utf-8").splitlines())
+    assert n_lines <= budget, f"{module} has {n_lines} lines, over its budget of {budget}"

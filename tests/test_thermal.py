@@ -110,6 +110,20 @@ def test_calibration_bounds_must_fit_a_float(lo, hi):
         CalibrationRange(lo, hi)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (np.float16(-6e4), np.float16(6e4)),  # the float16 width overflows, a float64 one does not
+        (np.float32(-3e38), np.float32(3e38)),
+        (np.float16(-5204.0), np.float16(56960.0)),  # a float16 width would round
+    ],
+    ids=["float16", "float32", "float16-rounded"],
+)
+def test_calibration_takes_a_narrow_width_in_float64(lo, hi):
+    got = normalize_frame(RawFrame(_ALL_SAMPLES), CalibrationRange(lo, hi)).pixels
+    np.testing.assert_array_equal(got, _float_formula(_ALL_SAMPLES, float(lo), float(hi)))
+
+
 def test_calibration_table_leaves_eq_hash_and_repr_alone():
     cal = CalibrationRange(1.0, 2.0)
     assert repr(cal) == "CalibrationRange(lo=1.0, hi=2.0)"
