@@ -288,9 +288,10 @@ class Dataset:
         from each dataset; a 5x5 protocol plan cuts 5 from the corpus.
         """
         wanted = _image_id_set(image_ids)
-        for i in wanted:
-            self.image(i)
         if wanted not in self._folds:
+            # a cached set was checked when it was cut
+            for i in wanted:
+                self.image(i)
             self._folds[wanted] = Dataset(
                 tuple(img for img in self.images if img.id in wanted),
                 tuple(a for a in self.annotations if a.image_id in wanted),

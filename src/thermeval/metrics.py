@@ -15,9 +15,11 @@ does, so the order a file lists them in never moves a score.  What
 first ``evaluate``, from that dataset's own records; what a threshold
 sweep adds is built once per dataset and sweep.  Both serve every cap.
 ``Dataset.subset`` returns one fold per image set, so each fold's tables
-are built once too.  Greedy matching runs for every cell at once in
-steps: a detection that shares no GT with another settles in the first
-step, and contested ones, which do, take one step each per cell in score
+are built once too.  Detections are sorted once, by (category, score
+descending, cell, input index), the order accumulation reads.  Greedy
+matching runs for every cell at once: a detection that shares no GT with
+another settles by comparing its best IoUs with each threshold, and
+contested ones, which do, take one keyed step each per cell in score
 order.  The matching departs from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
@@ -130,24 +132,27 @@ def _match_cells(
 ) -> np.ndarray:
     """The greedy matching rule, for every cell, stratum and threshold at once.
 
-    Detections (D, 4) come sorted by (cell, score descending, input index)
-    and GTs (G, 4) by (cell, id); each row of ``gt_ignore`` (S, G) marks one
-    stratum's ignore regions, and ``thr`` (S * T, 1) holds each (stratum,
-    threshold) row's threshold, ascending within a stratum.  Each detection
-    takes the untaken real GT of its cell with the highest IoU at or above
-    the threshold; failing that, an untaken ignore region, so each region
+    Detections (D, 4) may come in any order that lists each cell's own by
+    score descending, ties in input order; GTs (G, 4) come by (cell, id).
+    Each row of ``gt_ignore`` (S, G) marks one stratum's ignore regions,
+    and ``thr`` (S * T, 1) holds each (stratum, threshold) row's threshold,
+    the same ascending T in every stratum.  Each detection takes the
+    untaken real GT of its cell with the highest IoU at or above the
+    threshold; failing that, an untaken ignore region, so each region
     absorbs at most one detection.  IoU ties go to the lower annotation id.
     Two detections can only affect each other through a GT that both pair
-    with at or above the lowest threshold, and cells share no GT.  So every
-    detection settles in step 0 except the contested ones, which share such
-    a GT: step r settles the r-th contested detection of every cell, in
-    score order.  Within one step no two detections share a GT, so the
-    first step finds nothing taken and the last step need mark nothing.
-    Each step works on one flat row per (detection, GT) pair.  Returns an
-    int8 outcome per (stratum * T + threshold index, detection): 0
-    unmatched, 1 matched a real GT, 2 absorbed by an ignore region.
+    with at or above the lowest threshold, and cells share no GT.  Nothing
+    an uncontested detection reaches is ever taken, so its best real and
+    best ignore IoU per stratum, compared with each threshold, settle it.
+    Contested ones, which share such a GT, then settle in keyed steps over
+    their own pairs: step r settles the r-th contested detection of every
+    cell, ranked by a stable argsort on cell.  Within one step no two
+    detections share a GT, so the first step finds nothing taken and the
+    last step need mark nothing.  Returns an int8 outcome per (stratum * T
+    + threshold index, detection): 0 unmatched, 1 matched a real GT, 2
+    absorbed by an ignore region.
     """
-    n_rows = len(thr)
+    n_rows, n_strata = len(thr), len(gt_ignore)
     outcome = np.zeros((n_rows, len(dt_box)), dtype=np.int8)
     first_gt = np.searchsorted(gt_cell, dt_cell, side="left")
     n_gt = np.searchsorted(gt_cell, dt_cell, side="right") - first_gt
@@ -159,18 +164,37 @@ def _match_cells(
     # only pairs at or above the lowest threshold can match at all
     keep = pair_iou >= thr[0, 0]
     pair_dt, pair_gt, pair_iou = pair_dt[keep], pair_gt[keep], pair_iou[keep]
+    if not len(pair_dt):
+        return outcome
 
-    # a contested detection shares a GT with another; its step is its rank
-    # among its cell's contested detections
+    # every detection with a pair in reach, settled by comparison: per
+    # stratum, its best real IoU, then its best ignore IoU (0, below every
+    # threshold, when it has none) against each threshold
+    ignored = gt_ignore[:, pair_gt]
+    starts = np.flatnonzero(_run_starts(pair_dt))
+    best = np.where(np.vstack((~ignored, ignored)), pair_iou, 0.0)
+    best = np.maximum.reduceat(best, starts, axis=1)
+    hit = (best[:, None, :] >= thr[: n_rows // n_strata]).reshape(2, n_rows, -1)
+    outcome[:, pair_dt[starts]] = np.where(hit[0], 1, 2 * hit[1])
+
+    # a contested detection shares a GT with another; the keyed steps
+    # overwrite its outcome, and its step is its rank among its cell's
+    # contested detections
     contested = np.zeros(len(dt_box), dtype=bool)
     contested[pair_dt[np.bincount(pair_gt, minlength=len(gt_box))[pair_gt] > 1]] = True
+    if not contested.any():
+        return outcome
+    con = np.flatnonzero(contested)
+    con = con[np.argsort(dt_cell[con], kind="stable")]
     dt_step = np.zeros(len(dt_box), dtype=np.intp)
-    dt_step[contested] = _rank_in_run(dt_cell[contested])
+    dt_step[con] = _rank_in_run(dt_cell[con])
+    sel = contested[pair_dt]
+    pair_dt, pair_gt, pair_iou = pair_dt[sel], pair_gt[sel], pair_iou[sel]
     step = dt_step[pair_dt]
     # by step and detection, then IoU descending; ties keep GT id order
     order = np.lexsort((-pair_iou, pair_dt, step))
     pair_dt, pair_gt, pair_iou, step = (a[order] for a in (pair_dt, pair_gt, pair_iou, step))
-    bounds = np.searchsorted(step, np.arange(step.max(initial=-1) + 2))
+    bounds = np.searchsorted(step, np.arange(step[-1] + 2))
     # every step begins a detection's pairs: its detections are those from
     # ``seg_bounds[k]`` on, each starting at ``dt_starts``
     dt_starts = np.flatnonzero(_run_starts(pair_dt))
@@ -181,10 +205,10 @@ def _match_cells(
     # free real GT, else its first free ignore region, and the key alone
     # gives the outcome code.
     n_pairs = len(pair_gt)
-    ignored = np.repeat(gt_ignore[:, pair_gt], n_rows // len(gt_ignore), axis=0)
+    ignored = np.repeat(gt_ignore[:, pair_gt], n_rows // n_strata, axis=0)
     pair_key = np.where(pair_iou >= thr, np.arange(n_pairs) + n_pairs * ignored, 2 * n_pairs)
     n_steps = len(bounds) - 1
-    taken = np.zeros((n_rows, len(gt_box)), dtype=bool) if n_steps > 1 else None
+    taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
     for k, (lo, hi, s_lo, s_hi) in enumerate(
         zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:])
     ):
@@ -192,12 +216,11 @@ def _match_cells(
         if k:  # the first step finds nothing taken
             free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, free_key)
         pick = np.minimum.reduceat(free_key, dt_starts[s_lo:s_hi] - lo, axis=1)
-        rows, segs = np.nonzero(pick < 2 * n_pairs)
-        key = pick[rows, segs]
-        won = key % n_pairs
+        free = pick < 2 * n_pairs
+        outcome[:, pair_dt[dt_starts[s_lo:s_hi]]] = np.where(free, 1 + (pick >= n_pairs), 0)
         if k < n_steps - 1:  # the last step leaves nothing to mark
-            taken[rows, pair_gt[won]] = True
-        outcome[rows, pair_dt[won]] = 1 + (key >= n_pairs)
+            rows, segs = np.nonzero(free)
+            taken[rows, pair_gt[pick[rows, segs] % n_pairs]] = True
     return outcome
 
 
@@ -380,10 +403,12 @@ def _corpus_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
-    Detection columns are keyed by cell, beside the prepared ground truth
-    rows.  Every cell is matched in one call for all strata.  Returns
-    precision samples (S, C, T, 101) and final recall (S, C, T); the tables
-    of (stratum, category) pairs without eligible ground truth are left 0.
+    Detections are sorted once, by (category, score descending, cell,
+    input index): the order accumulation reads, in which each cell's own
+    come in score order, as matching needs.  Every cell is matched in one
+    call for all strata.  Returns precision samples (S, C, T, 101) and
+    final recall (S, C, T); the tables of (stratum, category) pairs without
+    eligible ground truth are left 0.
     """
     n_img = len(cols.img_ids)
     dt_img, img_ok = _find(cols.img_ids, dets.image_ids)
@@ -395,24 +420,22 @@ def _corpus_tables(
             raise DatasetError(f"detection references missing image {dets.image_ids[i]}")
         raise DatasetError(f"detection references missing category {dets.category_ids[i]}")
 
-    # detections by (cell, score descending, input index), capped per cell;
-    # no cell holds more than the run
+    # the cap keeps each cell's first ``max_dets`` in this order; no cell
+    # holds more than the run
     dt_cell = dt_cat * n_img + dt_img
-    order = np.lexsort((-dets.scores, dt_cell))
+    order = np.lexsort((dt_cell, -dets.scores, dt_cat))
     if len(order) > max_dets:
-        order = order[_rank_in_run(dt_cell[order]) < max_dets]
-    dt_cell, dt_cat = dt_cell[order], dt_cat[order]
-    scores, dt_box = dets.scores[order], dets.boxes[order]
+        by_cell = np.argsort(dt_cell[order], kind="stable")
+        order = order[np.sort(by_cell[_rank_in_run(dt_cell[order][by_cell]) < max_dets])]
+    dt_cell, dt_cat, dt_box = dt_cell[order], dt_cat[order], dets.boxes[order]
 
     n_thr = len(sweep.thr) // len(_STRATA)
     outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, sweep.thr)
-    # within each category, by score descending; ties stay in cell order
-    by_score = np.lexsort((-scores, dt_cat))
-    tps = (outcome == 1)[:, by_score]
-    fps = ((outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0))[:, by_score]
+    tps = outcome == 1
+    fps = (outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0)
 
     # each category's detection column range
-    dt_bounds = np.searchsorted(dt_cell, np.arange(len(cols.cat_ids) + 1) * n_img)
+    dt_bounds = np.searchsorted(dt_cat, np.arange(len(cols.cat_ids) + 1))
     prec = np.zeros((len(_STRATA), len(cols.cat_ids), n_thr, len(_RECALL_SAMPLES)))
     rec = np.zeros(prec.shape[:3])
     for ci, strata, rows, n, need in sweep.per_category:

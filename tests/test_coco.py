@@ -225,6 +225,21 @@ def test_subset_returns_one_fold_per_image_set():
     assert filter_small_objects(ds).subset([1, 2]) is not fold
 
 
+def test_subset_checks_ids_when_it_cuts_a_new_fold():
+    # ids are checked on a new image set only; a set holding an unknown id
+    # is never cached, so it fails the same way however many folds are
+    ds = _dataset([_ann(1), _ann(2, image_id=2), _ann(3, image_id=3)], n_images=3)
+    for _ in range(2):
+        with pytest.raises(DatasetError, match=r"^unknown image id 9$"):
+            ds.subset([2, 9])
+        fold = ds.subset([1, 3])
+        assert ds.subset([3, 1]) is fold and ds.subset([1, 3, 3]) is fold
+        assert fold.subset([3]) is fold.subset([3])
+        with pytest.raises(DatasetError, match=r"^unknown image id 2$"):
+            fold.subset([3, 2])
+    assert set(ds._folds) == {frozenset({1, 3})}
+
+
 @st.composite
 def _fold_chain(draw):
     """A random dataset (ids listed out of order, annotations of different

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -356,13 +357,58 @@ def _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, threshold):
     return out
 
 
+def _random_cells(rng):
+    """Cells 0-3 of categories 0 and 1, on a coarse grid, their detections
+    in (category, score descending, cell, input index) order.
+
+    Detections copy or nudge their cell's GTs, so some share a GT and
+    others reach one alone; scores tie across cells and categories, and
+    the thresholds are IoUs that pairs take, so exact hits are common.
+    """
+    gt_box, gt_cell, dt_box, dt_cell = [], [], [], []
+    for cell in range(rng.integers(1, 5)):
+        n_gt = rng.integers(1, 5)
+        gt_box += [8 * rng.integers((0, 0, 1, 1), (6, 6, 4, 4)) for _ in range(n_gt)]
+        gt_cell += [cell] * n_gt
+        for _ in range(rng.integers(0, 7)):
+            dt_box.append(gt_box[-1 - rng.integers(n_gt)] + 4 * rng.integers(-1, 2, 4))
+            dt_cell.append(cell)
+    gt_box, dt_box = np.array(gt_box, dtype=float), np.array(dt_box, dtype=float).reshape(-1, 4)
+    gt_cell, dt_cell = np.array(gt_cell), np.array(dt_cell, dtype=np.intp)
+    scores = rng.choice([0.3, 0.5, 0.9], len(dt_box))
+    order = np.lexsort((dt_cell, -scores, dt_cell // 2))
+    reached = {
+        iou(_box(*d), _box(*g))
+        for d, dc in zip(dt_box, dt_cell)
+        for g, gc in zip(gt_box, gt_cell)
+        if dc == gc
+    } - {0.0}
+    thresholds = sorted(rng.choice(sorted(reached), min(len(reached), 3), replace=False).tolist())
+    gt_ignore = rng.random((3, len(gt_box))) < 0.3
+    return dt_box[order], dt_cell[order], gt_box, gt_cell, gt_ignore, thresholds or [0.5]
+
+
+def _contested(dt_box, dt_cell, gt_box, gt_cell, threshold):
+    """Which detections share a GT of their cell in reach with another."""
+    reach = [
+        {
+            g
+            for g in range(len(gt_box))
+            if gt_cell[g] == c and iou(_box(*d), _box(*gt_box[g])) >= threshold
+        }
+        for d, c in zip(dt_box, dt_cell)
+    ]
+    return [any(r & o for j, o in enumerate(reach) if j != i) for i, r in enumerate(reach)]
+
+
 def test_match_cells_steps_agree_with_the_greedy_rule():
-    # Cell 0 holds four contested detections, so it settles in four steps:
-    # D1 and D2 share GT 0 (IoU 1 and 9/11), D3 and D4 share GT 1 (9/11
-    # and 2/3).  Region 2 is in reach of D4 alone (9/11; D3 pairs it at
-    # 3/7), so it is contested only in the last step.  Cell 1 beside it
-    # settles in one step: D5 hits GT 3, D6 misses, and region 4 absorbs D7.
-    # In stratum 1, GT 1 is the ignore region and GT 2 is real.
+    # Cell 0 holds four contested detections, so it settles in four keyed
+    # steps: D1 and D2 share GT 0 (IoU 1 and 9/11), D3 and D4 share GT 1
+    # (9/11 and 2/3).  Region 2 is in reach of D4 alone (9/11; D3 pairs it
+    # at 3/7), so it is contested only in the last step.  Cell 1 beside it
+    # is uncontested and settles by comparison: D5 hits GT 3, D6 misses,
+    # and region 4 absorbs D7.  In stratum 1, GT 1 is the ignore region and
+    # GT 2 is real.
     gt_box = np.array(
         [(0, 0, 10, 10), (30, 0, 10, 10), (33, 0, 10, 10), (100, 0, 10, 10), (130, 0, 10, 10)],
         dtype=float,
@@ -388,6 +434,29 @@ def test_match_cells_steps_agree_with_the_greedy_rule():
     assert want[0] == [1, 0, 1, 2, 1, 0, 2]
     assert want[3] == [1, 0, 2, 1, 1, 0, 2]  # stratum 1: D4 prefers real GT 2
     assert want[2] == [1, 0, 0, 0, 1, 0, 0]  # 0.85: only the exact boxes match
+
+    # Random cells, where contested and uncontested detections share one
+    # call and one cell and an uncontested one can reach an ignore region.
+    # Count that both happen.
+    seen = {"mixed cell": 0, "uncontested absorbed": 0}
+    for seed in range(150):
+        dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thresholds = _random_cells(
+            np.random.default_rng(seed)
+        )
+        thr = np.tile(thresholds, len(gt_ignore))[:, None]
+        got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thr)
+        want = [
+            _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, t)
+            for ignore in gt_ignore
+            for t in thresholds
+        ]
+        want = np.array(want).reshape(got.shape)
+        np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+        contested = np.array(_contested(dt_box, dt_cell, gt_box, gt_cell, thresholds[0]), bool)
+        mixed = set(dt_cell[contested].tolist()) & set(dt_cell[~contested].tolist())
+        seen["mixed cell"] += bool(mixed)
+        seen["uncontested absorbed"] += bool((got[:, ~contested] == 2).any())
+    assert min(seen.values()) >= 10, seen
 
 
 def _accumulate_2d(tps, fps, n_eligible, need):
@@ -933,3 +1002,89 @@ def _dense_corpus(seed):
 def test_evaluate_matches_reference_on_a_dense_cell(max_dets):
     gt, dets = _dense_corpus(seed=7)
     _assert_matches_reference(gt, dets, list(DEFAULT_IOU_THRESHOLDS), max_dets)
+
+
+# -- parity with the stored reports of the evaluator before comparison
+# settling and the single detection order (commit 949f25a)
+
+_SIDES = (8, 16, 24, 40, 64, 120)  # small, medium and large boxes
+_NUDGE = (-4, 0, 4)
+_PARITY_SWEEPS = (None, [0.3, 0.5, 0.75, 0.9])
+_PARITY_CAPS = (1, 2, 3, 100)
+
+
+def _tied_corpus(seed):
+    """A seeded corpus whose detection scores tie across cells and categories.
+
+    Up to 4 images and 3 categories, listed out of order.  Each cell holds
+    up to 5 GTs on an 8 px grid (one in six an ignore region) and up to 8
+    detections, most of which copy or nudge one of its GTs, so several
+    share one; the detections are listed shuffled.  ``random.Random``
+    draws the same corpus on every platform and numpy version.
+    """
+    rnd = random.Random(seed)
+
+    def grid_box():
+        return _box(8 * rnd.randint(0, 30), 8 * rnd.randint(0, 30), *rnd.choices(_SIDES, k=2))
+
+    n_img, n_cat = rnd.randint(1, 4), rnd.randint(1, 3)
+    placed, dets = [], []
+    for img in range(1, n_img + 1):
+        for cat in range(1, n_cat + 1):
+            boxes = [grid_box() for _ in range(rnd.randint(0, 5))]
+            placed += [(img, cat, b, rnd.random() < 1 / 6) for b in boxes]
+            for _ in range(rnd.randint(0, 8)):
+                if boxes and rnd.random() < 0.8:
+                    b = rnd.choice(boxes)
+                    dx, dy, dw, dh = rnd.choices(_NUDGE, k=4)
+                    b = _box(b.x + dx, b.y + dy, b.w + dw, b.h + dh)
+                else:
+                    b = grid_box()
+                score = rnd.choice((0.3, 0.5, 0.5, 0.7, 0.9))
+                dets.append(Detection(image_id=img, category_id=cat, bbox=b, score=score))
+    rnd.shuffle(dets)
+    ids = rnd.sample(range(1, len(placed) + 1), len(placed))
+    gt = Dataset(
+        images=tuple(
+            ImageRecord(id=i, file_name=f"f{i}.raw", width=640, height=480)
+            for i in rnd.sample(range(1, n_img + 1), n_img)
+        ),
+        annotations=tuple(
+            AnnotationRecord(id=a, image_id=i, category_id=c, bbox=b, ignore=ig)
+            for a, (i, c, b, ig) in zip(ids, placed)
+        ),
+        categories=tuple(
+            CategoryRecord(id=c, name=f"c{c}") for c in rnd.sample(range(1, n_cat + 1), n_cat)
+        ),
+    )
+    return gt, dets
+
+
+def _parity_reports(gt, dets):
+    """Each sweep's and cap's report on one corpus, as lists of floats."""
+    return [
+        [getattr(evaluate(gt, dets, thresholds=t, max_dets=cap), m) for m in METRIC_NAMES]
+        for t in _PARITY_SWEEPS
+        for cap in _PARITY_CAPS
+    ]
+
+
+def test_evaluate_reports_equal_the_stored_reports_on_tied_corpora():
+    # every float of every report is == the one the evaluator gave before
+    # its matching was reworked; ties in score across cells and categories
+    # decide the order accumulation reads, and caps 1-3 cut most cells
+    stored = json.loads((DATA / "evaluate_parity.json").read_text())
+    assert stored["metrics"] == list(METRIC_NAMES)
+    assert stored["sweeps"] == list(_PARITY_SWEEPS) and stored["caps"] == list(_PARITY_CAPS)
+    seen = {"tied across cells": 0, "tied across categories": 0, "cut by cap 3": 0}
+    for seed, want in enumerate(stored["reports"]):
+        gt, dets = _tied_corpus(seed)
+        assert _parity_reports(gt, dets) == want, f"corpus {seed}"
+        cells = {}
+        for d in dets:
+            cells.setdefault(d.score, []).append((d.image_id, d.category_id))
+        seen["tied across cells"] += any(len(set(c)) > 1 for c in cells.values())
+        seen["tied across categories"] += any(len({k for _, k in c}) > 1 for c in cells.values())
+        per_cell = [c for same_score in cells.values() for c in same_score]
+        seen["cut by cap 3"] += any(per_cell.count(c) > 3 for c in per_cell)
+    assert len(stored["reports"]) == 40 and min(seen.values()) >= 20, seen
