@@ -230,11 +230,14 @@ class Dataset:
         init=False, repr=False, compare=False, default=None
     )
     # the folds cut from this dataset by image set, and the evaluation
-    # tables ``metrics`` prepares once per dataset
+    # tables ``metrics`` prepares once per dataset and threshold sweep,
+    # keyed by the validated threshold tuple
     _folds: dict[frozenset[int], Dataset] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _columns: object = field(init=False, repr=False, compare=False, default=None)
+    _columns: dict[tuple[float, ...], object] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
@@ -259,6 +262,7 @@ class Dataset:
         object.__setattr__(self, "_image_index", image_index)
         object.__setattr__(self, "_category_index", category_index)
         object.__setattr__(self, "_folds", {})
+        object.__setattr__(self, "_columns", {})
 
     def __len__(self) -> int:
         return len(self.images)
@@ -537,10 +541,13 @@ class Detections(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[Detection]) -> Detections:
-        """The columns of ``Detection`` records, in their order."""
+        """The columns of ``Detection`` records, in their order; anything else is refused."""
         import numpy as np
 
         records = tuple(records)
+        for i, d in enumerate(records):
+            if not isinstance(d, Detection):
+                raise DatasetError(f"detection #{i} must be a Detection, got {type(d).__name__}")
         return cls(
             [d.image_id for d in records],
             [d.category_id for d in records],
@@ -612,12 +619,13 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> Detections
         raw = _as_dict(raw, f"detection #{i}")
         what = f"detection #{i}"
         bbox = _parse_bbox(_require(raw, "bbox", what), what)
-        det = Detection(
-            image_id=_require(raw, "image_id", what),
-            category_id=_require(raw, "category_id", what),
-            bbox=bbox,
-            score=_json_number(_require(raw, "score", what), f"{what}: score"),
-        )
+        image_id = _require(raw, "image_id", what)
+        category_id = _require(raw, "category_id", what)
+        score = _json_number(_require(raw, "score", what), f"{what}: score")
+        try:
+            det = Detection(image_id, category_id, bbox, score)
+        except DatasetError as exc:
+            raise DatasetError(f"{what}: {exc}") from None
         if ds is not None:
             if not ds.has_image(det.image_id):
                 raise DatasetError(f"{what} references missing image {det.image_id}")

@@ -11,16 +11,16 @@ detection whose own area falls outside the stratum.  Strata with no
 eligible ground truth report the sentinel -1.  Cells, one (category,
 image) pair each, are visited in (category id, image id) order, as COCO
 does, so the order a file lists them in never moves a score.  What
-``evaluate`` needs from the ground truth is built once per dataset, on its
-first ``evaluate``, from that dataset's own records; what a threshold
-sweep adds is built once per dataset and sweep.  Both serve every cap.
-``Dataset.subset`` returns one fold per image set, so each fold's tables
-are built once too.  Detections are sorted once, by (category, score
-descending, cell, input index), the order accumulation reads.  Greedy
-matching runs for every cell at once: a detection that shares no GT with
-another settles by comparing its best IoUs with each threshold, and
-contested ones, which do, take one keyed step each per cell in score
-order.  The matching departs from pycocotools in three ways:
+``evaluate`` needs from the ground truth under a threshold sweep is one
+table, built once per dataset and sweep, on its first ``evaluate``, from
+that dataset's own records; it serves every cap.  ``Dataset.subset``
+returns one fold per image set, so each fold's tables are built once
+too.  Detections are sorted once, by (category, score descending, cell,
+input index), the order accumulation reads.  Greedy matching runs for
+every cell at once: a detection that shares no GT with another settles
+by comparing its best IoUs with each threshold, and contested ones,
+which do, take one keyed step each per cell in score order.  The
+matching departs from pycocotools in three ways:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
@@ -30,7 +30,7 @@ order.  The matching departs from pycocotools in three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -146,11 +146,9 @@ def _match_cells(
     best ignore IoU per stratum, compared with each threshold, settle it.
     Contested ones, which share such a GT, then settle in keyed steps over
     their own pairs: step r settles the r-th contested detection of every
-    cell, ranked by a stable argsort on cell.  Within one step no two
-    detections share a GT, so the first step finds nothing taken and the
-    last step need mark nothing.  Returns an int8 outcome per (stratum * T
-    + threshold index, detection): 0 unmatched, 1 matched a real GT, 2
-    absorbed by an ignore region.
+    cell, ranked by a stable argsort on cell.  Returns an int8 outcome per
+    (stratum * T + threshold index, detection): 0 unmatched, 1 matched a
+    real GT, 2 absorbed by an ignore region.
     """
     n_rows, n_strata = len(thr), len(gt_ignore)
     outcome = np.zeros((n_rows, len(dt_box)), dtype=np.int8)
@@ -207,20 +205,14 @@ def _match_cells(
     n_pairs = len(pair_gt)
     ignored = np.repeat(gt_ignore[:, pair_gt], n_rows // n_strata, axis=0)
     pair_key = np.where(pair_iou >= thr, np.arange(n_pairs) + n_pairs * ignored, 2 * n_pairs)
-    n_steps = len(bounds) - 1
     taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
-    for k, (lo, hi, s_lo, s_hi) in enumerate(
-        zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:])
-    ):
-        free_key = pair_key[:, lo:hi]
-        if k:  # the first step finds nothing taken
-            free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, free_key)
+    for lo, hi, s_lo, s_hi in zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:]):
+        free_key = np.where(taken[:, pair_gt[lo:hi]], 2 * n_pairs, pair_key[:, lo:hi])
         pick = np.minimum.reduceat(free_key, dt_starts[s_lo:s_hi] - lo, axis=1)
         free = pick < 2 * n_pairs
         outcome[:, pair_dt[dt_starts[s_lo:s_hi]]] = np.where(free, 1 + (pick >= n_pairs), 0)
-        if k < n_steps - 1:  # the last step leaves nothing to mark
-            rows, segs = np.nonzero(free)
-            taken[rows, pair_gt[pick[rows, segs] % n_pairs]] = True
+        rows, segs = np.nonzero(free)
+        taken[rows, pair_gt[pick[rows, segs] % n_pairs]] = True
     return outcome
 
 
@@ -275,18 +267,19 @@ def _outside(box: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Columns:
-    """A dataset's ground truth as ``evaluate`` reads it, by (cell, id).
+class _Tables:
+    """A dataset's ground truth as ``evaluate`` reads it under one sweep.
 
     A cell, one (category, image) pair, is numbered category position *
-    image count + image position, positions in the dataset's own id order.
-    Every dataset, a fold too, builds its rows from its own records: a
-    fold's ids are a subsequence of its parent's, so cells keep their
-    order.  Built once per dataset, on its first ``evaluate``; nothing here
-    depends on the threshold sweep or ``max_dets``, so one set serves every
-    call, and ``sweeps`` keeps what each sweep adds (``_sweep``).  Only the
-    matching reads ``gt_ignore``: its outcome codes already say which
-    detections an ignore region absorbed.
+    image count + image position, positions in the dataset's own id order;
+    GT rows come by (cell, id).  Every dataset, a fold too, builds its rows
+    from its own records: a fold's ids are a subsequence of its parent's,
+    so cells keep their order.  Rows of ``thr`` and each category's
+    ``rows`` are numbered stratum * T + threshold index, as
+    ``_match_cells`` numbers them.  Nothing here depends on ``max_dets``,
+    so one table serves every cap.  Only the matching reads ``gt_ignore``:
+    its outcome codes already say which detections an ignore region
+    absorbed.
     """
 
     img_ids: np.ndarray  # (I,) sorted
@@ -296,16 +289,23 @@ class _Columns:
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
     defined: np.ndarray  # (S, C) which pairs hold eligible GT
     n_defined: tuple[int, ...]  # (S,) how many categories each stratum averages
-    # per category with eligible GT: its position, its defined strata and
-    # their eligible counts
-    per_category: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    sweeps: dict = field(default_factory=dict, repr=False, compare=False)
+    thr: np.ndarray  # (S * T, 1) each row's threshold
+    near: np.ndarray  # (2,) the AP50 and AP75 threshold positions, 0 when absent
+    has_near: tuple[bool, bool]
+    # per category with eligible GT: its position, its defined strata, their
+    # rows, each row's eligible count and ``need`` as ``_accumulate`` reads it
+    per_category: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _columns(gt: Dataset) -> _Columns:
-    """The evaluation columns of ``gt``, built on first use."""
-    if gt._columns is not None:
-        return gt._columns
+def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
+    """The tables of ``gt`` under one validated sweep, built on first use.
+
+    They are kept in ``gt._columns`` for the dataset's lifetime, so memory
+    grows with the distinct sweeps a caller scores each dataset with.
+    """
+    tables = gt._columns.get(thresholds)
+    if tables is not None:
+        return tables
     img_ids = np.sort(np.array([img.id for img in gt.images], dtype=np.int64))
     cat_ids = np.sort(np.array([cat.id for cat in gt.categories], dtype=np.int64))
     anns = gt.annotations
@@ -322,54 +322,11 @@ def _columns(gt: Dataset) -> _Columns:
     eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
     np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
     n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
+    n_thr = len(thresholds)
     per_category = []
     for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
         strata = np.flatnonzero(n_eligible[:, ci])
-        per_category.append((ci, strata, n_eligible[strata, ci]))
-    defined = n_eligible > 0
-    cols = _Columns(
-        img_ids,
-        cat_ids,
-        gt_cell,
-        gt_box,
-        gt_ignore,
-        defined,
-        tuple(defined.sum(axis=1).tolist()),
-        tuple(per_category),
-    )
-    object.__setattr__(gt, "_columns", cols)
-    return cols
-
-
-@dataclass(frozen=True)
-class _Sweep:
-    """What one threshold sweep adds to a dataset's columns.
-
-    Rows are numbered stratum * T + threshold index, as ``_match_cells``
-    numbers them.  Built once per dataset and validated threshold tuple, on
-    the first ``evaluate`` with that sweep, and kept in ``_Columns.sweeps``.
-    """
-
-    thr: np.ndarray  # (S * T, 1) each row's threshold
-    near: np.ndarray  # (2,) the AP50 and AP75 threshold positions, 0 when absent
-    has_near: tuple[bool, bool]
-    # per category with eligible GT: its position, its defined strata, their
-    # rows, each row's eligible count and ``need`` as ``_accumulate`` reads it
-    per_category: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def _sweep(cols: _Columns, thresholds: tuple[float, ...]) -> _Sweep:
-    """The tables of one validated sweep on ``cols``' dataset, built on first use.
-
-    They are kept for the dataset's lifetime, so memory grows with the
-    distinct sweeps a caller scores each dataset with.
-    """
-    sweep = cols.sweeps.get(thresholds)
-    if sweep is not None:
-        return sweep
-    n_thr = len(thresholds)
-    per_category = []
-    for ci, strata, n in cols.per_category:
+        n = n_eligible[strata, ci]
         rows = (strata[:, None] * n_thr + np.arange(n_thr)).ravel()
         # recall k / n rises with the TP count k, so each recall sample is
         # first reached at the least k with k / n at or above it; row r's TP
@@ -378,16 +335,24 @@ def _sweep(cols: _Columns, thresholds: tuple[float, ...]) -> _Sweep:
         start = np.arange(len(rows))[:, None] * (n.max() + 1)
         need = np.repeat(np.stack(need), n_thr, axis=0) + start
         per_category.append((ci, strata, rows, np.repeat(n, n_thr), need))
+    defined = n_eligible > 0
     # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75
     near = np.abs(np.subtract.outer([0.50, 0.75], thresholds)) < 1e-9
-    sweep = _Sweep(
+    tables = _Tables(
+        img_ids,
+        cat_ids,
+        gt_cell,
+        gt_box,
+        gt_ignore,
+        defined,
+        tuple(defined.sum(axis=1).tolist()),
         np.tile(np.asarray(thresholds, dtype=np.float64), len(_STRATA))[:, None],
         near.argmax(axis=1),
         tuple(near.any(axis=1).tolist()),
         tuple(per_category),
     )
-    cols.sweeps[thresholds] = sweep
-    return sweep
+    gt._columns[thresholds] = tables
+    return tables
 
 
 def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +364,7 @@ def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _corpus_tables(
-    cols: _Columns, sweep: _Sweep, dets: Detections, max_dets: int
+    tab: _Tables, dets: Detections, max_dets: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per stratum and category: precision samples and final recall.
 
@@ -410,9 +375,9 @@ def _corpus_tables(
     final recall (S, C, T); the tables of (stratum, category) pairs without
     eligible ground truth are left 0.
     """
-    n_img = len(cols.img_ids)
-    dt_img, img_ok = _find(cols.img_ids, dets.image_ids)
-    dt_cat, cat_ok = _find(cols.cat_ids, dets.category_ids)
+    n_img = len(tab.img_ids)
+    dt_img, img_ok = _find(tab.img_ids, dets.image_ids)
+    dt_cat, cat_ok = _find(tab.cat_ids, dets.category_ids)
     bad = ~(img_ok & cat_ok)
     if bad.any():
         i = int(np.argmax(bad))
@@ -429,16 +394,16 @@ def _corpus_tables(
         order = order[np.sort(by_cell[_rank_in_run(dt_cell[order][by_cell]) < max_dets])]
     dt_cell, dt_cat, dt_box = dt_cell[order], dt_cat[order], dets.boxes[order]
 
-    n_thr = len(sweep.thr) // len(_STRATA)
-    outcome = _match_cells(dt_box, dt_cell, cols.gt_box, cols.gt_cell, cols.gt_ignore, sweep.thr)
+    n_thr = len(tab.thr) // len(_STRATA)
+    outcome = _match_cells(dt_box, dt_cell, tab.gt_box, tab.gt_cell, tab.gt_ignore, tab.thr)
     tps = outcome == 1
     fps = (outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0)
 
     # each category's detection column range
-    dt_bounds = np.searchsorted(dt_cat, np.arange(len(cols.cat_ids) + 1))
-    prec = np.zeros((len(_STRATA), len(cols.cat_ids), n_thr, len(_RECALL_SAMPLES)))
+    dt_bounds = np.searchsorted(dt_cat, np.arange(len(tab.cat_ids) + 1))
+    prec = np.zeros((len(_STRATA), len(tab.cat_ids), n_thr, len(_RECALL_SAMPLES)))
     rec = np.zeros(prec.shape[:3])
-    for ci, strata, rows, n, need in sweep.per_category:
+    for ci, strata, rows, n, need in tab.per_category:
         # every defined stratum x threshold of the category in one batch
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
         p, r = _accumulate(tps[rows, cat], fps[rows, cat], n, need)
@@ -467,29 +432,28 @@ def evaluate(
         raise ValueError(f"max_dets must be a positive integer, got {max_dets!r}")
     if not isinstance(dets, Detections):
         dets = Detections.from_records(dets)
-    cols = _columns(gt)
-    sweep = _sweep(cols, thresholds)
-    prec, rec = _corpus_tables(cols, sweep, dets, max_dets)
+    tab = _tables(gt, thresholds)
+    prec, rec = _corpus_tables(tab, dets, max_dets)
 
     # (S, 4, C): each category's mean AP, AR, AP50 and AP75.  Each mean is
     # the sum and division ``np.mean`` does, so the floats are its floats.
     n_thr, n_samples = prec.shape[2:]
-    per_cat = np.empty((len(_STRATA), 4, len(cols.cat_ids)))
+    per_cat = np.empty((len(_STRATA), 4, len(tab.cat_ids)))
     per_cat[:, 0] = np.add.reduce(prec, axis=(2, 3)) / (n_thr * n_samples)
     per_cat[:, 1] = np.add.reduce(rec, axis=2) / n_thr
-    per_cat[:, 2:] = np.add.reduce(prec[:, :, sweep.near], axis=3).transpose(0, 2, 1) / n_samples
+    per_cat[:, 2:] = np.add.reduce(prec[:, :, tab.near], axis=3).transpose(0, 2, 1) / n_samples
     # each stratum averages its defined categories; ``compress`` keeps the
     # rows contiguous, so each row sums in the order of a 1-D mean
     (ap, ar, ap50, ap75), (aps, ars, _, _), (apm, arm, _, _) = (
-        (np.add.reduce(np.compress(cols.defined[s], per_cat[s], axis=1), axis=1) / k).tolist()
+        (np.add.reduce(np.compress(tab.defined[s], per_cat[s], axis=1), axis=1) / k).tolist()
         if k
         else [UNDEFINED] * 4
-        for s, k in enumerate(cols.n_defined)
+        for s, k in enumerate(tab.n_defined)
     )
     return MetricReport(
         ap=ap,
-        ap50=ap50 if sweep.has_near[0] else UNDEFINED,
-        ap75=ap75 if sweep.has_near[1] else UNDEFINED,
+        ap50=ap50 if tab.has_near[0] else UNDEFINED,
+        ap75=ap75 if tab.has_near[1] else UNDEFINED,
         aps=aps,
         apm=apm,
         ar=ar,

@@ -451,6 +451,25 @@ def test_parse_detections_rejects_non_number_score():
             parse_detections(json.dumps([{**det, "score": bad}]))
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"score": 1.5}, "detection score 1.5 outside [0, 1]"),
+        ({"image_id": "1"}, "detection image_id must be an integer, got '1'"),
+        ({"category_id": 1.0}, "detection category_id must be an integer, got 1.0"),
+        ({"image_id": 2**64}, f"detection image_id {2**64} outside 64-bit range"),
+    ],
+)
+def test_parse_detections_names_the_record_its_record_check_rejects(fault, message):
+    ok = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+    want = f"^{re.escape(f'detection #1: {message}')}$"
+    with pytest.raises(DatasetError, match=want):
+        parse_detections(json.dumps([ok, {**ok, **fault}]))
+    if "score" in fault:  # the in-process columns give the same message
+        with pytest.raises(DatasetError, match=want):
+            Detections([1, 1], [1, 1], [0.5, 1.5], [[0, 0, 5, 5]] * 2)
+
+
 @given(
     st.lists(
         st.tuples(
@@ -571,7 +590,10 @@ def _read_record_by_record(doc: object, ds: Dataset | None) -> tuple[Detection, 
             finite = False
         if not finite:
             raise DatasetError(f"{what}: score must be a finite number, got {score!r}")
-        det = Detection(raw["image_id"], raw["category_id"], bbox, float(score))
+        try:
+            det = Detection(raw["image_id"], raw["category_id"], bbox, float(score))
+        except DatasetError as exc:
+            raise DatasetError(f"{what}: {exc}") from None
         if ds is not None and not ds.has_image(det.image_id):
             raise DatasetError(f"{what} references missing image {det.image_id}")
         if ds is not None and not ds.has_category(det.category_id):

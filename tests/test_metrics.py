@@ -701,6 +701,21 @@ def test_evaluate_rejects_dangling_detection():
         evaluate(gt, [_det(_box(0, 0, 10, 10), 0.9, image_id=77)])
 
 
+@pytest.mark.parametrize(
+    "dets, message",
+    [
+        ([1, 2], "detection #0 must be a Detection, got int"),
+        ("ab", "detection #0 must be a Detection, got str"),
+        ([None], "detection #0 must be a Detection, got NoneType"),
+        ([_det(_box(0, 0, 10, 10), 0.9), {}], "detection #1 must be a Detection, got dict"),
+    ],
+)
+def test_evaluate_refuses_a_sequence_holding_a_non_record(dets, message):
+    gt = _corpus([_gt(1, _box(0, 0, 10, 10))])
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        evaluate(gt, dets)
+
+
 def test_evaluate_threshold_monotone():
     gt = _corpus(
         [_gt(1, _box(0, 0, 30, 30)), _gt(2, _box(60, 0, 30, 30)), _gt(3, _box(0, 60, 30, 30))]
@@ -888,7 +903,7 @@ def test_folds_build_their_tables_without_the_parent():
         fold = gt.subset(ids)
         rebuilt = Dataset(fold.images, fold.annotations, fold.categories)
         assert evaluate(fold, dets) == evaluate(rebuilt, dets)
-    assert gt._columns is None
+    assert not gt._columns
 
 
 # any valid sweep: folds are compared with their records rebuilt, not with
@@ -936,7 +951,20 @@ def test_sweep_tables_do_not_leak_between_sweeps(case, sweeps):
         )
     # one table per distinct sweep, whatever the cap
     distinct = {validate_thresholds(t) for t, _ in calls}
-    assert set(fold._columns.sweeps) == distinct
+    assert set(fold._columns) == distinct
+
+
+def test_a_sweep_scored_again_reuses_its_table():
+    # sweep A, then B, then A again: the second A reads A's table, not B's
+    gt = _corpus([_gt(1, _box(0, 0, 30, 30)), _gt(2, _box(60, 0, 30, 30))])
+    dets = [_det(_box(2, 0, 30, 30), 0.9), _det(_box(66, 6, 30, 30), 0.8)]
+    sweep_a, sweep_b = (0.5, 0.75), (0.6, 0.9)
+    first = evaluate(gt, dets, thresholds=sweep_a)
+    table = gt._columns[sweep_a]
+    assert evaluate(gt, dets, thresholds=sweep_b) != first
+    assert evaluate(gt, dets, thresholds=sweep_a) == first
+    assert gt._columns[sweep_a] is table
+    assert set(gt._columns) == {sweep_a, sweep_b}
 
 
 def test_evaluate_matches_reference_at_one_ulp_recall():
