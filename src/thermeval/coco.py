@@ -127,6 +127,13 @@ def _check_int(value: object, what: str) -> int:
     return value
 
 
+def _check_seed(value: object) -> int:
+    """A seed is a non-negative integer: a split plan's, a corpus's, a detector run's."""
+    if _check_int(value, "seed") < 0:
+        raise DatasetError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _check_id(value: object, what: str) -> int:
     if not (_ID_MIN <= _check_int(value, what) <= _ID_MAX):
         raise DatasetError(f"{what} {value} outside 64-bit range")
@@ -505,9 +512,11 @@ class Detections(Sequence):
     """A detection run as read-only columns: ``image_ids`` and ``category_ids``
     (N,) int64, ``scores`` (N,) float64 and ``boxes`` (N, 4) float64 x, y, w, h.
 
-    The columns are checked whole by the rules of ``Detection`` and ``BBox``;
-    the first row that breaks one raises its record's own error.  As a
-    sequence it lists ``Detection`` records, built on demand.
+    Each column must come in its shape, or as an empty ``[]``; none is
+    reshaped or cast to a different value.  The columns are checked whole
+    by the rules of ``Detection`` and ``BBox``; the first row that breaks
+    one raises its record's own error.  As a sequence it lists
+    ``Detection`` records, built on demand.
     """
 
     __slots__ = ("image_ids", "category_ids", "scores", "boxes")
@@ -521,7 +530,12 @@ class Detections(Sequence):
             # a bool, or a cast that could change a value, is refused
             if col.size and (col.dtype.kind == "b" or not np.can_cast(col.dtype, dtype)):
                 raise DatasetError(f"detection {name} must be {dtype} numbers, got {col.dtype}")
-            col = col.astype(dtype).reshape((-1, 4) if name == "boxes" else -1)
+            # so is a reshape: only an empty column may come flat as ``[]``
+            shape = (-1, 4) if name == "boxes" else (-1,)
+            if col.shape != (0,) and (col.ndim, col.shape[1:]) != (len(shape), shape[1:]):
+                want = "(N, 4)" if name == "boxes" else "1-D"
+                raise DatasetError(f"detection {name} must be {want}, got shape {col.shape}")
+            col = col.astype(dtype).reshape(shape)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         if len({len(getattr(self, name)) for name in self.__slots__}) > 1:
@@ -611,7 +625,7 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> Detections
                 np.array(ids, dtype=np.int64),
                 np.array(cats, dtype=np.int64),
                 np.array(scores, dtype=np.float64),
-                np.array(flat, dtype=np.float64),
+                np.array(flat, dtype=np.float64).reshape(-1, 4),
             )
     except (KeyError, TypeError, OverflowError, DatasetError):
         pass

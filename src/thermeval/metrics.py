@@ -44,9 +44,9 @@ from .coco import (
     Detections,
     MEDIUM_MAX_AREA,
     SMALL_MAX_AREA,
-    SizeClass,
 )
 from .report import METRIC_NAMES, UNDEFINED, MetricReport  # re-exported; defined numpy-free
+from .report import _mean
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
@@ -250,20 +250,17 @@ def _accumulate(
     return envelope.ravel()[first.ravel()[need] + row_start], final_recall
 
 
-# the size strata in report order: all sizes, small, medium
-_STRATA: tuple[SizeClass | None, ...] = (None, SizeClass.SMALL, SizeClass.MEDIUM)
-
-# size codes: the index of ``classify_size``'s class, by the same boundaries
-_SIZES = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
-_SIZE_BOUNDS = np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA])
-# (S, 1): each stratum's size code; -1 takes every size
-_STRATUM_SIZES = np.array([-1 if sc is None else _SIZES.index(sc) for sc in _STRATA])[:, None]
+# (S, 1) each: the size strata's area intervals (lo, hi] in report order,
+# all sizes, small and medium, by ``classify_size``'s boundaries
+_AREA_LO, _AREA_HI = np.array(
+    [(-np.inf, np.inf), (-np.inf, SMALL_MAX_AREA), (SMALL_MAX_AREA, MEDIUM_MAX_AREA)]
+).T[:, :, None]
 
 
 def _outside(box: np.ndarray) -> np.ndarray:
-    """(S, N): which boxes fall outside each stratum's size class."""
-    size = np.searchsorted(_SIZE_BOUNDS, box[:, 2] * box[:, 3], side="left")
-    return (_STRATUM_SIZES >= 0) & (size != _STRATUM_SIZES)
+    """(S, N): which boxes fall outside each stratum's area interval."""
+    area = box[:, 2] * box[:, 3]
+    return (area <= _AREA_LO) | (area > _AREA_HI)
 
 
 @dataclass(frozen=True)
@@ -279,7 +276,8 @@ class _Tables:
     ``_match_cells`` numbers them.  Nothing here depends on ``max_dets``,
     so one table serves every cap.  Only the matching reads ``gt_ignore``:
     its outcome codes already say which detections an ignore region
-    absorbed.
+    absorbed.  A category's strata in ``per_category`` are those where it
+    holds eligible GT, the only strata whose means it enters.
     """
 
     img_ids: np.ndarray  # (I,) sorted
@@ -287,8 +285,6 @@ class _Tables:
     gt_cell: np.ndarray  # (G,)
     gt_box: np.ndarray  # (G, 4)
     gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
-    defined: np.ndarray  # (S, C) which pairs hold eligible GT
-    n_defined: tuple[int, ...]  # (S,) how many categories each stratum averages
     thr: np.ndarray  # (S * T, 1) each row's threshold
     near: np.ndarray  # (2,) the AP50 and AP75 threshold positions, 0 when absent
     has_near: tuple[bool, bool]
@@ -319,7 +315,7 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
     flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
     gt_cell, gt_ignore = gt_cell[order], flagged | _outside(gt_box)
     gt_bounds = np.searchsorted(gt_cell, np.arange(len(cat_ids) + 1) * len(img_ids))
-    eligible = np.zeros((len(_STRATA), len(gt_cell) + 1), dtype=np.int64)
+    eligible = np.zeros((len(gt_ignore), len(gt_cell) + 1), dtype=np.int64)
     np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
     n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
     n_thr = len(thresholds)
@@ -335,7 +331,6 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
         start = np.arange(len(rows))[:, None] * (n.max() + 1)
         need = np.repeat(np.stack(need), n_thr, axis=0) + start
         per_category.append((ci, strata, rows, np.repeat(n, n_thr), need))
-    defined = n_eligible > 0
     # AP50/AP75 read the first threshold within 1e-9 of 0.50/0.75
     near = np.abs(np.subtract.outer([0.50, 0.75], thresholds)) < 1e-9
     tables = _Tables(
@@ -344,9 +339,7 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
         gt_cell,
         gt_box,
         gt_ignore,
-        defined,
-        tuple(defined.sum(axis=1).tolist()),
-        np.tile(np.asarray(thresholds, dtype=np.float64), len(_STRATA))[:, None],
+        np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None],
         near.argmax(axis=1),
         tuple(near.any(axis=1).tolist()),
         tuple(per_category),
@@ -363,17 +356,15 @@ def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pos, found
 
 
-def _corpus_tables(
-    tab: _Tables, dets: Detections, max_dets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per stratum and category: precision samples and final recall.
+def _corpus_tables(tab: _Tables, dets: Detections, max_dets: int) -> list[list[list[float]]]:
+    """Per stratum, an (AP, AR, AP50, AP75) row for each category with
+    eligible ground truth there, in category order.
 
     Detections are sorted once, by (category, score descending, cell,
     input index): the order accumulation reads, in which each cell's own
     come in score order, as matching needs.  Every cell is matched in one
-    call for all strata.  Returns precision samples (S, C, T, 101) and
-    final recall (S, C, T); the tables of (stratum, category) pairs without
-    eligible ground truth are left 0.
+    call for all strata.  Each value is the sum and division ``np.mean``
+    does over the category's precision samples or final recalls.
     """
     n_img = len(tab.img_ids)
     dt_img, img_ok = _find(tab.img_ids, dets.image_ids)
@@ -382,8 +373,8 @@ def _corpus_tables(
     if bad.any():
         i = int(np.argmax(bad))
         if not img_ok[i]:
-            raise DatasetError(f"detection references missing image {dets.image_ids[i]}")
-        raise DatasetError(f"detection references missing category {dets.category_ids[i]}")
+            raise DatasetError(f"detection #{i} references missing image {dets.image_ids[i]}")
+        raise DatasetError(f"detection #{i} references missing category {dets.category_ids[i]}")
 
     # the cap keeps each cell's first ``max_dets`` in this order; no cell
     # holds more than the run
@@ -394,22 +385,24 @@ def _corpus_tables(
         order = order[np.sort(by_cell[_rank_in_run(dt_cell[order][by_cell]) < max_dets])]
     dt_cell, dt_cat, dt_box = dt_cell[order], dt_cat[order], dets.boxes[order]
 
-    n_thr = len(tab.thr) // len(_STRATA)
+    n_thr = len(tab.thr) // len(tab.gt_ignore)
     outcome = _match_cells(dt_box, dt_cell, tab.gt_box, tab.gt_cell, tab.gt_ignore, tab.thr)
     tps = outcome == 1
     fps = (outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0)
 
     # each category's detection column range
     dt_bounds = np.searchsorted(dt_cat, np.arange(len(tab.cat_ids) + 1))
-    prec = np.zeros((len(_STRATA), len(tab.cat_ids), n_thr, len(_RECALL_SAMPLES)))
-    rec = np.zeros(prec.shape[:3])
+    per_stratum = [[] for _ in tab.gt_ignore]
     for ci, strata, rows, n, need in tab.per_category:
         # every defined stratum x threshold of the category in one batch
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
         p, r = _accumulate(tps[rows, cat], fps[rows, cat], n, need)
-        prec[strata, ci] = p.reshape(len(strata), n_thr, -1)
-        rec[strata, ci] = r.reshape(len(strata), n_thr)
-    return prec, rec
+        p, r = p.reshape(len(strata), n_thr, -1), r.reshape(len(strata), n_thr)
+        ap, ar = np.add.reduce(p, axis=(1, 2)) / p[0].size, np.add.reduce(r, axis=1) / n_thr
+        near = np.add.reduce(p[:, tab.near], axis=2) / p.shape[2]  # threshold 0 when absent
+        for s, row in zip(strata.tolist(), np.column_stack((ap, ar, near)).tolist()):
+            per_stratum[s].append(row)
+    return per_stratum
 
 
 def evaluate(
@@ -433,22 +426,10 @@ def evaluate(
     if not isinstance(dets, Detections):
         dets = Detections.from_records(dets)
     tab = _tables(gt, thresholds)
-    prec, rec = _corpus_tables(tab, dets, max_dets)
-
-    # (S, 4, C): each category's mean AP, AR, AP50 and AP75.  Each mean is
-    # the sum and division ``np.mean`` does, so the floats are its floats.
-    n_thr, n_samples = prec.shape[2:]
-    per_cat = np.empty((len(_STRATA), 4, len(tab.cat_ids)))
-    per_cat[:, 0] = np.add.reduce(prec, axis=(2, 3)) / (n_thr * n_samples)
-    per_cat[:, 1] = np.add.reduce(rec, axis=2) / n_thr
-    per_cat[:, 2:] = np.add.reduce(prec[:, :, tab.near], axis=3).transpose(0, 2, 1) / n_samples
-    # each stratum averages its defined categories; ``compress`` keeps the
-    # rows contiguous, so each row sums in the order of a 1-D mean
+    # each stratum averages its rows in numpy's order; one with none is undefined
     (ap, ar, ap50, ap75), (aps, ars, _, _), (apm, arm, _, _) = (
-        (np.add.reduce(np.compress(tab.defined[s], per_cat[s], axis=1), axis=1) / k).tolist()
-        if k
-        else [UNDEFINED] * 4
-        for s, k in enumerate(tab.n_defined)
+        [_mean(col) for col in zip(*rows)] if rows else [UNDEFINED] * 4
+        for rows in _corpus_tables(tab, dets, max_dets)
     )
     return MetricReport(
         ap=ap,

@@ -15,7 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coco import DatasetError, _as_dict, _as_list, _check_int, _image_id_set, _load_json, _require
+from .coco import (
+    DatasetError,
+    _as_dict,
+    _as_list,
+    _check_int,
+    _check_seed,
+    _image_id_set,
+    _load_json,
+    _require,
+)
 
 __all__ = [
     "PlanError",
@@ -120,13 +129,6 @@ class SplitPlan:
     k_outer: int
     k_inner: int
     runs: tuple[RunSplit, ...]
-
-
-def _check_seed(value: object) -> int:
-    """A seed is a non-negative integer, in a plan and in a plan file."""
-    if _check_int(value, "seed") < 0:
-        raise DatasetError(f"seed must be non-negative, got {value}")
-    return value
 
 
 def plan_splits(

@@ -285,14 +285,16 @@ def _round1(value: float) -> Decimal:
     return (Decimal(repr(value)) * 100).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
 
 
+def _check_decimal(decimal: str) -> str:
+    if decimal not in ("period", "comma"):
+        raise ReportError(f"decimal must be 'period' or 'comma', got {decimal!r}")
+    return decimal
+
+
 def format_cell(cell: AggregateCell, decimal: str = "period") -> str:
     """Render mean and std as percentages: ``58.1±2.3`` (or comma mode)."""
     text = f"{_round1(cell.mean)}±{_round1(cell.std)}"
-    if decimal == "comma":
-        return text.replace(".", ",")
-    if decimal != "period":
-        raise ReportError(f"decimal must be 'period' or 'comma', got {decimal!r}")
-    return text
+    return text.replace(".", ",") if _check_decimal(decimal) == "comma" else text
 
 
 def emit_table(
@@ -310,6 +312,7 @@ def emit_table(
     """
     if style not in ("markdown", "csv"):
         raise ReportError(f"style must be 'markdown' or 'csv', got {style!r}")
+    _check_decimal(decimal)
     model = _one_model(table, model, "render")
 
     rows: list[list[str]] = []

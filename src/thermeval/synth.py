@@ -28,6 +28,7 @@ from .coco import (
     _as_dict,
     _as_list,
     _check_id,
+    _check_seed,
     _load_json,
     _parse_bbox,
 )
@@ -54,6 +55,14 @@ __all__ = [
 
 class SynthError(ValueError):
     """Raised for infeasible scene or detector specifications."""
+
+
+def _seed(value: object) -> int:
+    """``coco._check_seed``, raising ``SynthError``: numpy's own refusal names no seed."""
+    try:
+        return _check_seed(value)
+    except DatasetError as exc:
+        raise SynthError(str(exc)) from None
 
 
 def _check_range(rng_pair, what: str, lo_min: float) -> None:
@@ -252,7 +261,7 @@ def generate_scene(
     Layout and pixel noise use separate child streams, so skipping the
     render never changes the boxes.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_seed(seed))
     layout_ss, noise_ss = ss.spawn(2)
     puddles, distractors = _layout(spec, np.random.default_rng(layout_ss))
     frame = None
@@ -287,7 +296,7 @@ def build_corpus(
     """
     if n < 1:
         raise SynthError(f"corpus size must be positive, got {n}")
-    children = np.random.SeedSequence(seed).spawn(n)
+    children = np.random.SeedSequence(_seed(seed)).spawn(n)
     images = []
     annotations = []
     distractors: dict[int, tuple[BBox, ...]] = {}
@@ -408,7 +417,7 @@ def mock_detect(
     by_image: dict[int, list[AnnotationRecord]] = {}
     for ann in ds.annotations:
         by_image.setdefault(ann.image_id, []).append(ann)
-    children = np.random.SeedSequence(seed).spawn(len(ds.images))
+    children = np.random.SeedSequence(_seed(seed)).spawn(len(ds.images))
     image_ids, category_ids, scores, boxes = [], [], [], []  # the run's columns
     for idx, img in enumerate(ds.images):
         rng = np.random.default_rng(children[idx])

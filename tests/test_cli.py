@@ -254,6 +254,19 @@ def test_split_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "detect"])
+def test_synth_and_detect_name_a_negative_seed(tmp_path, capsys, command):
+    gt_path, _ = _gt_file(tmp_path, n=3)
+    out = tmp_path / "out.json"
+    args = ["--preset", "a", "--n", "3"] if command == "synth" else ["--gt", str(gt_path)]
+    rc = main([command, *args, "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"thermeval {command}: error: seed must be non-negative, got -1\n"
+    )
+    assert not out.exists()
+
+
 # -- evaluate
 
 

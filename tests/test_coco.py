@@ -542,6 +542,15 @@ def test_detections_are_read_only_columns():
         (([1], [1], ["0.5"], [[0, 0, 1, 1]]), "scores must be float64 numbers"),
         (([2**63], [1], [0.5], [[0, 0, 1, 1]]), "image_ids must be int64 numbers, got uint64"),
         (([1, 2], [1], [0.5], [[0, 0, 1, 1]]), "detection columns differ in length"),
+        # rows of 3 would be read as rows of 4, and a 2-D id column flattened
+        (
+            ([1, 1, 1], [1, 1, 1], [0.5] * 3, np.arange(12.0).reshape(4, 3)),
+            "detection boxes must be (N, 4), got shape (4, 3)",
+        ),
+        (
+            (np.ones((2, 2), dtype=np.int64), [1] * 4, [0.5] * 4, [[0, 0, 1, 1]] * 4),
+            "detection image_ids must be 1-D, got shape (2, 2)",
+        ),
     ],
 )
 def test_detections_refuse_columns_that_would_change_on_the_way(columns, message):

@@ -697,8 +697,12 @@ def test_evaluate_final_recall_is_hit_fraction():
 
 def test_evaluate_rejects_dangling_detection():
     gt = _corpus([_gt(1, _box(0, 0, 10, 10))])
-    with pytest.raises(DatasetError):
-        evaluate(gt, [_det(_box(0, 0, 10, 10), 0.9, image_id=77)])
+    ok = _det(_box(0, 0, 10, 10), 0.9)
+    with pytest.raises(DatasetError, match="^detection #1 references missing image 77$"):
+        evaluate(gt, [ok, _det(_box(0, 0, 10, 10), 0.9, image_id=77)])
+    stray = Detection(image_id=1, category_id=5, bbox=ok.bbox, score=0.9)
+    with pytest.raises(DatasetError, match="^detection #1 references missing category 5$"):
+        evaluate(gt, [ok, stray])
 
 
 @pytest.mark.parametrize(
@@ -860,9 +864,9 @@ def test_fold_scores_as_its_records_rebuilt(case, thresholds, max_dets):
     )
     _assert_matches_reference(fold, kept, thresholds, max_dets)
     # an image of the parent outside the fold is missing from the fold
-    dropped = [d for d in dets if not fold.has_image(d.image_id)]
+    dropped = [i for i, d in enumerate(dets) if not fold.has_image(d.image_id)]
     if dropped:
-        want = f"detection references missing image {dropped[0].image_id}"
+        want = f"detection #{dropped[0]} references missing image {dets[dropped[0]].image_id}"
         for ds in (fold, rebuilt):
             with pytest.raises(DatasetError) as err:
                 evaluate(ds, dets, thresholds=thresholds, max_dets=max_dets)
@@ -1116,3 +1120,57 @@ def test_evaluate_reports_equal_the_stored_reports_on_tied_corpora():
         per_cell = [c for same_score in cells.values() for c in same_score]
         seen["cut by cap 3"] += any(per_cell.count(c) > 3 for c in per_cell)
     assert len(stored["reports"]) == 40 and min(seen.values()) >= 20, seen
+
+
+# -- the cross-category mean
+
+
+def _many_category_corpus(n_cat, seed):
+    """``n_cat`` categories over three images.  Each holds its own boxes,
+    all small, none small or of every size (some cells empty, one box in
+    six an ignore region), and nudged copies and strays scored at random,
+    so per-category values differ in their last bits."""
+    rnd = random.Random(seed)
+    anns, dets = [], []
+    for cat in range(1, n_cat + 1):
+        sides = rnd.choice((_SIDES[:3], _SIDES[3:], _SIDES))
+        for img in range(1, 4):
+            for _ in range(rnd.randint(0, 3)):
+                b = _box(8 * rnd.randint(0, 60), 8 * rnd.randint(0, 50), *rnd.choices(sides, k=2))
+                anns.append(
+                    AnnotationRecord(len(anns) + 1, img, cat, b, ignore=rnd.random() < 1 / 6)
+                )
+                for _ in range(rnd.randint(0, 2)):
+                    d = _box(b.x + rnd.choice(_NUDGE), b.y, b.w + rnd.choice(_NUDGE), b.h)
+                    dets.append(Detection(img, cat, d, rnd.random()))
+            if rnd.random() < 0.5:
+                b = _box(8 * rnd.randint(0, 60), 8 * rnd.randint(0, 50), *rnd.choices(_SIDES, k=2))
+                dets.append(Detection(img, cat, b, rnd.random()))
+    images = tuple(ImageRecord(i, f"f{i}.raw", 640, 480) for i in (1, 2, 3))
+    categories = tuple(CategoryRecord(c, f"c{c}") for c in range(1, n_cat + 1))
+    return Dataset(images, tuple(anns), categories), dets
+
+
+@pytest.mark.parametrize("n_cat", [7, 8, 9, 128, 129, 300])
+def test_each_metric_is_the_mean_over_defined_categories(n_cat):
+    # every metric is == np.mean over the categories that define it, each
+    # scored alone; numpy sums 8 or more values pairwise, not in order
+    gt, dets = _many_category_corpus(n_cat, seed=n_cat)
+    per_category = []
+    for cat in gt.categories:
+        alone = Dataset(
+            gt.images, tuple(a for a in gt.annotations if a.category_id == cat.id), (cat,)
+        )
+        per_category.append(evaluate(alone, [d for d in dets if d.category_id == cat.id]))
+    report = evaluate(gt, dets)
+    defined, in_order = {}, 0
+    for name in METRIC_NAMES:
+        values = [v for v in (getattr(r, name) for r in per_category) if v != UNDEFINED]
+        want = float(np.mean(values)) if values else UNDEFINED
+        assert getattr(report, name) == want, name
+        defined[name] = len(values)
+        in_order += bool(values) and sum(values) / len(values) != want
+    # each size stratum leaves some categories out, and a plain left-to-right
+    # sum misses on some metric once numpy sums pairwise
+    assert 0 < defined["aps"] < defined["ap"] and 0 < defined["apm"] < defined["ap"]
+    assert in_order > 0 or n_cat < 8

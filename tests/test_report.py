@@ -358,6 +358,14 @@ def test_emit_table_rejects_unknown_style():
         emit_table(aggregate([_result(1)]), style="html")
 
 
+@pytest.mark.parametrize("style", ["markdown", "csv"])
+def test_emit_table_rejects_unknown_decimal_without_a_defined_cell(style):
+    # no cell is formatted, so the mode has to be checked before any is
+    table = aggregate([RunResult("m", "4_L_p", 1, "s", MetricReport(*[UNDEFINED] * 8))])
+    with pytest.raises(ReportError, match="decimal must be 'period' or 'comma', got 'bogus'"):
+        emit_table(table, style=style, decimal="bogus")
+
+
 def test_metric_labels_cover_all_metrics():
     assert tuple(METRIC_LABELS) == METRIC_NAMES
 

@@ -201,6 +201,19 @@ def test_corpus_rejects_empty_request():
         build_corpus(_clean_spec(), n=0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["-1", "-2**70"])
+@pytest.mark.parametrize("function", ["generate_scene", "build_corpus", "mock_detect"])
+def test_a_negative_seed_is_named(function, seed):
+    # numpy's own refusal, "expected non-negative integer", names no seed
+    with pytest.raises(SynthError, match=f"^seed must be non-negative, got {seed}$"):
+        if function == "generate_scene":
+            generate_scene(_clean_spec(), seed)
+        elif function == "build_corpus":
+            build_corpus(_clean_spec(), n=2, seed=seed)
+        else:
+            mock_detect(build_corpus(_clean_spec(), n=2, seed=0).dataset, MockDetectorSpec(), seed)
+
+
 def test_preset_a_empty_fraction_matches_spec():
     corpus = build_corpus(PRESET_A, n=1000, seed=123)
     with_objects = {a.image_id for a in corpus.dataset.annotations}
