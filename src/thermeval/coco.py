@@ -319,6 +319,7 @@ def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD)
     record count never changes, so the operation is idempotent and
     monotone in the threshold.
     """
+    _check_number(threshold, "size threshold")
     if not math.isfinite(threshold):
         raise DatasetError(f"size threshold must be finite, got {threshold!r}")
     if threshold < 0:

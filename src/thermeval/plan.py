@@ -123,12 +123,49 @@ class RunSplit:
     test_ids: tuple[int, ...]
 
 
+def _check_folds(k_outer: int, k_inner: int) -> None:
+    if k_outer < 2 or k_inner < 2:
+        raise PlanError(f"fold counts must be at least 2, got {k_outer}/{k_inner}")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
+    """A nested split plan, whose structure is checked on construction.
+
+    ``runs`` holds the k_outer x k_inner (outer, inner) fold pairs in
+    outer-major order, so run r (from 1) is ``runs[r - 1]``.  Within a
+    run no id repeats in or across train, val and test; every run covers
+    the same pool; the runs of an outer fold share its test ids, and the
+    outer test folds partition the pool.  Anything else raises
+    ``PlanError``, so a plan file can hold only what ``plan_splits`` writes.
+    """
+
     seed: int
     k_outer: int
     k_inner: int
     runs: tuple[RunSplit, ...]
+
+    def __post_init__(self) -> None:
+        _check_folds(self.k_outer, self.k_inner)
+        if len(self.runs) != self.k_outer * self.k_inner:
+            raise PlanError(f"{len(self.runs)} runs in a {self.k_outer}x{self.k_inner} plan")
+        first = self.runs[0]
+        pool = set(first.train_ids + first.val_ids + first.test_ids)
+        tests: dict[int, set[int]] = {}
+        for number, r in enumerate(self.runs, start=1):
+            pair, got = divmod(number - 1, self.k_inner), (r.outer_fold, r.inner_fold)
+            if got != pair:
+                raise PlanError(f"run {number} is fold pair {got}, expected {pair}")
+            ids = r.train_ids + r.val_ids + r.test_ids
+            if len(set(ids)) != len(ids):
+                raise PlanError(f"run {pair}: train, val and test ids overlap or repeat")
+            if set(ids) != pool:
+                raise PlanError(f"run {pair}: its ids are not the pool of run (0, 0)")
+            if tests.setdefault(r.outer_fold, set(r.test_ids)) != set(r.test_ids):
+                raise PlanError(f"run {pair}: its test ids are not those of run ({pair[0]}, 0)")
+        folds = tests.values()
+        if sum(map(len, folds)) != len(pool) or set().union(*folds) != pool:
+            raise PlanError("the outer test folds do not partition the pool")
 
 
 def plan_splits(
@@ -152,8 +189,7 @@ def plan_splits(
         _check_seed(seed)
     except DatasetError as exc:
         raise PlanError(str(exc)) from None
-    if k_outer < 2 or k_inner < 2:
-        raise PlanError(f"fold counts must be at least 2, got {k_outer}/{k_inner}")
+    _check_folds(k_outer, k_inner)
     if len(ids) < k_outer * k_inner:
         raise PlanError(
             f"{len(ids)} ids cannot fill {k_outer}x{k_inner} folds"
@@ -206,7 +242,11 @@ def write_plan(plan: SplitPlan) -> str:
 
 
 def read_plan(text: str | bytes) -> SplitPlan:
-    """Parse a plan document; every number in it must be a JSON integer."""
+    """Parse a plan document; every number in it must be a JSON integer.
+
+    The plan must also have the structure ``SplitPlan`` checks, the one
+    ``plan_splits`` writes; a plan that breaks it raises ``PlanError``.
+    """
     try:
         doc = _as_dict(_load_json(text, "JSON"), "document root")
         runs = []
@@ -222,14 +262,7 @@ def read_plan(text: str | bytes) -> SplitPlan:
         k_outer, k_inner = (_check_int(_require(doc, k, "plan"), k) for k in ("k_outer", "k_inner"))
     except DatasetError as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
-    plan = SplitPlan(seed, k_outer, k_inner, tuple(runs))
-    for r in plan.runs:
-        train, val, test = map(set, (r.train_ids, r.val_ids, r.test_ids))
-        if train & val or train & test or val & test:
-            raise PlanError(
-                f"run ({r.outer_fold}, {r.inner_fold}): train, val and test ids overlap"
-            )
-    return plan
+    return SplitPlan(seed, k_outer, k_inner, tuple(runs))
 
 
 def select_best_epoch(ap_log: Sequence[float]) -> int:

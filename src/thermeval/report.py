@@ -95,7 +95,11 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One evaluated run of one model under one combination."""
+    """One evaluated run of one model under one combination.
+
+    ``run`` is a positive integer: run r of a split plan is its r-th,
+    ``plan.runs[r - 1]``, so a run of 0 or below names no run.
+    """
 
     model: str
     hpc: str
@@ -108,6 +112,8 @@ class RunResult:
             _check_int(self.run, "run")
         except DatasetError as exc:
             raise ReportError(str(exc)) from None
+        if self.run < 1:
+            raise ReportError(f"run must be a positive integer, got {self.run}")
         if not all(isinstance(t, str) and t for t in (self.model, self.hpc, self.dataset)):
             raise ReportError("model, hpc, and dataset tags must be non-empty strings")
 

@@ -529,8 +529,14 @@ class StatReport:
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` itself, once it is a family level the battery can use."""
-    if not (0.0 < alpha < 1.0):  # NaN fails the comparison
+    """``alpha`` itself, once it is a real number and a family level the battery can use."""
+    try:
+        inside = 0.0 < _real(alpha) < 1.0  # NaN fails the comparison
+    except TypeError:
+        raise StatsError(f"alpha must be a real number, got {alpha!r}") from None
+    except OverflowError:  # an int beyond the float range
+        inside = False
+    if not inside:
         raise StatsError(f"alpha {alpha} outside (0, 1)")
     return alpha
 

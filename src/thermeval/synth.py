@@ -28,6 +28,8 @@ from .coco import (
     _as_dict,
     _as_list,
     _check_id,
+    _check_int,
+    _check_number,
     _check_seed,
     _load_json,
     _parse_bbox,
@@ -57,16 +59,23 @@ class SynthError(ValueError):
     """Raised for infeasible scene or detector specifications."""
 
 
-def _seed(value: object) -> int:
-    """``coco._check_seed``, raising ``SynthError``: numpy's own refusal names no seed."""
+def _coco_check(check, *args):
+    """One of ``coco``'s checks, raising ``SynthError``."""
     try:
-        return _check_seed(value)
+        return check(*args)
     except DatasetError as exc:
         raise SynthError(str(exc)) from None
 
 
-def _check_range(rng_pair, what: str, lo_min: float) -> None:
+def _seed(value: object) -> int:
+    """``coco._check_seed``, raising ``SynthError``: numpy's own refusal names no seed."""
+    return _coco_check(_check_seed, value)
+
+
+def _check_range(rng_pair, what: str, lo_min: float, check=_check_number) -> None:
     lo, hi = rng_pair
+    for bound in (lo, hi):
+        _coco_check(check, bound, f"{what} bound")
     # NaN fails every comparison
     if not (lo_min <= lo <= hi < math.inf):
         raise SynthError(
@@ -105,6 +114,10 @@ class SceneSpec:
     bird_axis: tuple[float, float] = (1.0, 3.0)
 
     def __post_init__(self) -> None:
+        for name in ("width", "height"):
+            _coco_check(_check_int, getattr(self, name), name)
+        for name in ("empty_prob", "puddle_extra_lambda", "background_level", "noise_sigma"):
+            _coco_check(_check_number, getattr(self, name), name)
         if self.width <= 0 or self.height <= 0:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
         _check_probability(self.empty_prob, f"empty_prob {self.empty_prob}")
@@ -124,7 +137,7 @@ class SceneSpec:
             (self.stripe_count, "stripe_count"),
             (self.bird_count, "bird_count"),
         ):
-            _check_range(pair, what, lo_min=0)
+            _check_range(pair, what, lo_min=0, check=_check_int)
         _check_non_negative(self.noise_sigma, "noise_sigma")
         peak = self.background_level + self.warm_delta[1] + 6.0 * self.noise_sigma
         if peak > 32767 or self.background_level - 6.0 * self.noise_sigma < -32768:
@@ -294,7 +307,7 @@ def build_corpus(
     Image ids run from 1; the single category is ``puddle``.  Distractor
     boxes are returned separately keyed by image id, never annotated.
     """
-    if n < 1:
+    if _coco_check(_check_int, n, "corpus size") < 1:
         raise SynthError(f"corpus size must be positive, got {n}")
     children = np.random.SeedSequence(_seed(seed)).spawn(n)
     images = []
@@ -383,6 +396,8 @@ class MockDetectorSpec:
     p_distractor_fp: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("p_drop", "p_fp", "jitter_sigma", "p_distractor_fp"):
+            _coco_check(_check_number, getattr(self, name), name)
         _check_probability(self.p_drop, f"p_drop={self.p_drop}")
         _check_probability(self.p_distractor_fp, f"p_distractor_fp={self.p_distractor_fp}")
         _check_non_negative(self.p_fp, "p_fp")

@@ -134,26 +134,23 @@ def triple_channels(gray: GrayFrame) -> np.ndarray:
     return np.repeat(gray.pixels[:, :, np.newaxis], 3, axis=2)
 
 
-def _check_boxes(boxes: np.ndarray, width: int, height: int) -> np.ndarray:
-    boxes = np.asarray(boxes, dtype=np.float64)
-    if boxes.size == 0:
-        return boxes.reshape(0, 4)
-    if boxes.ndim != 2 or boxes.shape[1] != 4:
-        raise ThermalError(f"boxes must be an (N, 4) array, got shape {boxes.shape}")
-    x, y, w, h = boxes.T
-    if np.any(w < 0) or np.any(h < 0):
-        raise ThermalError("box with negative extent")
-    if np.any(x < 0) or np.any(y < 0) or np.any(x + w > width) or np.any(y + h > height):
-        raise ThermalError("box outside the canvas")
-    return boxes
-
-
 def _checked_sample(img: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The image as a 2-d or 3-d array and its boxes as (N, 4), both checked."""
+    """The image as a 2-d or 3-d array and its boxes as finite (N, 4) floats inside it."""
     img = np.asarray(img)
     if img.ndim not in (2, 3):
         raise ThermalError(f"image must be 2-d or 3-d, got shape {img.shape}")
-    return img, _check_boxes(boxes, img.shape[1], img.shape[0])
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.size == 0:
+        return img, boxes.reshape(0, 4)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ThermalError(f"boxes must be an (N, 4) array, got shape {boxes.shape}")
+    if not np.isfinite(boxes).all():  # a NaN would pass every comparison below
+        raise ThermalError("box with a non-finite coordinate")
+    if np.any(boxes[:, 2:] < 0):
+        raise ThermalError("box with negative extent")
+    if np.any(boxes[:, :2] < 0) or np.any(boxes[:, :2] + boxes[:, 2:] > img.shape[1::-1]):
+        raise ThermalError("box outside the canvas")
+    return img, boxes
 
 
 def flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +163,10 @@ def _flip(img: np.ndarray, boxes: np.ndarray, axis: str) -> tuple[np.ndarray, np
     out = boxes.copy()
     if axis == "horizontal":
         flipped = img[:, ::-1].copy()
-        if len(out):
-            out[:, 0] = width - boxes[:, 0] - boxes[:, 2]
+        out[:, 0] = width - boxes[:, 0] - boxes[:, 2]
     elif axis == "vertical":
         flipped = img[::-1, :].copy()
-        if len(out):
-            out[:, 1] = height - boxes[:, 1] - boxes[:, 3]
+        out[:, 1] = height - boxes[:, 1] - boxes[:, 3]
     else:
         raise ThermalError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     return flipped, out
@@ -199,9 +194,8 @@ def _rotate(img: np.ndarray, boxes: np.ndarray, angle: float) -> tuple[np.ndarra
     cx, cy = width / 2.0, height / 2.0
 
     # inverse map: for each destination pixel center, sample the source
-    jj, ii = np.meshgrid(np.arange(width), np.arange(height))
-    xd = jj + 0.5 - cx
-    yd = ii + 0.5 - cy
+    xd = np.arange(width) + 0.5 - cx
+    yd = (np.arange(height) + 0.5 - cy)[:, np.newaxis]
     sx = cos_t * xd + sin_t * yd + cx
     sy = -sin_t * xd + cos_t * yd + cy
     js = np.floor(sx).astype(np.int64)
@@ -210,18 +204,14 @@ def _rotate(img: np.ndarray, boxes: np.ndarray, angle: float) -> tuple[np.ndarra
     out = np.zeros_like(img)
     out[valid] = img[is_[valid], js[valid]]
 
-    kept = []
-    for x, y, w, h in boxes:
-        px = np.array([x, x + w, x, x + w]) - cx
-        py = np.array([y, y, y + h, y + h]) - cy
-        rx = cos_t * px - sin_t * py + cx
-        ry = sin_t * px + cos_t * py + cy
-        x1, x2 = max(rx.min(), 0.0), min(rx.max(), float(width))
-        y1, y2 = max(ry.min(), 0.0), min(ry.max(), float(height))
-        if x2 - x1 <= 0 or y2 - y1 <= 0:
-            continue
-        kept.append((x1, y1, x2 - x1, y2 - y1))
-    return out, np.array(kept, dtype=np.float64).reshape(len(kept), 4)
+    x, y, w, h = boxes.T
+    px = np.array([x, x + w, x, x + w]) - cx  # (4, N): each box's four corners
+    py = np.array([y, y, y + h, y + h]) - cy
+    rotated = np.array([cos_t * px - sin_t * py + cx, sin_t * px + cos_t * py + cy])
+    lo = np.maximum(rotated.min(axis=1), 0.0)  # (2, N): each hull's x1 and y1
+    hi = np.minimum(rotated.max(axis=1), [[width], [height]])
+    hull = np.concatenate([lo, hi - lo]).T
+    return out, hull[(hull[:, 2] > 0) & (hull[:, 3] > 0)]
 
 
 @dataclass(frozen=True)

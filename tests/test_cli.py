@@ -337,6 +337,18 @@ def test_evaluate_append_rejects_a_repeated_run(tmp_path, capsys):
     assert csv_path.read_bytes() == before
 
 
+@pytest.mark.parametrize("run", ["0", "-3"])
+def test_evaluate_append_rejects_a_run_below_1(tmp_path, capsys, run):
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    csv_path = tmp_path / "r.csv"
+    assert main(_append_args(gt_path, dets_path, csv_path)) == 0
+    before = csv_path.read_bytes()
+    rc = main(_append_args(gt_path, dets_path, csv_path, run))
+    assert rc == 1
+    assert f"error: run must be a positive integer, got {run}" in capsys.readouterr().err
+    assert csv_path.read_bytes() == before
+
+
 def test_evaluate_append_keeps_the_file_when_the_write_fails(tmp_path, capsys, monkeypatch):
     gt_path, dets_path = _eval_inputs(tmp_path)
     csv_path = tmp_path / "r.csv"

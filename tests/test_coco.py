@@ -327,6 +327,14 @@ def test_filter_rejects_a_non_finite_threshold(threshold):
         filter_small_objects(_dataset([_ann(1)]), threshold)
 
 
+@pytest.mark.parametrize("threshold", ["10", True, None], ids=["str", "bool", "none"])
+def test_filter_refuses_a_threshold_that_is_not_a_number(threshold):
+    # "10" raised TypeError from math.isfinite, and True was read as 1
+    message = f"^size threshold must be a number, got {re.escape(repr(threshold))}$"
+    with pytest.raises(DatasetError, match=message):
+        filter_small_objects(_dataset([_ann(1)]), threshold)
+
+
 @given(threshold=st.floats(min_value=0.0, max_value=100.0))
 @settings(max_examples=40, deadline=None)
 def test_filter_monotone_in_threshold(threshold):

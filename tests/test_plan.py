@@ -234,6 +234,56 @@ def test_read_plan_rejects_malformed():
             read_plan(json.dumps(doc))
 
 
+def _swap_a_test_id_into_train(doc):
+    run = doc["runs"][1]  # (0, 1): the pool holds, the test ids move off (0, 0)'s
+    run["test"][0], run["train"][0] = run["train"][0], run["test"][0]
+
+
+def _copy_outer_fold_0_over_fold_1(doc):
+    # every run still covers the pool and shares its fold's test ids
+    for inner in range(2):
+        doc["runs"][2 + inner] = {**doc["runs"][inner], "outer_fold": 1}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(k_outer=-3), r"^fold counts must be at least 2, got -3/2$"),
+        (
+            lambda d: d["runs"][2].update(outer_fold=9),
+            r"^run 3 is fold pair \(9, 0\), expected \(1, 0\)$",
+        ),
+        (lambda d: d.update(runs=d["runs"][:1]), r"^1 runs in a 2x2 plan$"),
+        (  # a plan file's fold counts can be far larger than its list of runs
+            lambda d: d.update(k_outer=10**18),
+            r"^4 runs in a 1000000000000000000x2 plan$",
+        ),
+        (  # 9 test entries for 8 ids: a set of them hides the repeat
+            lambda d: d["runs"][0]["test"].append(d["runs"][0]["test"][0]),
+            r"^run \(0, 0\): train, val and test ids overlap or repeat$",
+        ),
+        (
+            _swap_a_test_id_into_train,
+            r"^run \(0, 1\): its test ids are not those of run \(0, 0\)$",
+        ),
+        (
+            lambda d: d["runs"][3]["train"].pop(),
+            r"^run \(1, 1\): its ids are not the pool of run \(0, 0\)$",
+        ),
+        (_copy_outer_fold_0_over_fold_1, r"^the outer test folds do not partition the pool$"),
+    ],
+    ids=[
+        "fold-count", "fold-pair", "run-count", "huge-fold-count", "repeated-id", "test-fold",
+        "pool", "partition",
+    ],
+)
+def test_read_plan_rejects_a_plan_plan_splits_cannot_write(edit, message):
+    doc = json.loads(write_plan(plan_splits(range(16), 2, 2, seed=4)))
+    edit(doc)
+    with pytest.raises(PlanError, match=message):
+        read_plan(json.dumps(doc))
+
+
 @given(
     n=st.integers(min_value=30, max_value=120),
     k_outer=st.integers(min_value=2, max_value=5),

@@ -104,6 +104,14 @@ def test_read_results_rejects_an_oversized_field():
         read_results_csv(text)
 
 
+@pytest.mark.parametrize("run", ["0", "-3"])
+def test_read_results_rejects_a_run_below_1(run):
+    # run r is a plan's r-th run, so run 0 would name its last
+    text = write_results_csv([_result(1), _result(2)]).replace("\n2,", f"\n{run},", 1)
+    with pytest.raises(ReportError, match=f"^line 3: run must be a positive integer, got {run}$"):
+        read_results_csv(text)
+
+
 def test_read_results_empty_file():
     with pytest.raises(ReportError, match="empty"):
         read_results_csv("")
@@ -144,6 +152,8 @@ def test_metric_report_takes_the_ends_of_its_domain():
         ({"model": 3}, "tags must be non-empty strings"),
         ({"hpc": None}, "tags must be non-empty strings"),
         ({"dataset": ""}, "tags must be non-empty strings"),
+        ({"run": 0}, "run must be a positive integer, got 0"),
+        ({"run": -3}, "run must be a positive integer, got -3"),
     ],
 )
 def test_run_result_rejects_a_run_that_is_not_an_int_and_a_tag_that_is_not_a_string(
@@ -159,7 +169,7 @@ def test_run_result_rejects_a_run_that_is_not_an_int_and_a_tag_that_is_not_a_str
 
 
 def test_aggregate_mean_and_sample_std():
-    results = [_result(i, base=v) for i, v in enumerate((0.50, 0.52, 0.54))]
+    results = [_result(i, base=v) for i, v in enumerate((0.50, 0.52, 0.54), start=1)]
     table = aggregate(results)
     cell = table.cell("net", "4_L_p", "ap")
     assert cell.n == 3
@@ -179,7 +189,7 @@ def test_aggregate_mean_and_std_equal_numpys_bit_for_bit():
         values = np.clip(values, 0.0, 1.0)
         results = [
             RunResult("net", "4_L_p", run, "d", MetricReport(*[v] * 8))
-            for run, v in enumerate(values.tolist())
+            for run, v in enumerate(values.tolist(), start=1)
         ]
         cell = aggregate(results).cell("net", "4_L_p", "ap")
         assert cell.mean == values.mean(), n

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -462,6 +463,23 @@ def test_battery_input_validation():
         run_battery([good[0], SampleSet("a", good[1].values)])
     with pytest.raises(StatsError):
         run_battery(good, alpha=1.5)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ("0.05", "alpha must be a real number, got '0.05'"),
+        (None, "alpha must be a real number, got None"),
+        (True, "alpha must be a real number, got True"),
+        ([0.05], "alpha must be a real number, got [0.05]"),
+        (10**400, "outside (0, 1)"),  # an int beyond the float range is still a number
+    ],
+    ids=["str", "none", "bool", "list", "huge-int"],
+)
+def test_check_alpha_refuses_a_value_that_is_not_a_real_number(alpha, message):
+    # a string raised TypeError from the comparison, and True read as 1
+    with pytest.raises(StatsError, match=re.escape(message)):
+        stats.check_alpha(alpha)
 
 
 def test_battery_report_serializes():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ def test_spec_rejects_a_non_finite_range(field, bad):
 def test_spec_rejects_a_non_finite_or_negative_rate(field, bad):
     with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
         SceneSpec(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MockDetectorSpec(p_drop=True), "p_drop must be a number, got True"),
+        (lambda: MockDetectorSpec(p_fp="1"), "p_fp must be a number, got '1'"),
+        (lambda: SceneSpec(empty_prob=True), "empty_prob must be a number, got True"),
+        (lambda: SceneSpec(width="64"), "width must be an integer, got '64'"),
+        (lambda: SceneSpec(height=480.0), "height must be an integer, got 480.0"),
+        (lambda: SceneSpec(pig_count=(0.5, 1.5)), "pig_count bound must be an integer, got 0.5"),
+        (lambda: build_corpus(PRESET_A, True, 0), "corpus size must be an integer, got True"),
+        (lambda: build_corpus(PRESET_A, "3", 0), "corpus size must be an integer, got '3'"),
+    ],
+    ids=["p_drop", "p_fp", "empty_prob", "width", "height", "pig_count", "n-bool", "n-str"],
+)
+def test_specs_and_corpus_size_refuse_values_of_the_wrong_type(make, message):
+    # True passed as 1, 0.5 pigs built a corpus, and "64" raised TypeError
+    with pytest.raises(SynthError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_presets_are_registered():

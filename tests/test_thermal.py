@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import re
 import struct
 from decimal import Decimal
@@ -323,6 +324,36 @@ def test_rotate_90_box_on_square_canvas():
     assert boxes[0] == pytest.approx([4.0, 1.0, 4.0, 3.0])
 
 
+def _reference_hull(box, angle, width, height):
+    """One box's rotated, clipped hull, corner by corner, or None once it leaves the canvas."""
+    theta = math.radians(angle % 360.0)
+    cx, cy = width / 2.0, height / 2.0
+    x, y, w, h = box
+    xs, ys = [], []
+    for px, py in ((x, y), (x + w, y), (x, y + h), (x + w, y + h)):
+        px, py = px - cx, py - cy
+        xs.append(math.cos(theta) * px - math.sin(theta) * py + cx)
+        ys.append(math.sin(theta) * px + math.cos(theta) * py + cy)
+    x1, x2 = max(min(xs), 0.0), min(max(xs), float(width))
+    y1, y2 = max(min(ys), 0.0), min(max(ys), float(height))
+    return None if x2 - x1 <= 0 or y2 - y1 <= 0 else [x1, y1, x2 - x1, y2 - y1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rotate_boxes_equal_a_per_box_reference_hull(seed):
+    rng = np.random.default_rng(seed)
+    height, width = (int(v) for v in rng.integers(4, 60, 2))
+    x, y = rng.uniform(0, width, 12), rng.uniform(0, height, 12)
+    w, h = rng.uniform(0, 1, 12) * (width - x), rng.uniform(0, 1, 12) * (height - y)
+    boxes = np.stack([x, y, w, h], axis=1)
+    boxes[:4] = np.floor(boxes[:4])  # some boxes on the pixel grid
+    angle = float(rng.choice([90.0, 180.0, 270.0, 45.0, rng.uniform(-720.0, 720.0)]))
+    _, out = rotate(np.zeros((height, width), dtype=np.uint8), boxes, angle)
+    want = [r for r in (_reference_hull(b, angle, width, height) for b in boxes.tolist()) if r]
+    assert out.dtype == np.float64 and out.shape == (len(want), 4)
+    assert out.tolist() == want
+
+
 def test_rotate_drops_boxes_leaving_canvas():
     img = np.zeros((6, 40), dtype=np.uint8)
     _, boxes = rotate(img, np.array([[36.0, 2.0, 3.0, 2.0]]), angle=90.0)
@@ -384,15 +415,32 @@ def test_augment_checks_the_boxes_once(monkeypatch):
     angle = rng.uniform(0.0, 360.0)
     want = rotate(*flip(*flip(img, boxes, "horizontal"), "vertical"), angle)
     calls = []
-    check = thermal._check_boxes
+    check = thermal._checked_sample
     monkeypatch.setattr(
-        thermal, "_check_boxes", lambda *args: calls.append(args) or check(*args)
+        thermal, "_checked_sample", lambda *args: calls.append(args) or check(*args)
     )
     policy = AugmentPolicy(1.0, 1.0, 1.0)
     out, out_boxes = augment_sample(img, boxes, policy=policy, rng_seed=seed)
     assert len(calls) == 1
     assert np.array_equal(out, want[0])
     assert np.array_equal(out_boxes, want[1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("col", range(4))
+def test_transforms_reject_a_non_finite_box_coordinate(col, bad):
+    # a NaN passed every bound check, so it came back as a NaN box
+    boxes = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 2.0]])
+    boxes[1, col] = bad
+    img, policy = _checker(), AugmentPolicy(1.0, 1.0, 1.0)
+    for transform in (
+        lambda: flip(img, boxes, "horizontal"),
+        lambda: flip(img, boxes, "vertical"),
+        lambda: rotate(img, boxes, 30.0),
+        lambda: augment_sample(img, boxes, policy=policy, rng_seed=1),
+    ):
+        with pytest.raises(ThermalError, match="^box with a non-finite coordinate$"):
+            transform()
 
 
 def test_augment_policy_validates_probabilities():
