@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -24,9 +22,11 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs inside its body, and the parser
 # needs no thermeval module, so a process loads only what its command uses
-# (``filter``, ``--help`` and ``--version`` load no numpy).  The two choice
-# lists argparse checks at parse time are spelled out here; tests pin them
-# to ``report.METRIC_NAMES`` and ``synth.PRESETS``.
+# (``filter``, ``--help`` and ``--version`` load no numpy).  The same holds
+# for the standard library: ``hashlib`` loads only for a manifest, ``json``
+# only where a command writes JSON.  The two choice lists argparse checks at
+# parse time are spelled out here; tests pin them to ``report.METRIC_NAMES``
+# and ``synth.PRESETS``.
 _METRIC_CHOICES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm", "all")
 _PRESET_CHOICES = ("a", "b")
 
@@ -35,6 +35,8 @@ _ERRORS = (ValueError, OSError)
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fp:
         for chunk in iter(lambda: fp.read(65536), b""):
@@ -47,6 +49,8 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[
     first of them, or in the ``--out`` directory when there is none."""
     if not args.manifest:
         return
+    import json
+
     target_dir = outputs[0].parent if outputs else Path(args.out)
     manifest = {
         "tool": "thermeval",
@@ -168,6 +172,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         aggregate(rows)  # a repeated run or a second dataset tag fails before any write
     outputs: list[Path] = []
     if args.out is not None:
+        import json
+
         Path(args.out).write_text(
             json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
         )
@@ -228,6 +234,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     outputs: list[Path] = []
     if args.out is not None:
+        import json
+
         reports = {metric: battery.as_dict() for metric, battery in batteries.items()}
         Path(args.out).write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
         outputs.append(Path(args.out))

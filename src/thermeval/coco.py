@@ -18,6 +18,9 @@ from itertools import chain
 from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
+# the checks live in a numpy-free leaf; ``coco.DatasetError`` is the leaf's class
+from ._checks import DatasetError, _check_int, _check_number, _check_seed
+
 __all__ = [
     "DatasetError",
     "BBox",
@@ -54,10 +57,6 @@ AREA_TOLERANCE = 0.5
 DEFAULT_SIZE_THRESHOLD = 10.0
 
 
-class DatasetError(ValueError):
-    """A COCO document, Dataset, or detection list violated a structural rule."""
-
-
 class SizeClass(Enum):
     SMALL = "small"
     MEDIUM = "medium"
@@ -77,12 +76,6 @@ def classify_size(area: float) -> SizeClass:
     if area <= MEDIUM_MAX_AREA:
         return SizeClass.MEDIUM
     return SizeClass.LARGE
-
-
-def _check_number(value: object, what: str) -> None:
-    """Reject a value that is not an int or float; a bool is not a number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DatasetError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,20 +111,6 @@ class BBox:
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
-
-
-def _check_int(value: object, what: str) -> int:
-    """Reject a value that is not an int; a bool or an integral float is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DatasetError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _check_seed(value: object) -> int:
-    """A seed is a non-negative integer: a split plan's, a corpus's, a detector run's."""
-    if _check_int(value, "seed") < 0:
-        raise DatasetError(f"seed must be non-negative, got {value}")
-    return value
 
 
 def _check_id(value: object, what: str) -> int:

@@ -15,22 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coco import (
-    DatasetError,
-    _as_dict,
-    _as_list,
-    _check_int,
-    _check_seed,
-    _image_id_set,
-    _load_json,
-    _require,
-)
+from ._checks import DatasetError, _check_as, _check_int, _check_seed
+from .coco import _as_dict, _as_list, _image_id_set, _load_json, _require
 
 __all__ = [
     "PlanError",
     "HPC",
     "hpc_grid",
-    "CANONICAL_HPC_ORDER",
     "RunSplit",
     "SplitPlan",
     "plan_splits",
@@ -57,10 +48,7 @@ class HPC:
     training_status: str
 
     def __post_init__(self) -> None:
-        try:
-            _check_int(self.batch_size, "batch_size")
-        except DatasetError as exc:
-            raise PlanError(str(exc)) from None
+        _check_as(PlanError, _check_int, self.batch_size, "batch_size")
         if self.batch_size not in _BATCH_SIZES:
             raise PlanError(f"batch_size must be one of {_BATCH_SIZES}, got {self.batch_size}")
         if self.loss_weighting not in _WEIGHTINGS:
@@ -100,16 +88,6 @@ def hpc_grid() -> tuple[HPC, ...]:
         for batch in _BATCH_SIZES
         for weight in _WEIGHTINGS
     )
-
-
-# column order used by the results tables: batch 4 block first, then by
-# weighting, then by status
-CANONICAL_HPC_ORDER: tuple[str, ...] = tuple(
-    HPC(batch, weight, status).name
-    for batch in reversed(_BATCH_SIZES)
-    for weight in _WEIGHTINGS
-    for status in _STATUSES
-)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .coco import DatasetError, _check_int, _check_number
-from .plan import CANONICAL_HPC_ORDER
+from ._checks import DatasetError, _check_as, _check_int, _check_number
 
 if TYPE_CHECKING:
     from .stats import SampleSet, StatReport
@@ -26,6 +25,7 @@ if TYPE_CHECKING:
 __all__ = [
     "UNDEFINED",
     "METRIC_NAMES",
+    "CANONICAL_HPC_ORDER",
     "MetricReport",
     "ReportError",
     "RunResult",
@@ -58,6 +58,13 @@ METRIC_LABELS: Mapping[str, str] = {
 }
 
 _CSV_HEADER = ("run", "model", "hpc", "dataset") + METRIC_NAMES
+
+# the column order of the results tables: batch 4 block first, then by
+# weighting (original L before reduced l), then by status (pretrained p
+# before untrained u); tests hold it to ``plan.hpc_grid``'s names
+CANONICAL_HPC_ORDER: tuple[str, ...] = (
+    "4_L_p", "4_L_u", "4_l_p", "4_l_u", "16_L_p", "16_L_u", "16_l_p", "16_l_u"
+)
 
 
 class ReportError(ValueError):
@@ -108,10 +115,7 @@ class RunResult:
     metrics: MetricReport
 
     def __post_init__(self) -> None:
-        try:
-            _check_int(self.run, "run")
-        except DatasetError as exc:
-            raise ReportError(str(exc)) from None
+        _check_as(ReportError, _check_int, self.run, "run")
         if self.run < 1:
             raise ReportError(f"run must be a positive integer, got {self.run}")
         if not all(isinstance(t, str) and t for t in (self.model, self.hpc, self.dataset)):

@@ -17,20 +17,17 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ._checks import DatasetError, _check_as, _check_int, _check_number, _check_seed
 from .coco import (
     AnnotationRecord,
     BBox,
     CategoryRecord,
     Dataset,
-    DatasetError,
     Detections,
     ImageRecord,
     _as_dict,
     _as_list,
     _check_id,
-    _check_int,
-    _check_number,
-    _check_seed,
     _load_json,
     _parse_bbox,
 )
@@ -59,23 +56,15 @@ class SynthError(ValueError):
     """Raised for infeasible scene or detector specifications."""
 
 
-def _coco_check(check, *args):
-    """One of ``coco``'s checks, raising ``SynthError``."""
-    try:
-        return check(*args)
-    except DatasetError as exc:
-        raise SynthError(str(exc)) from None
-
-
 def _seed(value: object) -> int:
-    """``coco._check_seed``, raising ``SynthError``: numpy's own refusal names no seed."""
-    return _coco_check(_check_seed, value)
+    """``_checks._check_seed``, raising ``SynthError``: numpy's own refusal names no seed."""
+    return _check_as(SynthError, _check_seed, value)
 
 
 def _check_range(rng_pair, what: str, lo_min: float, check=_check_number) -> None:
     lo, hi = rng_pair
     for bound in (lo, hi):
-        _coco_check(check, bound, f"{what} bound")
+        _check_as(SynthError, check, bound, f"{what} bound")
     # NaN fails every comparison
     if not (lo_min <= lo <= hi < math.inf):
         raise SynthError(
@@ -115,9 +104,9 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         for name in ("width", "height"):
-            _coco_check(_check_int, getattr(self, name), name)
+            _check_as(SynthError, _check_int, getattr(self, name), name)
         for name in ("empty_prob", "puddle_extra_lambda", "background_level", "noise_sigma"):
-            _coco_check(_check_number, getattr(self, name), name)
+            _check_as(SynthError, _check_number, getattr(self, name), name)
         if self.width <= 0 or self.height <= 0:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
         _check_probability(self.empty_prob, f"empty_prob {self.empty_prob}")
@@ -307,7 +296,7 @@ def build_corpus(
     Image ids run from 1; the single category is ``puddle``.  Distractor
     boxes are returned separately keyed by image id, never annotated.
     """
-    if _coco_check(_check_int, n, "corpus size") < 1:
+    if _check_as(SynthError, _check_int, n, "corpus size") < 1:
         raise SynthError(f"corpus size must be positive, got {n}")
     children = np.random.SeedSequence(_seed(seed)).spawn(n)
     images = []
@@ -397,7 +386,7 @@ class MockDetectorSpec:
 
     def __post_init__(self) -> None:
         for name in ("p_drop", "p_fp", "jitter_sigma", "p_distractor_fp"):
-            _coco_check(_check_number, getattr(self, name), name)
+            _check_as(SynthError, _check_number, getattr(self, name), name)
         _check_probability(self.p_drop, f"p_drop={self.p_drop}")
         _check_probability(self.p_distractor_fp, f"p_distractor_fp={self.p_distractor_fp}")
         _check_non_negative(self.p_fp, "p_fp")

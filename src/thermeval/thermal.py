@@ -16,6 +16,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from ._checks import _check_as, _check_number, _check_seed
+
 __all__ = [
     "ThermalError",
     "CalibrationRange",
@@ -225,6 +227,7 @@ class AugmentPolicy:
     def __post_init__(self) -> None:
         for name in ("p_hflip", "p_vflip", "p_rotate"):
             p = getattr(self, name)
+            _check_as(ThermalError, _check_number, p, name)  # a bool once passed as 0 or 1
             if not (0.0 <= p <= 1.0):
                 raise ThermalError(f"{name}={p} outside [0, 1]")
 
@@ -240,7 +243,8 @@ def augment_sample(
     Each transform is drawn independently; applied ones run in the fixed
     order horizontal flip, vertical flip, rotation by a uniform angle.
     """
-    rng = np.random.default_rng(rng_seed)
+    # numpy's own refusal of a negative seed names no seed
+    rng = np.random.default_rng(_check_as(ThermalError, _check_seed, rng_seed))
     # decisions are drawn before the angle so the draw sequence is stable
     do_h = rng.random() < policy.p_hflip
     do_v = rng.random() < policy.p_vflip

@@ -26,8 +26,9 @@ from thermeval.coco import (
     parse_detections,
 )
 from thermeval.metrics import METRIC_NAMES, evaluate
-from thermeval.plan import CANONICAL_HPC_ORDER, plan_splits
+from thermeval.plan import plan_splits
 from thermeval.report import (
+    CANONICAL_HPC_ORDER,
     AggregateCell,
     AggregateTable,
     RunResult,

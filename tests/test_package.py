@@ -103,9 +103,11 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
-_SCORE = ("coco", "metrics", "plan", "report")
-_TAIL = ("coco", "plan", "report")
-_SCENE = ("coco", "synth", "thermal")
+# the numpy-free leaf that holds the number checks and ``DatasetError``
+_LEAF = "_checks"
+_SCORE = (_LEAF, "coco", "metrics", "report")
+_TAIL = (_LEAF, "report")
+_SCENE = (_LEAF, "coco", "synth", "thermal")
 
 # argv ({d}: the input directory) -> the thermeval modules besides the cli
 # that the process loads, and whether it loads numpy and scipy (which no
@@ -114,12 +116,13 @@ _IMPORT_PINS = {
     "version": ("--version", (), False, False),
     "help": ("--help", (), False, False),
     "convert": (
-        "convert --src {d}/raw --out gray --cal-lo 0 --cal-hi 100", ("thermal",), True, False
+        "convert --src {d}/raw --out gray --cal-lo 0 --cal-hi 100",
+        (_LEAF, "thermal"), True, False,
     ),
-    "filter": ("filter --gt {d}/gt.json --out gt_f.json", ("coco",), False, False),
+    "filter": ("filter --gt {d}/gt.json --out gt_f.json", (_LEAF, "coco"), False, False),
     "split": (
         "split --gt {d}/gt.json --out plan.json --k-outer 2 --k-inner 2",
-        ("coco", "plan"), True, False,
+        (_LEAF, "coco", "plan"), True, False,
     ),
     "synth": (
         "synth --preset b --n 2 --out gt.json --frames raw --emit-distractors d.json",
@@ -127,7 +130,7 @@ _IMPORT_PINS = {
     ),
     "detect": (
         "detect --gt {d}/gt.json --out dets.json --p-fp 1 --distractors {d}/d.json",
-        ("coco", "synth"), True, False,
+        (_LEAF, "coco", "synth"), True, False,
     ),
     "evaluate": (
         "evaluate --gt {d}/gt.json --dets {d}/dets.json --out r.json"
@@ -141,6 +144,12 @@ _IMPORT_PINS = {
         _TAIL + ("stats",), False, False,
     ),
 }
+
+# the commands that load no hashlib: the cli hashes only for --manifest, and
+# the rest load it only through numpy.random (split, synth, detect)
+_WITHOUT_HASHLIB = (
+    "version", "help", "convert", "filter", "evaluate", "stats", "report", "report-figure"
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +182,20 @@ def test_each_subcommand_loads_only_what_it_runs(case, cli_inputs, tmp_path):
     ours = sorted(m for m in loaded if m.startswith("thermeval."))
     assert ours == sorted(["thermeval.cli"] + [f"thermeval.{m}" for m in modules])
     assert ("numpy" in loaded, "scipy" in loaded) == (numpy, scipy)
+    if case in _WITHOUT_HASHLIB:
+        assert "hashlib" not in loaded
+
+
+def test_the_checks_leaf_loads_no_numpy_and_no_other_module():
+    ours = tuple(m.name for m in pkgutil.iter_modules(thermeval.__path__, "thermeval."))
+    assert _loaded_after(f"thermeval.{_LEAF}", ("numpy",) + ours) == [f"thermeval.{_LEAF}"]
+
+
+def test_coco_re_exports_the_leafs_error_and_checks():
+    # one object each, so an ``except coco.DatasetError`` catches what every module raises
+    coco, leaf = (importlib.import_module(f"thermeval.{m}") for m in ("coco", _LEAF))
+    for name in ("DatasetError", "_check_number", "_check_int", "_check_seed"):
+        assert getattr(coco, name) is getattr(leaf, name), name
 
 
 @pytest.mark.parametrize("case", ["stats", "report-figure"])
@@ -190,19 +213,34 @@ _TAIL_OUTPUTS = {
 }
 
 
+def _same_tail_files_with(blocked: tuple[str, ...], case: str, inputs: Path, tmp_path: Path):
+    """Run the results-tail ``case`` as it is and with ``blocked`` unimportable;
+    both runs must succeed and write the same bytes."""
+    argv, names = _TAIL_OUTPUTS[case]
+    block = "import sys\n" + "".join(f"sys.modules[{m!r}] = None\n" for m in blocked)
+    written = []
+    for code in (_RUN_CLI, block + _RUN_CLI):
+        cwd = tmp_path / f"run{len(written)}"
+        cwd.mkdir()
+        out = _fresh_python(code, *argv.format(d=inputs).split(), cwd=cwd)
+        assert json.loads(out.splitlines()[-1])[0] == 0
+        written.append([(cwd / name).read_bytes() for name in names])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("case", sorted(_TAIL_OUTPUTS))
 def test_the_results_tail_writes_the_same_bytes_with_numpy_unimportable(
     case, cli_inputs, tmp_path
 ):
-    argv, names = _TAIL_OUTPUTS[case]
-    written = []
-    for block in ("", 'import sys\nsys.modules["numpy"] = None\n'):
-        cwd = tmp_path / f"run{len(written)}"
-        cwd.mkdir()
-        out = _fresh_python(block + _RUN_CLI, *argv.format(d=cli_inputs).split(), cwd=cwd)
-        assert json.loads(out.splitlines()[-1])[0] == 0
-        written.append([(cwd / name).read_bytes() for name in names])
-    assert written[0] == written[1]
+    _same_tail_files_with(("numpy",), case, cli_inputs, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(_TAIL_OUTPUTS))
+def test_the_results_tail_writes_the_same_bytes_without_coco_plan_or_hashlib(
+    case, cli_inputs, tmp_path
+):
+    blocked = ("thermeval.coco", "thermeval.plan", "hashlib")
+    _same_tail_files_with(blocked, case, cli_inputs, tmp_path)
 
 
 def _option(command: str, dest: str) -> argparse.Action:

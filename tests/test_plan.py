@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermeval.plan import (
-    CANONICAL_HPC_ORDER,
     HPC,
     PlanError,
     hpc_grid,
@@ -18,6 +17,7 @@ from thermeval.plan import (
     select_best_epoch,
     write_plan,
 )
+from thermeval.report import CANONICAL_HPC_ORDER
 
 
 # -- the configuration grid
@@ -40,6 +40,7 @@ def test_hpc_grid_has_eight_unique_cells():
 
 
 def test_canonical_order_covers_the_grid():
+    # report spells the table order out, so the results tail loads no plan
     assert len(CANONICAL_HPC_ORDER) == 8
     assert set(CANONICAL_HPC_ORDER) == {h.name for h in hpc_grid()}
     # table layout: batch-4 block first, pretrained before untrained

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from thermeval.metrics import METRIC_NAMES, MetricReport, UNDEFINED
-from thermeval.plan import CANONICAL_HPC_ORDER
 from thermeval.report import (
+    CANONICAL_HPC_ORDER,
     AggregateCell,
     AggregateTable,
     METRIC_LABELS,

@@ -448,6 +448,28 @@ def test_augment_policy_validates_probabilities():
         AugmentPolicy(p_hflip=1.2)
 
 
+@pytest.mark.parametrize("field", ["p_hflip", "p_vflip", "p_rotate"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_augment_policy_rejects_a_probability_that_is_not_a_number(field, value):
+    # True was read as 1, and text raised a bare TypeError
+    message = f"{field} must be a number, got {value!r}"
+    with pytest.raises(ThermalError, match=f"^{re.escape(message)}$"):
+        AugmentPolicy(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be non-negative, got -1"),  # numpy's refusal named no seed
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ],
+)
+def test_augment_rejects_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    with pytest.raises(ThermalError, match=f"^{re.escape(message)}$"):
+        augment_sample(_checker(), np.zeros((0, 4)), rng_seed=seed)
+
+
 @pytest.mark.parametrize("shape", [(8,), (2, 8, 8, 3)])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_augment_rejects_an_image_that_is_not_2d_or_3d(shape, p):
