@@ -225,29 +225,22 @@ def _accumulate(
     the category in score-descending order, for one (stratum, threshold);
     both are False where it is ignored.  ``n_eligible`` (R,) holds each
     row's positive eligible GT count.  ``need`` (R, 101) holds, for row r
-    and each recall sample, r * (max(n_eligible) + 1) plus the TP count at
-    which the row's recall first reaches the sample: a flat index into the
-    rows of TP counts.  Returns (precision_samples (R, 101), final_recall
-    (R,)).
+    and each recall sample, r * (max(n_eligible) + 1) plus the TP count k
+    at which the row's recall first reaches the sample: a flat index into
+    an (R, max(n_eligible) + 1) table whose entry k is the precision
+    envelope (non-increasing from the right) at the row's k-th TP.  Entry 0
+    is the row's maximum precision, and entries past its final TP count
+    stay 0, which answers the samples past its final recall.  Returns
+    (precision_samples (R, 101), final_recall (R,)).
     """
-    n_rows, n_det = tps.shape
     tp_sum = np.cumsum(tps, axis=1)
     fp_sum = np.cumsum(fps, axis=1)
     pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
-    final_recall = tp_sum[:, -1] / n_eligible if n_det else np.zeros(n_rows)
-    # precision envelope: non-increasing from the right; a trailing 0 column
-    # answers the recall samples past the final recall
-    envelope = np.zeros((n_rows, n_det + 1))
-    envelope[:, :-1] = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
-    # the column where each row's TP count first reaches k: 0 for k = 0, the
-    # k-th TP's column, or the trailing column past the final count (which
-    # is at most n)
-    first = np.full((n_rows, n_eligible.max() + 1), n_det)
-    first[:, 0] = 0
     rows, cols = np.nonzero(tps)
-    first[rows, tp_sum[rows, cols]] = cols
-    row_start = np.arange(0, n_rows * (n_det + 1), n_det + 1)[:, None]
-    return envelope.ravel()[first.ravel()[need] + row_start], final_recall
+    table = np.zeros((len(tps), n_eligible.max() + 1))
+    table[:, 0] = pr.max(axis=1, initial=0.0)
+    table[rows, tp_sum[rows, cols]] = np.maximum.accumulate(pr[:, ::-1], axis=1)[rows, -1 - cols]
+    return table.ravel()[need], np.bincount(rows, minlength=len(tps)) / n_eligible
 
 
 # (S, 1) each: the size strata's area intervals (lo, hi] in report order,
@@ -296,8 +289,10 @@ class _Tables:
 def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
     """The tables of ``gt`` under one validated sweep, built on first use.
 
-    They are kept in ``gt._columns`` for the dataset's lifetime, so memory
-    grows with the distinct sweeps a caller scores each dataset with.
+    A stratum's eligible GT, those outside its ignore regions, are counted
+    per category by one ``bincount`` of stratum * C + category position.
+    The tables are kept in ``gt._columns`` for the dataset's lifetime, so
+    memory grows with the distinct sweeps a caller scores each dataset with.
     """
     tables = gt._columns.get(thresholds)
     if tables is not None:
@@ -314,11 +309,9 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
     gt_box = _box_columns(anns[i].bbox for i in order.tolist())
     flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
     gt_cell, gt_ignore = gt_cell[order], flagged | _outside(gt_box)
-    gt_bounds = np.searchsorted(gt_cell, np.arange(len(cat_ids) + 1) * len(img_ids))
-    eligible = np.zeros((len(gt_ignore), len(gt_cell) + 1), dtype=np.int64)
-    np.cumsum(~gt_ignore, axis=1, out=eligible[:, 1:])
-    n_eligible = eligible[:, gt_bounds[1:]] - eligible[:, gt_bounds[:-1]]
-    n_thr = len(thresholds)
+    n_strata, n_cat, n_thr = len(gt_ignore), len(cat_ids), len(thresholds)
+    key = np.arange(n_strata)[:, None] * n_cat + gt_cell // len(img_ids)
+    n_eligible = np.bincount(key[~gt_ignore], minlength=n_strata * n_cat).reshape(n_strata, n_cat)
     per_category = []
     for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
         strata = np.flatnonzero(n_eligible[:, ci])
@@ -339,7 +332,7 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
         gt_cell,
         gt_box,
         gt_ignore,
-        np.tile(np.asarray(thresholds, dtype=np.float64), len(gt_ignore))[:, None],
+        np.tile(np.asarray(thresholds, dtype=np.float64), n_strata)[:, None],
         near.argmax(axis=1),
         tuple(near.any(axis=1).tolist()),
         tuple(per_category),

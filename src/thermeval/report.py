@@ -222,13 +222,17 @@ def aggregate(results: Sequence[RunResult]) -> AggregateTable:
 
     All results must carry the same dataset tag, and no (model, hpc, run)
     may repeat.  Undefined stratum values are left out of their cell; a
-    single contributing run yields std 0 with n = 1.
+    single contributing run yields std 0 with n = 1.  A cell's mean and std
+    add its values in run order, whatever order the rows come in.
     """
-    return _aggregate(results, METRIC_NAMES)
+    return _aggregate(results, METRIC_NAMES)[0]
 
 
-def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> AggregateTable:
-    """``aggregate`` with cells for the named metrics only."""
+def _aggregate(
+    results: Sequence[RunResult], metrics: Sequence[str]
+) -> tuple[AggregateTable, dict[tuple[str, str, str], list[float]]]:
+    """``aggregate`` with cells for the named metrics only, and each cell's
+    defined values in run order."""
     if not results:
         raise ReportError("no results to aggregate")
     datasets = {r.dataset for r in results}
@@ -237,7 +241,7 @@ def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> Aggregat
     seen_runs = set()
     models: list[str] = []
     hpcs: set[str] = set()
-    by_cell: dict[tuple[str, str, str], list[float]] = {}
+    by_cell: dict[tuple[str, str, str], list[tuple[int, float]]] = {}
     for r in results:
         key = (r.model, r.hpc, r.run)
         if key in seen_runs:
@@ -249,19 +253,16 @@ def _aggregate(results: Sequence[RunResult], metrics: Sequence[str]) -> Aggregat
         for name in metrics:
             v = getattr(r.metrics, name)
             if v != UNDEFINED:
-                by_cell.setdefault((r.model, r.hpc, name), []).append(v)
+                by_cell.setdefault((r.model, r.hpc, name), []).append((r.run, v))
 
-    cells = {}
-    for key, vals in by_cell.items():
+    values, cells = {}, {}
+    for key, pairs in by_cell.items():
+        vals = values[key] = [v for _, v in sorted(pairs)]  # a cell's runs are distinct
         n, mean = len(vals), _mean(vals)
         std = math.sqrt(_sum_sq_dev(vals, mean) / (n - 1)) if n > 1 else 0.0
         cells[key] = AggregateCell(mean=mean, std=std, n=n)
-    return AggregateTable(
-        dataset=results[0].dataset,
-        models=tuple(models),
-        hpcs=tuple(sorted(hpcs, key=_hpc_sort_key)),
-        cells=cells,
-    )
+    hpc_order = tuple(sorted(hpcs, key=_hpc_sort_key))
+    return AggregateTable(results[0].dataset, tuple(models), hpc_order, cells), values
 
 
 def _one_model(table: AggregateTable, model: str | None, purpose: str) -> str:
@@ -369,7 +370,7 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
     from .stats import SampleSet  # the battery's module, loaded only where it is used
 
     # an unknown metric fails in best_hpc, after the checks on the rows
-    table = _aggregate(results, (metric,) if metric in METRIC_NAMES else ())
+    table, values = _aggregate(results, (metric,) if metric in METRIC_NAMES else ())
     out = []
     for model in table.models:
         # a model that never defines the metric has no best combination and an empty
@@ -378,12 +379,7 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
             table.has_cell(model, h, metric) for h in table.hpcs
         )
         hpc = None if undefined else best_hpc(table, metric, model)[0]
-        runs = sorted(
-            (r for r in results if r.model == model and r.hpc == hpc),
-            key=lambda r: r.run,
-        )
-        values = [v for v in (getattr(r.metrics, metric) for r in runs) if v != UNDEFINED]
-        out.append(SampleSet(label=model, values=tuple(values)))
+        out.append(SampleSet(label=model, values=tuple(values.get((model, hpc, metric), ()))))
     return out
 
 

@@ -518,6 +518,21 @@ def test_accumulate_flat_gather_edge_rows():
     assert prec[1, 51:].tolist() == pytest.approx([2 / 3] * 50)
 
 
+@pytest.mark.parametrize(
+    "gt",
+    [
+        Dataset(images=(), annotations=(), categories=(CategoryRecord(id=1, name="puddle"),)),
+        Dataset(images=_corpus([]).images, annotations=(), categories=()),
+        _corpus([], n_images=3),
+    ],
+    ids=["no images", "no categories", "no annotations"],
+)
+def test_evaluate_on_a_dataset_without_ground_truth_is_undefined(gt):
+    # eligible GT are counted per category position, cell // image count
+    report = evaluate(gt, ())
+    assert report.as_dict() == dict.fromkeys(METRIC_NAMES, UNDEFINED)
+
+
 @pytest.mark.parametrize("bad", [0, 1.5, True])
 def test_evaluate_rejects_bad_max_dets(bad):
     # 1.5 would cap a cell at two detections and True at one

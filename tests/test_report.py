@@ -24,6 +24,7 @@ from thermeval.report import (
     read_results_csv,
     write_results_csv,
 )
+from thermeval.report import _mean
 from thermeval.stats import SampleSet, StatsError, run_battery
 
 
@@ -441,3 +442,50 @@ def test_figure_data_requires_letters_for_every_model():
     stats = {"ap": run_battery(renamed)}
     with pytest.raises(ReportError, match="letters"):
         emit_significance_figure_data(stats, table)
+
+
+def _run_ordered_results(n_runs=10):
+    # three models x three combinations, runs in order; the values spread
+    # widely enough that adding them in another order moves their bits
+    rng = np.random.default_rng(20)
+    out = []
+    for run in range(1, n_runs + 1):
+        for model, shift in (("a", 0.0), ("b", 0.1), ("c", 0.2)):
+            for hpc in ("4_L_p", "16_l_u", "4_l_u"):
+                values = (shift + 0.7 * rng.random(8)).tolist()
+                if rng.random() < 0.2:
+                    values[3] = UNDEFINED
+                out.append(RunResult(model, hpc, run, "pond", MetricReport(*values)))
+    return out
+
+
+def _outputs(results):
+    table = aggregate(results)
+    samples = {m: metric_samples(results, m) for m in METRIC_NAMES}
+    batteries = {m: run_battery(s) for m, s in samples.items()}
+    return (
+        [emit_table(table, style, model=m) for m in table.models for style in ("markdown", "csv")],
+        emit_significance_figure_data(batteries, table),
+        {m: b.as_dict() for m, b in batteries.items()},
+        samples,
+    )
+
+
+def test_tables_figure_and_batteries_follow_run_order_not_row_order():
+    ordered = _run_ordered_results()
+    shuffled = list(ordered)
+    rng = np.random.default_rng(3)
+    for model in ("a", "b", "c"):
+        # the model's rows trade places among its own slots, so each model
+        # still first appears where it did
+        slots = [i for i, r in enumerate(ordered) if r.model == model]
+        for i, j in zip(slots, rng.permutation(slots).tolist()):
+            shuffled[i] = ordered[j]
+    assert shuffled != ordered
+    tables, figure, batteries, samples = _outputs(ordered)
+    assert _outputs(shuffled)[:3] == (tables, figure, batteries)
+    # each figure mean is the mean of the sample the battery tested
+    for line in figure.splitlines()[1:]:
+        metric, model, mean = line.split(",")[:3]
+        (values,) = [s.values for s in samples[metric] if s.label == model]
+        assert float(mean) == _mean(values)
