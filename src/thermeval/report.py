@@ -150,9 +150,15 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
             continue
         if len(row) != len(_CSV_HEADER):
             raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
-        try:
+        try:  # int() and float() read "1_0" as 10, so a field must read as it is written
+            if "_" in "".join(row[4:]):
+                bad = next(f for f in row[4:] if "_" in f)
+                raise ReportError(f"metric field {bad!r} holds '_'")
             metrics = MetricReport(*map(float, row[4:]))
-            out.append(RunResult(row[1], row[2], int(row[0]), row[3], metrics))
+            run = int(row[0])
+            if str(run) != row[0]:
+                raise ReportError(f"run {row[0]!r} is not a plain decimal integer")
+            out.append(RunResult(row[1], row[2], run, row[3], metrics))
         except ValueError as exc:  # ReportError is one
             raise ReportError(f"line {ln}: {exc}") from None
     return tuple(out)

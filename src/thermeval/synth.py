@@ -111,16 +111,16 @@ class SceneSpec:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
         _check_probability(self.empty_prob, f"empty_prob {self.empty_prob}")
         _check_non_negative(self.puddle_extra_lambda, "puddle_extra_lambda")
-        for pair, what in (
-            (self.puddle_axis, "puddle_axis"),
-            (self.pig_axis, "pig_axis"),
-            (self.bird_axis, "bird_axis"),
+        for pair, what, spans in (  # an object spans twice its semi-axis, a stripe its thickness
+            (self.puddle_axis, "puddle_axis", 2.0),
+            (self.pig_axis, "pig_axis", 2.0),
+            (self.bird_axis, "bird_axis", 2.0),
+            (self.stripe_thickness, "stripe_thickness", 1.0),
         ):
             _check_range(pair, what, lo_min=1.0)
-            if 2.0 * pair[1] > min(self.width, self.height):
+            if spans * pair[1] > min(self.width, self.height):
                 raise SynthError(f"{what} objects do not fit the canvas")
         _check_range(self.warm_delta, "warm_delta", lo_min=0.0)
-        _check_range(self.stripe_thickness, "stripe_thickness", lo_min=1.0)
         for pair, what in (
             (self.pig_count, "pig_count"),
             (self.stripe_count, "stripe_count"),

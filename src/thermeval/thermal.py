@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -37,6 +38,13 @@ __all__ = [
 
 RAW_MAGIC = b"THRM"
 _RAW_HEADER = struct.Struct("<4sIII")  # magic, width, height, reserved
+# a PGM header field, by netpbm's grammar: after any separators (space, tab, CR, LF)
+# and comments, the bytes up to one separator; a comment runs through the next LF, even
+# inside a field.  A field starts with a byte no comment can, so a miss is one pass.
+_PGM_COMMENT = rb"#[^\n]*\n"
+_PGM_FIELD = re.compile(
+    rb"(?:[ \t\r\n]|%s)*([^ \t\r\n#](?:[^ \t\r\n#]|%s)*)[ \t\r\n]" % (_PGM_COMMENT, _PGM_COMMENT)
+)
 
 
 class ThermalError(ValueError):
@@ -263,15 +271,11 @@ def augment_sample(
 # file formats
 
 
-def _read_payload(fp: BinaryIO, size: int, fmt: str, short: str) -> bytes:
-    """The rest of ``fp``, which must hold exactly ``size`` bytes.
-
-    Read once: a header's size can be far larger than any file, and a read
-    of that size fails or asks for gigabytes.  Too few bytes raise
-    ``short``, formatted with the ``held`` and ``size`` byte counts; too
-    many raise "trailing bytes".
-    """
-    payload = fp.read()
+def _checked_payload(payload: bytes, size: int, fmt: str, short: str) -> bytes:
+    """``payload``, the rest of a file, which must hold exactly ``size`` bytes.  Readers
+    take it with one unsized read, as a header's size can be far larger than any file.
+    Too few bytes raise ``short``, formatted with the ``held`` and ``size`` byte counts;
+    too many raise "trailing bytes"."""
     if len(payload) < size:
         raise ThermalError(short.format(held=len(payload), size=size))
     if len(payload) > size:
@@ -294,8 +298,8 @@ def read_raw(fp: BinaryIO) -> RawFrame:
         raise ThermalError(f"bad raw magic {magic!r}")
     if width == 0 or height == 0:
         raise ThermalError(f"raw frame with zero dimension {width}x{height}")
-    expected = width * height * 2
-    payload = _read_payload(fp, expected, "raw", "raw payload holds {held} bytes, expected {size}")
+    short = "raw payload holds {held} bytes, expected {size}"
+    payload = _checked_payload(fp.read(), width * height * 2, "raw", short)
     pixels = np.frombuffer(payload, dtype="<i2").reshape(height, width)
     return RawFrame(pixels.astype(np.int16))
 
@@ -307,38 +311,26 @@ def write_pgm(frame: GrayFrame, fp: BinaryIO) -> None:
 
 
 def read_pgm(fp: BinaryIO) -> GrayFrame:
-    """One binary PGM image, as ``write_pgm`` writes it; the file ends
-    with its payload."""
+    """One binary PGM image, its header as netpbm allows (``_PGM_FIELD``);
+    the file ends with its payload."""
     magic = fp.read(2)
     if magic != b"P5":
         raise ThermalError(f"bad PGM magic {magic!r}")
-
-    def next_token() -> bytes:
-        tok = b""
-        while True:
-            c = fp.read(1)
-            if not c:
-                raise ThermalError("truncated PGM header")
-            if c in b" \t\r\n":
-                if tok:
-                    return tok
-                continue
-            if c == b"#":  # comment runs to end of line
-                while c and c != b"\n":
-                    c = fp.read(1)
-                continue
-            tok += c
-
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError:
-        raise ThermalError("non-numeric PGM header field") from None
+    data, fields, end = fp.read(), [], 0
+    for _ in range(3):
+        match = _PGM_FIELD.match(data, end)
+        if match is None:
+            raise ThermalError("truncated PGM header")
+        end = match.end()
+        try:
+            fields.append(int(re.sub(_PGM_COMMENT, b"", match[1])))
+        except ValueError:
+            raise ThermalError("non-numeric PGM header field") from None
+    width, height, maxval = fields
     if maxval != 255:
         raise ThermalError(f"unsupported PGM maxval {maxval}")
     if width <= 0 or height <= 0:
         raise ThermalError(f"bad PGM dimensions {width}x{height}")
-    payload = _read_payload(fp, width * height, "PGM", "truncated PGM payload")
+    payload = _checked_payload(data[end:], width * height, "PGM", "truncated PGM payload")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return GrayFrame(pixels.copy())

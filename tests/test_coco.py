@@ -110,6 +110,12 @@ def test_bbox_allows_negative_corner():
     assert BBox(-3.0, -1.0, 5.0, 5.0).area == 25.0
 
 
+def test_bbox_rejects_an_int_too_large_for_a_float():
+    # the corner's float conversion overflows rather than going infinite
+    with pytest.raises(DatasetError, match=r"^bbox \[1\d{400}, 0, 1, 1\] must have a finite corner"):
+        BBox(10**400, 0, 1, 1)
+
+
 def test_bbox_zero_extent_allowed():
     assert BBox(0.0, 0.0, 0.0, 0.0).area == 0.0
 
@@ -325,6 +331,11 @@ def test_filter_never_clears_existing_ignore():
 def test_filter_rejects_a_non_finite_threshold(threshold):
     with pytest.raises(DatasetError, match="threshold"):
         filter_small_objects(_dataset([_ann(1)]), threshold)
+
+
+def test_filter_rejects_a_negative_threshold():
+    with pytest.raises(DatasetError, match=r"^negative size threshold -1\.0$"):
+        filter_small_objects(_dataset([_ann(1)]), -1.0)
 
 
 @pytest.mark.parametrize("threshold", ["10", True, None], ids=["str", "bool", "none"])

@@ -67,6 +67,18 @@ def test_hpc_rejects_unknown_batch_size():
 
 
 @pytest.mark.parametrize(
+    "weighting, status, message",
+    [
+        ("x", "pretrained", "loss_weighting must be one of ('original', 'reduced'), got 'x'"),
+        ("original", "x", "training_status must be one of ('pretrained', 'untrained'), got 'x'"),
+    ],
+)
+def test_hpc_rejects_an_unknown_weighting_or_status(weighting, status, message):
+    with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+        HPC(16, weighting, status)
+
+
+@pytest.mark.parametrize(
     "batch", [16.0, True, "16", np.int64(16)], ids=["float", "bool", "str", "numpy"]
 )
 def test_hpc_rejects_a_batch_size_that_is_not_an_int(batch):

@@ -84,7 +84,8 @@ def test_read_results_rejects_short_row():
 
 def test_read_results_rejects_bad_number():
     # -1 marks an undefined stratum; NaN and inf are never legal
-    for bad in ("not-a-number", "nan", "inf", "-inf"):
+    # float() reads "0.1_5" as 0.15, a spelling the writer never uses
+    for bad in ("not-a-number", "nan", "inf", "-inf", "0.1_5"):
         text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
         with pytest.raises(ReportError, match="line 2"):
             read_results_csv(text)
@@ -111,6 +112,27 @@ def test_read_results_rejects_a_run_below_1(run):
     text = write_results_csv([_result(1), _result(2)]).replace("\n2,", f"\n{run},", 1)
     with pytest.raises(ReportError, match=f"^line 3: run must be a positive integer, got {run}$"):
         read_results_csv(text)
+
+
+@pytest.mark.parametrize("run", ["1_0", "02", " 2", "2 ", "+2"])
+def test_read_results_rejects_a_run_not_spelled_as_the_writer_spells_it(run):
+    # int() read "1_0" as run 10 and " 2" as run 2
+    text = write_results_csv([_result(1), _result(2)]).replace("\n2,", f"\n{run},", 1)
+    message = f"^line 3: run {re.escape(repr(run))} is not a plain decimal integer$"
+    with pytest.raises(ReportError, match=message):
+        read_results_csv(text)
+
+
+def test_read_results_names_a_metric_field_with_an_underscore():
+    text = write_results_csv([_result(1)]).replace("0.52", "0.5_2", 1)
+    with pytest.raises(ReportError, match=r"^line 2: metric field '0\.5_2' holds '_'$"):
+        read_results_csv(text)
+
+
+def test_read_results_skips_a_blank_row():
+    results = (_result(1), _result(2))
+    text = write_results_csv(results).replace("\n2,", "\n\n2,", 1)
+    assert read_results_csv(text) == results
 
 
 def test_read_results_empty_file():
@@ -167,6 +189,22 @@ def test_run_result_rejects_a_run_that_is_not_an_int_and_a_tag_that_is_not_a_str
 
 
 # -- aggregation
+
+
+def test_aggregate_refuses_no_results():
+    with pytest.raises(ReportError, match="^no results to aggregate$"):
+        aggregate([])
+
+
+def test_aggregate_names_a_missing_cell():
+    table = aggregate([_result(1)])
+    with pytest.raises(ReportError, match=r"^no aggregate cell for \('net', '16_L_p', 'ap'\)$"):
+        table.cell("net", "16_L_p", "ap")
+
+
+def test_aggregate_sorts_an_unknown_combination_after_the_canonical_ones():
+    table = aggregate([_result(1, hpc="zz"), _result(1, hpc="aa"), _result(1, hpc="4_L_p")])
+    assert table.hpcs == ("4_L_p", "aa", "zz")
 
 
 def test_aggregate_mean_and_sample_std():
@@ -274,6 +312,11 @@ def test_best_hpc_requires_model_for_multi_model_table():
 def test_best_hpc_unknown_metric():
     with pytest.raises(ReportError):
         best_hpc(_table_from_means({"4_L_p": 0.5}), "accuracy")
+
+
+def test_best_hpc_unknown_model():
+    with pytest.raises(ReportError, match="^unknown model 'x'$"):
+        best_hpc(_table_from_means({"4_L_p": 0.5}), "ap", model="x")
 
 
 # -- cell formatting

@@ -299,6 +299,33 @@ def test_ties_reduce_kruskal_denominator():
     assert h_tied != h_clean
 
 
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (shapiro_wilk, ([1, 2, math.nan],), "sample contains non-finite values"),
+        (shapiro_wilk, (list(range(5001)),), "sample size 5001 above supported 5000"),
+        (one_way_anova, ([[1, 2]],), "need at least 2 groups, got 1"),
+        (one_way_anova, ([[1, 2], [3]],), "group #1 needs at least 2 values"),
+        (kruskal_wallis, ([[1, 1, 1], [1, 1]],), "all values identical; H is undefined"),
+        (t_test_welch, ([1], [2, 3]), "each sample needs at least 2 values"),
+        (t_test_welch, ([1, 1], [1, 1]), "zero variance in both samples with equal means"),
+        (dunn_test, ([[1, 1], [1, 1]],), "all values identical; rank variance is zero"),
+    ],
+    ids=[
+        "shapiro-nan", "shapiro-5001", "anova-one-group", "anova-short-group",
+        "kruskal-constant", "welch-short", "welch-constant", "dunn-constant",
+    ],
+)
+def test_battery_tests_refuse_a_sample_they_cannot_test(func, args, message):
+    with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
+        func(*args)
+
+
+def test_anova_of_separated_constant_groups_is_infinite():
+    # no variance within the groups, some between them
+    assert one_way_anova([[1, 1], [2, 2]]) == (math.inf, 0.0)
+
+
 # -- correction level
 
 

@@ -66,6 +66,17 @@ def test_spec_rejects_objects_larger_than_canvas():
         SceneSpec(width=30, height=30, puddle_axis=(2.0, 20.0))
 
 
+def test_spec_rejects_stripes_thicker_than_the_canvas():
+    # the default stripe_thickness (3, 8) on a 6 px canvas: build_corpus once
+    # failed inside numpy with "high - low < 0"
+    small = dict(puddle_axis=(1.0, 2.0), pig_axis=(1.0, 2.0), bird_axis=(1.0, 2.0))
+    with pytest.raises(SynthError, match="^stripe_thickness objects do not fit the canvas$"):
+        SceneSpec(width=6, height=6, stripe_count=(1, 1), **small)
+    spec = SceneSpec(width=8, height=8, stripe_count=(1, 1), **small)
+    for seed in range(5):  # a stripe as thick as the canvas still fits
+        build_corpus(spec, 4, seed)
+
+
 def test_spec_rejects_sample_overflow():
     with pytest.raises(SynthError, match="16-bit"):
         SceneSpec(background_level=32000, warm_delta=(400.0, 900.0))
@@ -300,6 +311,12 @@ def test_detector_spec_rejects_non_finite_values(bad):
     for field in ("p_fp", "jitter_sigma"):
         with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
             MockDetectorSpec(**{field: bad})
+
+
+def test_mock_detect_refuses_a_dataset_without_categories():
+    ds = Dataset((ImageRecord(id=1, file_name="f1.raw", width=8, height=8),), (), ())
+    with pytest.raises(SynthError, match="^dataset has no categories$"):
+        mock_detect(ds, MockDetectorSpec(), seed=0)
 
 
 def test_mock_detect_follows_dataset_order():

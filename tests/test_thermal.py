@@ -263,6 +263,19 @@ def test_flip_rejects_unknown_axis():
         flip(_checker(), np.zeros((0, 4)), axis="diagonal")
 
 
+@pytest.mark.parametrize(
+    "boxes, message",
+    [
+        (np.zeros((2, 3)), r"^boxes must be an \(N, 4\) array, got shape \(2, 3\)$"),
+        (np.array([[0.0, 0.0, -1.0, 1.0]]), "^box with negative extent$"),
+    ],
+    ids=["three-columns", "negative-extent"],
+)
+def test_flip_rejects_malformed_boxes(boxes, message):
+    with pytest.raises(ThermalError, match=message):
+        flip(_checker(), boxes, axis="horizontal")
+
+
 def test_flip_rejects_box_outside_canvas():
     with pytest.raises(ThermalError, match="canvas"):
         flip(_checker(8, 6), np.array([[4.0, 0.0, 4.0, 2.0]]), axis="horizontal")
@@ -527,6 +540,12 @@ def test_raw_rejects_truncated_header():
         read_raw(io.BytesIO(b"THRM\x01"))
 
 
+def test_raw_rejects_a_zero_dimension():
+    blob = struct.pack("<4sIII", RAW_MAGIC, 0, 2, 0)
+    with pytest.raises(ThermalError, match="^raw frame with zero dimension 0x2$"):
+        read_raw(io.BytesIO(blob))
+
+
 def test_raw_rejects_short_payload():
     buf = io.BytesIO()
     write_raw(_raw([[1, 2], [3, 4]]), buf)
@@ -595,6 +614,57 @@ def test_pgm_rejects_wrong_magic():
 def test_pgm_rejects_truncated_payload():
     with pytest.raises(ThermalError, match="truncated"):
         read_pgm(io.BytesIO(b"P5\n2 2\n255\n\x00"))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        # the header lexer's own error was once reported as a non-numeric field
+        (b"P5\n2 2", "truncated PGM header"),
+        (b"P5\n2 2\n255", "truncated PGM header"),
+        (b"P5\n2 2\n# no LF ends this comment", "truncated PGM header"),
+        (b"P5\nx 1\n255\n\x00", "non-numeric PGM header field"),
+        (b"P5\n0 1\n255\n", "bad PGM dimensions 0x1"),
+    ],
+    ids=["cut-in-height", "cut-after-maxval", "cut-in-comment", "non-numeric", "zero-width"],
+)
+def test_pgm_rejects_a_malformed_header(blob, message):
+    with pytest.raises(ThermalError, match=f"^{message}$"):
+        read_pgm(io.BytesIO(blob))
+
+
+def test_pgm_comment_may_sit_inside_a_field():
+    # netpbm: a comment runs through its LF, wherever it starts in the header
+    frame = read_pgm(io.BytesIO(b"P5\n1#c\n2 1\n255\n" + bytes(range(12))))
+    assert frame.pixels.tolist() == [list(range(12))]
+
+
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
+_PGM_COMMENT = st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+_PGM_PIECES = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=2).map(b"".join)
+# a separator holds a whitespace byte at least; comments alone would join two fields
+_PGM_SEPARATOR = st.tuples(_PGM_PIECES, _PGM_SPACE, _PGM_PIECES).map(b"".join)
+
+
+@st.composite
+def _pgm_field(draw, value: int) -> bytes:
+    digits = str(value).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(digits)))
+        digits = digits[:at] + draw(_PGM_COMMENT) + digits[at:]
+    return digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pixels=hnp.arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 4))),
+    data=st.data(),
+)
+def test_pgm_reader_reads_any_header_netpbm_allows(pixels, data):
+    height, width = pixels.shape
+    fields = (data.draw(_PGM_SEPARATOR) + data.draw(_pgm_field(v)) for v in (width, height, 255))
+    blob = b"P5" + b"".join(fields) + data.draw(_PGM_SPACE) + pixels.tobytes()
+    assert read_pgm(io.BytesIO(blob)) == GrayFrame(pixels)
 
 
 def _raw_bytes() -> bytes:
