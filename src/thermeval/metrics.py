@@ -127,30 +127,30 @@ def _match_cells(
     dt_cell: np.ndarray,
     gt_box: np.ndarray,
     gt_cell: np.ndarray,
-    gt_ignore: np.ndarray,
+    gt_masks: np.ndarray,
     thr: np.ndarray,
 ) -> np.ndarray:
     """The greedy matching rule, for every cell, stratum and threshold at once.
 
     Detections (D, 4) may come in any order that lists each cell's own by
     score descending, ties in input order; GTs (G, 4) come by (cell, id).
-    Each row of ``gt_ignore`` (S, G) marks one stratum's ignore regions,
-    and ``thr`` (S * T, 1) holds each (stratum, threshold) row's threshold,
-    the same ascending T in every stratum.  Each detection takes the
-    untaken real GT of its cell with the highest IoU at or above the
-    threshold; failing that, an untaken ignore region, so each region
-    absorbs at most one detection.  IoU ties go to the lower annotation id.
-    Two detections can only affect each other through a GT that both pair
-    with at or above the lowest threshold, and cells share no GT.  Nothing
-    an uncontested detection reaches is ever taken, so its best real and
-    best ignore IoU per stratum, compared with each threshold, settle it.
-    Contested ones, which share such a GT, then settle in keyed steps over
-    their own pairs: step r settles the r-th contested detection of every
-    cell, ranked by a stable argsort on cell.  Returns an int8 outcome per
-    (stratum * T + threshold index, detection): 0 unmatched, 1 matched a
-    real GT, 2 absorbed by an ignore region.
+    Rows 0..S-1 of ``gt_masks`` (2S, G) mark each stratum's real GT, rows
+    S..2S-1 its ignore regions, and ``thr`` (S * T, 1) holds each (stratum,
+    threshold) row's threshold, the same ascending T in every stratum.
+    Each detection takes the untaken real GT of its cell with the highest
+    IoU at or above the threshold; failing that, an untaken ignore region,
+    so each region absorbs at most one detection.  IoU ties go to the lower
+    annotation id.  Two detections can only affect each other through a GT
+    that both pair with at or above the lowest threshold, and cells share
+    no GT.  Nothing an uncontested detection reaches is ever taken, so its
+    best real and best ignore IoU per stratum, compared with each
+    threshold, settle it.  Contested ones, which share such a GT, then
+    settle in keyed steps over their own pairs: step r settles the r-th
+    contested detection of every cell, ranked by a stable argsort on cell.
+    Returns an int8 outcome per (stratum * T + threshold index, detection):
+    0 unmatched, 1 matched a real GT, 2 absorbed by an ignore region.
     """
-    n_rows, n_strata = len(thr), len(gt_ignore)
+    n_rows, n_strata = len(thr), len(gt_masks) // 2
     outcome = np.zeros((n_rows, len(dt_box)), dtype=np.int8)
     first_gt = np.searchsorted(gt_cell, dt_cell, side="left")
     n_gt = np.searchsorted(gt_cell, dt_cell, side="right") - first_gt
@@ -168,20 +168,19 @@ def _match_cells(
     # every detection with a pair in reach, settled by comparison: per
     # stratum, its best real IoU, then its best ignore IoU (0, below every
     # threshold, when it has none) against each threshold
-    ignored = gt_ignore[:, pair_gt]
     starts = np.flatnonzero(_run_starts(pair_dt))
-    best = np.where(np.vstack((~ignored, ignored)), pair_iou, 0.0)
-    best = np.maximum.reduceat(best, starts, axis=1)
+    best = np.maximum.reduceat(np.where(gt_masks[:, pair_gt], pair_iou, 0.0), starts, axis=1)
     hit = (best[:, None, :] >= thr[: n_rows // n_strata]).reshape(2, n_rows, -1)
     outcome[:, pair_dt[starts]] = np.where(hit[0], 1, 2 * hit[1])
 
     # a contested detection shares a GT with another; the keyed steps
     # overwrite its outcome, and its step is its rank among its cell's
     # contested detections
-    contested = np.zeros(len(dt_box), dtype=bool)
-    contested[pair_dt[np.bincount(pair_gt, minlength=len(gt_box))[pair_gt] > 1]] = True
-    if not contested.any():
+    shared = np.bincount(pair_gt)[pair_gt] > 1
+    if not shared.any():
         return outcome
+    contested = np.zeros(len(dt_box), dtype=bool)
+    contested[pair_dt[shared]] = True
     con = np.flatnonzero(contested)
     con = con[np.argsort(dt_cell[con], kind="stable")]
     dt_step = np.zeros(len(dt_box), dtype=np.intp)
@@ -203,7 +202,7 @@ def _match_cells(
     # free real GT, else its first free ignore region, and the key alone
     # gives the outcome code.
     n_pairs = len(pair_gt)
-    ignored = np.repeat(gt_ignore[:, pair_gt], n_rows // n_strata, axis=0)
+    ignored = np.repeat(gt_masks[n_strata:, pair_gt], n_rows // n_strata, axis=0)
     pair_key = np.where(pair_iou >= thr, np.arange(n_pairs) + n_pairs * ignored, 2 * n_pairs)
     taken = np.zeros((n_rows, len(gt_box)), dtype=bool)
     for lo, hi, s_lo, s_hi in zip(bounds[:-1], bounds[1:], seg_bounds[:-1], seg_bounds[1:]):
@@ -228,18 +227,19 @@ def _accumulate(
     and each recall sample, r * (max(n_eligible) + 1) plus the TP count k
     at which the row's recall first reaches the sample: a flat index into
     an (R, max(n_eligible) + 1) table whose entry k is the precision
-    envelope (non-increasing from the right) at the row's k-th TP.  Entry 0
-    is the row's maximum precision, and entries past its final TP count
-    stay 0, which answers the samples past its final recall.  Returns
-    (precision_samples (R, 101), final_recall (R,)).
+    envelope at the row's k-th TP, the greatest precision there or later.
+    Precision rises only at a TP, falls at an FP and holds at an ignored
+    detection, so the table needs it at TPs only; one reversed running
+    maximum then fills entry 0 with the row's maximum precision, and
+    entries past its final TP count stay 0, which answers the samples past
+    its final recall.  Returns (precision_samples (R, 101), final_recall (R,)).
     """
-    tp_sum = np.cumsum(tps, axis=1)
-    fp_sum = np.cumsum(fps, axis=1)
-    pr = tp_sum / (tp_sum + fp_sum + np.spacing(1))
+    tp_sum, fp_sum = np.cumsum(tps, axis=1), np.cumsum(fps, axis=1)
     rows, cols = np.nonzero(tps)
+    k = tp_sum[rows, cols]
     table = np.zeros((len(tps), n_eligible.max() + 1))
-    table[:, 0] = pr.max(axis=1, initial=0.0)
-    table[rows, tp_sum[rows, cols]] = np.maximum.accumulate(pr[:, ::-1], axis=1)[rows, -1 - cols]
+    table[rows, k] = k / (k + fp_sum[rows, cols] + np.spacing(1))
+    table = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
     return table.ravel()[need], np.bincount(rows, minlength=len(tps)) / n_eligible
 
 
@@ -267,17 +267,19 @@ class _Tables:
     so cells keep their order.  Rows of ``thr`` and each category's
     ``rows`` are numbered stratum * T + threshold index, as
     ``_match_cells`` numbers them.  Nothing here depends on ``max_dets``,
-    so one table serves every cap.  Only the matching reads ``gt_ignore``:
-    its outcome codes already say which detections an ignore region
-    absorbed.  A category's strata in ``per_category`` are those where it
-    holds eligible GT, the only strata whose means it enters.
+    so one table serves every cap.  ``gt_masks`` stacks each stratum's real
+    GT over its ignore regions, so matching reads both in one gather; only
+    the matching reads the ignore half, as its outcome codes already say
+    which detections a region absorbed.  A category's strata in
+    ``per_category`` are those where it holds eligible GT, the only strata
+    whose means it enters.
     """
 
     img_ids: np.ndarray  # (I,) sorted
     cat_ids: np.ndarray  # (C,) sorted
     gt_cell: np.ndarray  # (G,)
     gt_box: np.ndarray  # (G, 4)
-    gt_ignore: np.ndarray  # (S, G) each stratum's ignore regions
+    gt_masks: np.ndarray  # (2S, G) each stratum's real GT, then its ignore regions
     thr: np.ndarray  # (S * T, 1) each row's threshold
     near: np.ndarray  # (2,) the AP50 and AP75 threshold positions, 0 when absent
     has_near: tuple[bool, bool]
@@ -308,10 +310,11 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
     order = np.lexsort((ids[:, 2], gt_cell))
     gt_box = _box_columns(anns[i].bbox for i in order.tolist())
     flagged = np.array([anns[i].ignore for i in order.tolist()], dtype=bool)
-    gt_cell, gt_ignore = gt_cell[order], flagged | _outside(gt_box)
-    n_strata, n_cat, n_thr = len(gt_ignore), len(cat_ids), len(thresholds)
+    real = ~(flagged | _outside(gt_box))
+    gt_cell, gt_masks = gt_cell[order], np.vstack((real, ~real))
+    n_strata, n_cat, n_thr = len(real), len(cat_ids), len(thresholds)
     key = np.arange(n_strata)[:, None] * n_cat + gt_cell // len(img_ids)
-    n_eligible = np.bincount(key[~gt_ignore], minlength=n_strata * n_cat).reshape(n_strata, n_cat)
+    n_eligible = np.bincount(key[real], minlength=n_strata * n_cat).reshape(n_strata, n_cat)
     per_category = []
     for ci in np.flatnonzero(n_eligible.any(axis=0)).tolist():
         strata = np.flatnonzero(n_eligible[:, ci])
@@ -331,7 +334,7 @@ def _tables(gt: Dataset, thresholds: tuple[float, ...]) -> _Tables:
         cat_ids,
         gt_cell,
         gt_box,
-        gt_ignore,
+        gt_masks,
         np.tile(np.asarray(thresholds, dtype=np.float64), n_strata)[:, None],
         near.argmax(axis=1),
         tuple(near.any(axis=1).tolist()),
@@ -378,14 +381,15 @@ def _corpus_tables(tab: _Tables, dets: Detections, max_dets: int) -> list[list[l
         order = order[np.sort(by_cell[_rank_in_run(dt_cell[order][by_cell]) < max_dets])]
     dt_cell, dt_cat, dt_box = dt_cell[order], dt_cat[order], dets.boxes[order]
 
-    n_thr = len(tab.thr) // len(tab.gt_ignore)
-    outcome = _match_cells(dt_box, dt_cell, tab.gt_box, tab.gt_cell, tab.gt_ignore, tab.thr)
+    n_strata = len(tab.gt_masks) // 2
+    n_thr = len(tab.thr) // n_strata
+    outcome = _match_cells(dt_box, dt_cell, tab.gt_box, tab.gt_cell, tab.gt_masks, tab.thr)
     tps = outcome == 1
     fps = (outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0)
 
     # each category's detection column range
     dt_bounds = np.searchsorted(dt_cat, np.arange(len(tab.cat_ids) + 1))
-    per_stratum = [[] for _ in tab.gt_ignore]
+    per_stratum = [[] for _ in range(n_strata)]
     for ci, strata, rows, n, need in tab.per_category:
         # every defined stratum x threshold of the category in one batch
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])

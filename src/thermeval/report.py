@@ -150,10 +150,13 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
             continue
         if len(row) != len(_CSV_HEADER):
             raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
-        try:  # int() and float() read "1_0" as 10, so a field must read as it is written
+        try:  # int() and float() read "1_0" as 10 and " 1" as 1: a field must read as written
             if "_" in "".join(row[4:]):
                 bad = next(f for f in row[4:] if "_" in f)
                 raise ReportError(f"metric field {bad!r} holds '_'")
+            if row[4:] != [f.strip() for f in row[4:]]:
+                bad = next(f for f in row[4:] if f != f.strip())
+                raise ReportError(f"metric field {bad!r} has surrounding whitespace")
             metrics = MetricReport(*map(float, row[4:]))
             run = int(row[0])
             if str(run) != row[0]:

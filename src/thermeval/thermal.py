@@ -322,10 +322,10 @@ def read_pgm(fp: BinaryIO) -> GrayFrame:
         if match is None:
             raise ThermalError("truncated PGM header")
         end = match.end()
-        try:
-            fields.append(int(re.sub(_PGM_COMMENT, b"", match[1])))
-        except ValueError:
-            raise ThermalError("non-numeric PGM header field") from None
+        field = re.sub(_PGM_COMMENT, b"", match[1])
+        if not field.isdigit():  # ASCII decimal digits only, as netpbm spells them
+            raise ThermalError("non-numeric PGM header field")
+        fields.append(int(field))
     width, height, maxval = fields
     if maxval != 255:
         raise ThermalError(f"unsupported PGM maxval {maxval}")

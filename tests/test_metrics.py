@@ -423,7 +423,8 @@ def test_match_cells_steps_agree_with_the_greedy_rule():
     dt_cell = np.array([0, 0, 0, 0, 1, 1, 1])
     thresholds = [0.5, 0.75, 0.85]
     thr = np.tile(thresholds, len(gt_ignore))[:, None]
-    got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thr)
+    masks = np.vstack((~gt_ignore, gt_ignore))
+    got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, masks, thr)
     want = [
         _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, t)
         for ignore in gt_ignore
@@ -444,7 +445,8 @@ def test_match_cells_steps_agree_with_the_greedy_rule():
             np.random.default_rng(seed)
         )
         thr = np.tile(thresholds, len(gt_ignore))[:, None]
-        got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, gt_ignore, thr)
+        masks = np.vstack((~gt_ignore, gt_ignore))
+        got = _match_cells(dt_box, dt_cell, gt_box, gt_cell, masks, thr)
         want = [
             _greedy_outcomes(dt_box, dt_cell, gt_box, gt_cell, ignore, t)
             for ignore in gt_ignore
@@ -518,6 +520,20 @@ def test_accumulate_flat_gather_edge_rows():
     assert prec[1, 51:].tolist() == pytest.approx([2 / 3] * 50)
 
 
+def test_accumulate_envelope_at_tps_edge_rows():
+    # Codes 0 ignored, 1 TP, 2 FP.  Row 0's TP follows a run of ignored
+    # detections; row 1's precision rises again after its FP (TP, FP, TP,
+    # TP); row 2 is all ignored; row 3's TPs reach its eligible count.
+    codes = np.array([[0, 0, 0, 1, 2], [1, 2, 1, 1, 0], [0, 0, 0, 0, 0], [2, 1, 1, 2, 0]])
+    prec, rec = _check_flat_gather(codes == 1, codes == 2, np.array([2, 4, 3, 2]))
+    assert rec.tolist() == [0.5, 0.75, 0.0, 1.0]
+    assert not prec[2].any()
+    # row 1's second TP reads 2/3, but its envelope there is the 3/4 of
+    # the third; past the third TP no sample is reached
+    assert prec[1, 0] == pytest.approx(1.0) and prec[1, [50, 75]].tolist() == [0.75, 0.75]
+    assert not prec[1, 76:].any()
+
+
 @pytest.mark.parametrize(
     "gt",
     [
@@ -531,6 +547,23 @@ def test_evaluate_on_a_dataset_without_ground_truth_is_undefined(gt):
     # eligible GT are counted per category position, cell // image count
     report = evaluate(gt, ())
     assert report.as_dict() == dict.fromkeys(METRIC_NAMES, UNDEFINED)
+
+
+@pytest.mark.parametrize(
+    ("gt", "missing"),
+    [
+        (
+            Dataset(images=(), annotations=(), categories=(CategoryRecord(id=1, name="puddle"),)),
+            "image 1",
+        ),
+        (Dataset(images=_corpus([]).images, annotations=(), categories=()), "category 1"),
+    ],
+    ids=["no images", "no categories"],
+)
+def test_evaluate_on_an_empty_dataset_rejects_a_detection(gt, missing):
+    # an empty id column holds no position to look a detection up at
+    with pytest.raises(DatasetError, match=f"^detection #0 references missing {missing}$"):
+        evaluate(gt, [_det(_box(0, 0, 10, 10), 0.9)])
 
 
 @pytest.mark.parametrize("bad", [0, 1.5, True])

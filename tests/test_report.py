@@ -84,8 +84,8 @@ def test_read_results_rejects_short_row():
 
 def test_read_results_rejects_bad_number():
     # -1 marks an undefined stratum; NaN and inf are never legal
-    # float() reads "0.1_5" as 0.15, a spelling the writer never uses
-    for bad in ("not-a-number", "nan", "inf", "-inf", "0.1_5"):
+    # float() reads "0.1_5" as 0.15 and " 0.5" as 0.5, spellings the writer never uses
+    for bad in ("not-a-number", "nan", "inf", "-inf", "0.1_5", " 0.5", "0.5 "):
         text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
         with pytest.raises(ReportError, match="line 2"):
             read_results_csv(text)

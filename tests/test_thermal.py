@@ -624,9 +624,22 @@ def test_pgm_rejects_truncated_payload():
         (b"P5\n2 2\n255", "truncated PGM header"),
         (b"P5\n2 2\n# no LF ends this comment", "truncated PGM header"),
         (b"P5\nx 1\n255\n\x00", "non-numeric PGM header field"),
+        # netpbm fields are ASCII decimal digits; Python's int() reads more
+        (b"P5\n1_2 +1\n0255\n" + bytes(12), "non-numeric PGM header field"),
+        (b"P5\n-1 1\n255\n", "non-numeric PGM header field"),
+        (b"P5\n1 \x0b1\n255\n\x00", "non-numeric PGM header field"),
         (b"P5\n0 1\n255\n", "bad PGM dimensions 0x1"),
     ],
-    ids=["cut-in-height", "cut-after-maxval", "cut-in-comment", "non-numeric", "zero-width"],
+    ids=[
+        "cut-in-height",
+        "cut-after-maxval",
+        "cut-in-comment",
+        "non-numeric",
+        "underscore-and-plus",
+        "minus",
+        "vertical-tab",
+        "zero-width",
+    ],
 )
 def test_pgm_rejects_a_malformed_header(blob, message):
     with pytest.raises(ThermalError, match=f"^{message}$"):
@@ -634,8 +647,9 @@ def test_pgm_rejects_a_malformed_header(blob, message):
 
 
 def test_pgm_comment_may_sit_inside_a_field():
-    # netpbm: a comment runs through its LF, wherever it starts in the header
-    frame = read_pgm(io.BytesIO(b"P5\n1#c\n2 1\n255\n" + bytes(range(12))))
+    # netpbm: a comment runs through its LF, wherever it starts in the header;
+    # a field may start with zeros
+    frame = read_pgm(io.BytesIO(b"P5\n01#c\n2 01\n0255\n" + bytes(range(12))))
     assert frame.pixels.tolist() == [list(range(12))]
 
 
