@@ -198,14 +198,16 @@ def _batteries(
     command; a lone metric's error is raised as it is, and a StatsError
     when no metric is left.
     """
-    from .report import metric_samples
+    from .report import _aggregate, _samples
     from .stats import DEFAULT_ALPHA, StatsError, check_alpha, run_battery
 
     alpha = DEFAULT_ALPHA if alpha is None else check_alpha(alpha)
+    # the rows are checked and grouped once, for every metric
+    table, values = _aggregate(results, metrics)
     batteries = {}
     for metric in metrics:
         try:
-            batteries[metric] = run_battery(metric_samples(results, metric), alpha)
+            batteries[metric] = run_battery(_samples(table, values, metric), alpha)
         except StatsError as exc:
             if len(metrics) == 1:
                 raise

@@ -15,24 +15,29 @@ does, so the order a file lists them in never moves a score.  What
 table, built once per dataset and sweep, on its first ``evaluate``, from
 that dataset's own records; it serves every cap.  ``Dataset.subset``
 returns one fold per image set, so each fold's tables are built once
-too.  Detections are sorted once, by (category, score descending, cell,
-input index), the order accumulation reads.  Greedy matching runs for
-every cell at once: a detection that shares no GT with another settles
-by comparing its best IoUs with each threshold, and contested ones,
-which do, take one keyed step each per cell in score order.  The
-matching departs from pycocotools in three ways:
+too.  ``_score`` sorts, caps, matches and accumulates a run once into a
+``_Scored`` record; ``evaluate`` takes its summary from the record's
+precision samples and recalls, and breakdowns such as ``_image_counts``
+read the same record.  Greedy matching runs for every cell at once: a
+detection that shares no GT with another settles by comparing its best
+IoUs with each threshold, and contested ones, which do, take one keyed
+step each per cell in score order.  Scoring departs from pycocotools:
 
 - an ignore region absorbs at most one detection (COCO's crowd regions
   absorb any number);
 - absorption uses plain IoU, not intersection over the detection's area;
-- IoU ties go to the lower annotation id (COCO's go to the later GT).
+- IoU ties go to the lower annotation id (COCO's go to the later GT);
+- a GT of area exactly 1024 is small only (COCO's closed ranges make it
+  small and medium);
+- ``parse_coco`` refuses a stored ``area`` more than 0.5 from w * h;
+- an ``ignore`` key makes an ignore region (COCO reads ``iscrowd`` alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -352,15 +357,28 @@ def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pos, found
 
 
-def _corpus_tables(tab: _Tables, dets: Detections, max_dets: int) -> list[list[list[float]]]:
-    """Per stratum, an (AP, AR, AP50, AP75) row for each category with
-    eligible ground truth there, in category order.
+class _Scored(NamedTuple):
+    """A run scored against a ``_Tables``: what ``evaluate`` summarises and
+    every breakdown reads.  Columns are the kept detections in accumulation
+    order, rows stratum * T + threshold index; ``per_category`` holds, per
+    ``_Tables.per_category`` entry, the precision samples (strata, T, 101)
+    and final recalls (strata, T) of its defined strata.  No array is a copy.
+    """
+
+    order: np.ndarray  # (D,) each kept detection's position in the run
+    cell: np.ndarray  # (D,) its cell
+    outcome: np.ndarray  # (S * T, D) ``_match_cells``' codes
+    fps: np.ndarray  # (S * T, D) unmatched and inside the stratum's area interval
+    per_category: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _score(tab: _Tables, dets: Detections, max_dets: int) -> _Scored:
+    """Check a run's ids, then sort, cap, match and accumulate it.
 
     Detections are sorted once, by (category, score descending, cell,
     input index): the order accumulation reads, in which each cell's own
     come in score order, as matching needs.  Every cell is matched in one
-    call for all strata.  Each value is the sum and division ``np.mean``
-    does over the category's precision samples or final recalls.
+    call for all strata.
     """
     n_img = len(tab.img_ids)
     dt_img, img_ok = _find(tab.img_ids, dets.image_ids)
@@ -381,25 +399,38 @@ def _corpus_tables(tab: _Tables, dets: Detections, max_dets: int) -> list[list[l
         order = order[np.sort(by_cell[_rank_in_run(dt_cell[order][by_cell]) < max_dets])]
     dt_cell, dt_cat, dt_box = dt_cell[order], dt_cat[order], dets.boxes[order]
 
-    n_strata = len(tab.gt_masks) // 2
-    n_thr = len(tab.thr) // n_strata
+    n_thr = len(tab.thr) * 2 // len(tab.gt_masks)
     outcome = _match_cells(dt_box, dt_cell, tab.gt_box, tab.gt_cell, tab.gt_masks, tab.thr)
     tps = outcome == 1
     fps = (outcome == 0) & np.repeat(~_outside(dt_box), n_thr, axis=0)
 
     # each category's detection column range
     dt_bounds = np.searchsorted(dt_cat, np.arange(len(tab.cat_ids) + 1))
-    per_stratum = [[] for _ in range(n_strata)]
+    per_category = []
     for ci, strata, rows, n, need in tab.per_category:
         # every defined stratum x threshold of the category in one batch
         cat = slice(dt_bounds[ci], dt_bounds[ci + 1])
         p, r = _accumulate(tps[rows, cat], fps[rows, cat], n, need)
-        p, r = p.reshape(len(strata), n_thr, -1), r.reshape(len(strata), n_thr)
-        ap, ar = np.add.reduce(p, axis=(1, 2)) / p[0].size, np.add.reduce(r, axis=1) / n_thr
-        near = np.add.reduce(p[:, tab.near], axis=2) / p.shape[2]  # threshold 0 when absent
-        for s, row in zip(strata.tolist(), np.column_stack((ap, ar, near)).tolist()):
-            per_stratum[s].append(row)
-    return per_stratum
+        per_category.append((p.reshape(len(strata), n_thr, -1), r.reshape(len(strata), n_thr)))
+    return _Scored(order, dt_cell, outcome, fps, tuple(per_category))
+
+
+def _image_counts(tab: _Tables, scored: _Scored) -> tuple[np.ndarray, ...]:
+    """TP, FP, absorbed and missed-GT counts, each (S * T, I), per row of
+    ``scored`` and image position in ``tab.img_ids``.  FP reads
+    ``scored.fps``, so an unmatched detection outside the stratum's area
+    interval counts nowhere; missed is the image's eligible GT less its TPs.
+    """
+    n_img, n_rows, n_strata = len(tab.img_ids), len(tab.thr), len(tab.gt_masks) // 2
+    key = np.arange(n_rows)[:, None] * n_img + scored.cell % n_img
+    tp, fp, absorbed = (
+        np.bincount(key[flags], minlength=n_rows * n_img).reshape(n_rows, n_img)
+        for flags in (scored.outcome == 1, scored.fps, scored.outcome == 2)
+    )
+    gt_key = np.arange(n_strata)[:, None] * n_img + tab.gt_cell % n_img
+    eligible = np.bincount(gt_key[tab.gt_masks[:n_strata]], minlength=n_strata * n_img)
+    missed = np.repeat(eligible.reshape(n_strata, n_img), n_rows // n_strata, axis=0) - tp
+    return tp, fp, absorbed, missed
 
 
 def evaluate(
@@ -423,10 +454,18 @@ def evaluate(
     if not isinstance(dets, Detections):
         dets = Detections.from_records(dets)
     tab = _tables(gt, thresholds)
+    # per stratum, an (AP, AR, AP50, AP75) row per category with eligible
+    # GT there: the sums and divisions ``np.mean`` does
+    per_stratum = [[] for _ in range(len(tab.gt_masks) // 2)]
+    for (_, strata, *_), (p, r) in zip(tab.per_category, _score(tab, dets, max_dets).per_category):
+        ap, ar = np.add.reduce(p, axis=(1, 2)) / p[0].size, np.add.reduce(r, axis=1) / r.shape[1]
+        near = np.add.reduce(p[:, tab.near], axis=2) / p.shape[2]  # threshold 0 when absent
+        for s, row in zip(strata.tolist(), np.column_stack((ap, ar, near)).tolist()):
+            per_stratum[s].append(row)
     # each stratum averages its rows in numpy's order; one with none is undefined
     (ap, ar, ap50, ap75), (aps, ars, _, _), (apm, arm, _, _) = (
         [_mean(col) for col in zip(*rows)] if rows else [UNDEFINED] * 4
-        for rows in _corpus_tables(tab, dets, max_dets)
+        for rows in per_stratum
     )
     return MetricReport(
         ap=ap,

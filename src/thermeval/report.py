@@ -376,10 +376,18 @@ def metric_samples(results: Sequence[RunResult], metric: str) -> list[SampleSet]
     column order); values follow run order.  This is the grouping the
     significance battery consumes.
     """
-    from .stats import SampleSet  # the battery's module, loaded only where it is used
-
     # an unknown metric fails in best_hpc, after the checks on the rows
     table, values = _aggregate(results, (metric,) if metric in METRIC_NAMES else ())
+    return _samples(table, values, metric)
+
+
+def _samples(
+    table: AggregateTable, values: Mapping[tuple[str, str, str], list[float]], metric: str
+) -> list[SampleSet]:
+    """``metric_samples`` read from a table and the cell values that
+    ``_aggregate`` returned with it, so one grouping serves every metric."""
+    from .stats import SampleSet  # the battery's module, loaded only where it is used
+
     out = []
     for model in table.models:
         # a model that never defines the metric has no best combination and an empty

@@ -402,6 +402,20 @@ def test_stats_all_metrics(tmp_path, capsys):
     assert [l.split(":")[0] for l in lines] == list(METRIC_NAMES)
 
 
+def test_stats_all_metrics_equal_each_metric_alone(tmp_path):
+    # --metric all groups the rows once for every metric; each battery must
+    # be the one a single-metric call writes
+    results = _results_csv(tmp_path, models=(("good", 0.7), ("mid", 0.55), ("bad", 0.4)))
+    every = tmp_path / "all.json"
+    assert main(["stats", "--results", str(results), "--out", str(every)]) == 0
+    doc = json.loads(every.read_text())
+    assert list(doc) == list(METRIC_NAMES)
+    for metric in METRIC_NAMES:
+        one = tmp_path / f"{metric}.json"
+        assert main(["stats", "--results", str(results), "--metric", metric, "--out", str(one)]) == 0
+        assert json.loads(one.read_text()) == {metric: doc[metric]}
+
+
 def test_stats_with_one_model_fails(tmp_path, capsys):
     results = _results_csv(tmp_path, models=(("good", 0.7),))
     rc = main(["stats", "--results", str(results)])

@@ -27,6 +27,7 @@ from thermeval.coco import (
     write_coco,
     write_detections,
 )
+from thermeval.metrics import UNDEFINED, evaluate
 
 
 def _dataset(anns=(), n_images=2):
@@ -403,6 +404,18 @@ def test_parse_merges_iscrowd_into_ignore():
     assert parse_coco(json.dumps(doc)).annotations[0].ignore is True
 
 
+def test_parse_reads_an_ignore_key_without_iscrowd_as_an_ignore_region():
+    # a departure from pycocotools, whose _prepare reads iscrowd alone: here
+    # "ignore": 1 makes an ignore region, so a detection on it is no TP
+    doc = _doc(_dataset([_ann(1)]))
+    doc["annotations"][0]["ignore"] = 1
+    assert "iscrowd" not in doc["annotations"][0]
+    ds = parse_coco(json.dumps(doc))
+    assert ds.annotations[0].ignore is True
+    det = Detection(image_id=1, category_id=1, bbox=ds.annotations[0].bbox, score=0.9)
+    assert evaluate(ds, [det]).ap == UNDEFINED
+
+
 def test_parse_rejects_non_flag_ignore():
     # a flag is a JSON bool or 0/1; bool() would read "false" and [0] as set
     doc = _doc(_dataset([_ann(1)]))
@@ -551,6 +564,16 @@ def test_detections_are_read_only_columns():
         dets.scores[0] = 0.9
     with pytest.raises(AttributeError, match="read-only"):
         dets.scores = np.zeros(1)
+
+
+def test_detections_compare_only_with_detections_and_list_their_records():
+    record = Detection(image_id=2, category_id=1, bbox=BBox(1.0, 2.0, 3.0, 4.0), score=0.5)
+    dets = Detections.from_records([record])
+    # Detections.__eq__ returns NotImplemented, so Python falls back to identity
+    assert dets.__eq__(5) is NotImplemented
+    assert (dets == 5) is False and dets != 5
+    assert repr(dets) == f"Detections(({record!r},))"
+    assert repr(Detections.from_records([])) == "Detections(())"
 
 
 @pytest.mark.parametrize(

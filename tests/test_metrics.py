@@ -36,12 +36,15 @@ from thermeval.metrics import (
     UNDEFINED,
     MetricReport,
     _accumulate,
+    _image_counts,
     _match_cells,
+    _score,
+    _tables,
     evaluate,
     iou,
     validate_thresholds,
 )
-from make_fixtures import ref_evaluate  # the independent reference, in tools/
+from make_fixtures import ref_evaluate, ref_image_counts  # the independent reference, in tools/
 
 DATA = Path(__file__).parent / "data"
 
@@ -1082,6 +1085,63 @@ def _dense_corpus(seed):
 def test_evaluate_matches_reference_on_a_dense_cell(max_dets):
     gt, dets = _dense_corpus(seed=7)
     _assert_matches_reference(gt, dets, list(DEFAULT_IOU_THRESHOLDS), max_dets)
+
+
+# -- per-image outcome counts, read from the scored record
+
+
+def _scored(gt, dets, thresholds=None, max_dets=100):
+    tab = _tables(gt, validate_thresholds(thresholds))
+    scored = _score(tab, Detections.from_records(dets), max_dets)
+    return tab, scored, _image_counts(tab, scored)
+
+
+def test_image_counts_of_a_hand_built_corpus():
+    # image 1: a TP on GT 1, GT 2 missed, a detection absorbed by ignore
+    # region 3 and a medium FP; image 2: a small FP, listed first
+    anns = [_gt(1, _box(0, 0, 40, 40)), _gt(2, _box(100, 0, 40, 40))]
+    anns.append(_gt(3, _box(200, 0, 40, 40), ignore=True))
+    dets = [_det(_box(0, 0, 10, 10), 0.6, image_id=2), _det(_box(0, 0, 40, 40), 0.9)]
+    dets += [_det(_box(200, 0, 40, 40), 0.8), _det(_box(300, 300, 40, 40), 0.7)]
+    _, scored, (tp, fp, absorbed, missed) = _scored(_corpus(anns, n_images=2), dets, [0.5])
+    assert scored.order.tolist() == [1, 2, 3, 0]
+    # rows all, small, medium; columns images 1 and 2.  In the small stratum
+    # every GT is an ignore region, and the medium FP lies outside it
+    assert tp.tolist() == [[1, 0], [0, 0], [1, 0]]
+    assert fp.tolist() == [[1, 1], [0, 1], [1, 0]]
+    assert absorbed.tolist() == [[1, 0], [2, 0], [1, 0]]
+    assert missed.tolist() == [[1, 0], [0, 0], [1, 0]]
+
+
+@given(
+    corpus=_random_corpus(max_images=4), thresholds=_sweeps, max_dets=st.sampled_from([1, 2, 100])
+)
+@settings(max_examples=100, deadline=None)
+def test_image_counts_match_the_reference_on_random_corpora(corpus, thresholds, max_dets):
+    gt, dets = corpus
+    counts = np.stack(_scored(gt, dets, thresholds, max_dets)[2], axis=-1)
+    gt_doc, det_doc = json.loads(write_coco(gt)), json.loads(write_detections(dets))
+    want = ref_image_counts(gt_doc, det_doc, thresholds, max_dets)
+    assert counts.reshape(3, len(thresholds), -1, 4).tolist() == want
+
+
+@given(corpus=_random_corpus(max_images=4), thresholds=_sweeps)
+@settings(max_examples=100, deadline=None)
+def test_image_counts_add_up_to_the_eligible_gt_and_the_record(corpus, thresholds):
+    gt, dets = corpus
+    _, scored, (tp, fp, absorbed, missed) = _scored(gt, dets, thresholds)
+    # each image's eligible GT per stratum, from the records
+    sizes = (set(SizeClass), {SizeClass.SMALL}, {SizeClass.MEDIUM})
+    eligible = np.array([
+        [sum(not a.ignore and a.size_class in s for a in gt.annotations if a.image_id == i)
+         for i in sorted(gt.image_ids())]
+        for s in sizes
+    ])
+    assert (missed >= 0).all()
+    assert (tp + missed == np.repeat(eligible, len(thresholds), axis=0)).all()
+    assert (tp.sum(axis=1) == (scored.outcome == 1).sum(axis=1)).all()
+    assert (absorbed.sum(axis=1) == (scored.outcome == 2).sum(axis=1)).all()
+    assert (fp.sum(axis=1) == scored.fps.sum(axis=1)).all()
 
 
 # -- parity with the stored reports of the evaluator before comparison

@@ -375,6 +375,11 @@ def test_letters_shared_pair_among_four():
     assert sorted(out.values()) == ["a", "a", "b", "c"]
 
 
+def test_letters_self_pair_joins_no_groups():
+    # a group is never significantly different from itself; the pair is skipped
+    assert compact_letters(["a", "b"], [("a", "a")]) == {"a": "a", "b": "b"}
+
+
 def test_letters_unknown_group_rejected():
     with pytest.raises(StatsError):
         compact_letters(["a", "b"], [("a", "q")])

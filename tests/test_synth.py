@@ -66,6 +66,20 @@ def test_spec_rejects_objects_larger_than_canvas():
         SceneSpec(width=30, height=30, puddle_axis=(2.0, 20.0))
 
 
+def test_a_stripe_thinner_than_a_pixel_center_keeps_one_pixel():
+    # seed 71 lays one 1 px stripe whose rectangle holds no pixel center
+    spec = SceneSpec(
+        width=4, height=4, empty_prob=1.0, puddle_axis=(1.0, 1.0), pig_axis=(1.0, 1.0),
+        bird_axis=(1.0, 1.0), stripe_count=(1, 1), stripe_thickness=(1.0, 1.0),
+        warm_delta=(400.0, 400.0), noise_sigma=0.0,
+    )
+    scene = generate_scene(spec, 71)
+    assert scene.puddles == () and scene.distractors == (BBox(1.0, 1.0, 1.0, 1.0),)
+    want = np.full((4, 4), 2000, dtype=np.int16)
+    want[1, 1] = 2400
+    assert np.array_equal(scene.frame.pixels, want)
+
+
 def test_spec_rejects_stripes_thicker_than_the_canvas():
     # the default stripe_thickness (3, 8) on a 6 px canvas: build_corpus once
     # failed inside numpy with "high - low < 0"

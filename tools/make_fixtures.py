@@ -236,6 +236,53 @@ def ref_evaluate(gt, dets, thresholds, max_dets=100):
     }
 
 
+def ref_image_counts(gt, dets, thresholds, max_dets=100):
+    """Per-image [TP, FP, absorbed, missed GT] counts over all categories.
+
+    Returns counts[s][t][i] for stratum s in (all, small, medium),
+    threshold index t and image i in id order.  Detections are capped per
+    (image, category) as in ``ref_evaluate``; an unmatched detection
+    outside the stratum's size class is ignored there, so it is no FP.
+    """
+    images = sorted(im["id"] for im in gt["images"])
+    cats = sorted(c["id"] for c in gt["categories"])
+    anns_by = {}
+    for a in gt["annotations"]:
+        anns_by.setdefault((a["image_id"], a["category_id"]), []).append(a)
+    dets_by = {}
+    for i, d in enumerate(dets):
+        dets_by.setdefault((d["image_id"], d["category_id"]), []).append((i, d))
+
+    def outside(bbox, stratum):
+        return stratum != "all" and ref_size_class(bbox[2] * bbox[3]) != stratum
+
+    counts = []
+    for stratum in ("all", "small", "medium"):
+        per_thr = []
+        for thr in thresholds:
+            per_img = []
+            for im in images:
+                c = [0, 0, 0, 0]
+                for cat in cats:
+                    g = anns_by.get((im, cat), [])
+                    cand = sorted(dets_by.get((im, cat), []), key=lambda t: (-t[1]["score"], t[0]))
+                    d = [det for _, det in cand[:max_dets]]
+                    gt_ignore = [bool(a.get("ignore")) or outside(a["bbox"], stratum) for a in g]
+                    c[3] += gt_ignore.count(False)
+                    for det, outcome in zip(d, _ref_match(g, gt_ignore, d, thr)):
+                        if outcome == "tp":
+                            c[0] += 1
+                            c[3] -= 1
+                        elif outcome == "absorbed":
+                            c[2] += 1
+                        elif not outside(det["bbox"], stratum):
+                            c[1] += 1
+                per_img.append(c)
+            per_thr.append(per_img)
+        counts.append(per_thr)
+    return counts
+
+
 # --------------------------------------------------------------------------
 # fixture corpus generation
 
