@@ -12,21 +12,21 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 
 if TYPE_CHECKING:
-    from .report import RunResult
+    from .report import AggregateTable
     from .stats import StatReport
 
 # Each command imports the modules it runs inside its body, and the parser
 # needs no thermeval module, so a process loads only what its command uses
 # (``filter``, ``--help`` and ``--version`` load no numpy).  The same holds
-# for the standard library: ``hashlib`` loads only for a manifest, ``json``
-# only where a command writes JSON.  The two choice lists argparse checks at
-# parse time are spelled out here; tests pin them to ``report.METRIC_NAMES``
-# and ``synth.PRESETS``.
+# for the standard library: ``hashlib`` loads only for a manifest and for the
+# GT digest of ``evaluate --append``, ``json`` only where a command writes
+# JSON.  The two choice lists argparse checks at parse time are spelled out
+# here; tests pin them to ``report.METRIC_NAMES`` and ``synth.PRESETS``.
 _METRIC_CHOICES = ("ap", "ap50", "ap75", "aps", "apm", "ar", "ars", "arm", "all")
 _PRESET_CHOICES = ("a", "b")
 
@@ -46,7 +46,8 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path]) -> None:
     """With ``--manifest``, record what produced the outputs next to the
-    first of them, or in the ``--out`` directory when there is none."""
+    first of them, or in the ``--out`` directory when there is none: the
+    command, its seed, the other options as parsed, and the inputs' digests."""
     if not args.manifest:
         return
     import json
@@ -57,6 +58,9 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[
         "version": __version__,
         "command": args.command,
         "seed": getattr(args, "seed", None),
+        "options": {
+            k: v for k, v in vars(args).items() if k not in ("func", "command", "seed")
+        },
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
@@ -143,21 +147,25 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .coco import parse_detections
-    from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate
-    from .report import RunResult, aggregate, read_results_csv, write_results_csv
+    from .coco import parse_coco, parse_detections
+    from .metrics import DEFAULT_MAX_DETS, METRIC_NAMES, evaluate, validate_thresholds
+    from .report import RunResult, Scoring, aggregate, read_results_csv, write_results_csv
 
     if args.out is None and args.append is None:
         raise ValueError("nothing to do, pass --out and/or --append")
     if args.append is not None and None in (args.model, args.hpc, args.run, args.dataset):
         raise ValueError("--append needs --model, --hpc, --run and --dataset")
-    gt = _load_dataset(Path(args.gt))
+    gt_bytes = Path(args.gt).read_bytes()  # read once, for the dataset and its digest
+    gt = parse_coco(gt_bytes.decode("utf-8"))
     dets = parse_detections(Path(args.dets).read_text(encoding="utf-8"), gt)
+    thresholds = validate_thresholds(args.iou_thresholds)
     max_dets = DEFAULT_MAX_DETS if args.max_dets is None else args.max_dets
-    report = evaluate(gt, dets, args.iou_thresholds, max_dets)
+    report = evaluate(gt, dets, thresholds, max_dets)
     for name in METRIC_NAMES:
         print(f"{name} {getattr(report, name):.6f}")
     if args.append is not None:
+        import hashlib
+
         path = Path(args.append)
         rows = list(read_results_csv(path.read_text(encoding="utf-8"))) if path.exists() else []
         rows.append(
@@ -167,9 +175,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 run=args.run,
                 dataset=args.dataset,
                 metrics=report,
+                scoring=Scoring(thresholds, max_dets, hashlib.sha256(gt_bytes).hexdigest()),
             )
         )
-        aggregate(rows)  # a repeated run or a second dataset tag fails before any write
+        # a repeated run, a second dataset tag or other scoring fails before any write
+        aggregate(rows)
     outputs: list[Path] = []
     if args.out is not None:
         import json
@@ -186,24 +196,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _batteries(
-    results: Sequence[RunResult],
+    table: AggregateTable,
+    values: Mapping[tuple[str, str, str], list[float]],
     metrics: Sequence[str],
-    alpha: float | None,
+    alpha: float,
     prog: str | None = None,
 ) -> dict[str, StatReport]:
-    """The battery's report on ``results`` for each metric it can test.
+    """The battery's report for each metric it can test, read from the
+    ``(table, values)`` that ``report._aggregate`` returned for ``metrics``.
 
-    An alpha outside (0, 1) fails before any battery runs.  A metric it
-    cannot test is skipped, with a note on stderr when ``prog`` names the
-    command; a lone metric's error is raised as it is, and a StatsError
-    when no metric is left.
+    A metric it cannot test is skipped, with a note on stderr when ``prog``
+    names the command; a lone metric's error is raised as it is, and a
+    StatsError when no metric is left.
     """
-    from .report import _aggregate, _samples
-    from .stats import DEFAULT_ALPHA, StatsError, check_alpha, run_battery
+    from .report import _samples
+    from .stats import StatsError, run_battery
 
-    alpha = DEFAULT_ALPHA if alpha is None else check_alpha(alpha)
-    # the rows are checked and grouped once, for every metric
-    table, values = _aggregate(results, metrics)
     batteries = {}
     for metric in metrics:
         try:
@@ -218,14 +226,23 @@ def _batteries(
     return batteries
 
 
+def _alpha(alpha: float | None) -> float:
+    """The family level, checked: one outside (0, 1) fails before any battery runs."""
+    from .stats import DEFAULT_ALPHA, check_alpha
+
+    return DEFAULT_ALPHA if alpha is None else check_alpha(alpha)
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .report import METRIC_NAMES, read_results_csv
+    from .report import METRIC_NAMES, _aggregate, read_results_csv
 
     if args.manifest and args.out is None:
         raise ValueError("--manifest needs --out")
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
-    batteries = _batteries(results, metrics, args.alpha, "stats")
+    alpha = _alpha(args.alpha)  # before the rows are grouped
+    # the rows are checked and grouped once, for every metric
+    batteries = _batteries(*_aggregate(results, metrics), metrics, alpha, "stats")
     for metric, battery in batteries.items():
         letters = " ".join(
             f"{name}={battery.letters[name]}" for name in battery.group_names
@@ -246,12 +263,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .report import aggregate, emit_table, read_results_csv
+    from .report import METRIC_NAMES, _aggregate, emit_table, read_results_csv
 
     if args.alpha is not None and args.figure_data is None:
         raise ValueError("--alpha needs --figure-data")
     results = read_results_csv(Path(args.results).read_text(encoding="utf-8"))
-    table = aggregate(results)
+    # one grouping serves the table and the figure data's batteries
+    table, values = _aggregate(results, METRIC_NAMES)
     if args.model is None and len(table.models) > 1:
         # one table per model, with a heading line so the blocks stay apart
         parts = []
@@ -265,9 +283,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     writes = [(Path(args.out), text)]
     if args.figure_data is not None:
         # only the figure data needs the battery; it fails before any write
-        from .report import METRIC_NAMES, emit_significance_figure_data
+        from .report import emit_significance_figure_data
 
-        batteries = _batteries(results, METRIC_NAMES, args.alpha)
+        batteries = _batteries(table, values, METRIC_NAMES, _alpha(args.alpha))
         writes.append((Path(args.figure_data), emit_significance_figure_data(batteries, table)))
     for path, body in writes:
         path.write_text(body, encoding="utf-8")

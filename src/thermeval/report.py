@@ -4,6 +4,15 @@ markdown/CSV rendering with period or comma decimals, and the flat data
 file behind the significance figures.  The eight metric names and
 ``MetricReport`` live here, and ``metrics`` re-exports them, so that the
 results tail (``stats`` and ``report``) runs with the standard library alone.
+
+A results row may record how its run was scored (``Scoring``: the IoU
+sweep, the detection cap and the SHA-256 of the ground-truth file), in
+three columns after ``arm``.  The results header is one ordered list: the
+writer emits it up to the last column that any row fills, so rows that
+record no conditions keep the 12-column format, and the reader takes any
+prefix of it that ends at or after ``arm``.  ``aggregate`` refuses rows
+whose known conditions differ; a row whose conditions are unknown (blank)
+goes with any other.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ __all__ = [
     "MetricReport",
     "ReportError",
     "RunResult",
+    "Scoring",
     "AggregateCell",
     "AggregateTable",
     "aggregate",
@@ -57,7 +67,11 @@ METRIC_LABELS: Mapping[str, str] = {
     "arm": "ARm",
 }
 
-_CSV_HEADER = ("run", "model", "hpc", "dataset") + METRIC_NAMES
+_SCORING_FIELDS = ("iou_thresholds", "max_dets", "gt_sha256")
+_CSV_HEADER = ("run", "model", "hpc", "dataset") + METRIC_NAMES + _SCORING_FIELDS
+# the columns every results file holds, through ``arm``
+_N_BASE = len(_CSV_HEADER) - len(_SCORING_FIELDS)
+_HEX = "0123456789abcdef"
 
 # the column order of the results tables: batch 4 block first, then by
 # weighting (original L before reduced l), then by status (pretrained p
@@ -101,11 +115,46 @@ class MetricReport:
 
 
 @dataclass(frozen=True)
+class Scoring:
+    """How a run was scored: the IoU sweep, the per-image detection cap, and
+    the SHA-256 of the ground-truth file, as 64 lowercase hex digits.
+
+    Only shape and spelling are checked here; ``metrics.validate_thresholds``
+    and ``metrics.evaluate`` own the sweep's range and order and the cap's.
+    """
+
+    iou_thresholds: tuple[float, ...]
+    max_dets: int
+    gt_sha256: str
+
+    def __post_init__(self) -> None:
+        try:
+            for t in self.iou_thresholds:
+                _check_number(t, "IoU threshold")
+        except (DatasetError, TypeError):
+            raise ReportError(
+                f"iou_thresholds must be a sequence of numbers, got {self.iou_thresholds!r}"
+            ) from None
+        # a float subclass would leak its repr into the results file, and a
+        # NaN would make a row differ from itself
+        sweep = tuple(map(float, self.iou_thresholds))
+        if not sweep or not all(map(math.isfinite, sweep)):
+            raise ReportError(f"iou_thresholds must be finite and non-empty, got {sweep!r}")
+        object.__setattr__(self, "iou_thresholds", sweep)
+        if _check_as(ReportError, _check_int, self.max_dets, "max_dets") < 1:
+            raise ReportError(f"max_dets must be a positive integer, got {self.max_dets}")
+        digest = self.gt_sha256
+        if not (isinstance(digest, str) and len(digest) == 64 and not digest.strip(_HEX)):
+            raise ReportError(f"gt_sha256 must be 64 lowercase hex digits, got {digest!r}")
+
+
+@dataclass(frozen=True)
 class RunResult:
     """One evaluated run of one model under one combination.
 
     ``run`` is a positive integer: run r of a split plan is its r-th,
-    ``plan.runs[r - 1]``, so a run of 0 or below names no run.
+    ``plan.runs[r - 1]``, so a run of 0 or below names no run.  ``scoring``
+    is None when how the run was scored is unknown.
     """
 
     model: str
@@ -113,6 +162,7 @@ class RunResult:
     run: int
     dataset: str
     metrics: MetricReport
+    scoring: Scoring | None = None
 
     def __post_init__(self) -> None:
         _check_as(ReportError, _check_int, self.run, "run")
@@ -120,17 +170,48 @@ class RunResult:
             raise ReportError(f"run must be a positive integer, got {self.run}")
         if not all(isinstance(t, str) and t for t in (self.model, self.hpc, self.dataset)):
             raise ReportError("model, hpc, and dataset tags must be non-empty strings")
+        if self.scoring is not None and not isinstance(self.scoring, Scoring):
+            raise ReportError(f"scoring must be a Scoring or None, got {self.scoring!r}")
 
 
 def write_results_csv(results: Sequence[RunResult]) -> str:
+    """The results file: the scoring columns only when some row records its
+    scoring, blank in the rows that do not."""
+    scored = any(r.scoring is not None for r in results)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    writer.writerow(_CSV_HEADER if scored else _CSV_HEADER[:_N_BASE])
     for r in results:
         row = [r.run, r.model, r.hpc, r.dataset]
         row.extend(repr(getattr(r.metrics, name)) for name in METRIC_NAMES)
+        if r.scoring is not None:
+            s = r.scoring
+            row.extend((" ".join(map(repr, s.iou_thresholds)), s.max_dets, s.gt_sha256))
+        elif scored:
+            row.extend([""] * len(_SCORING_FIELDS))
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _read_scoring(fields: list[str]) -> Scoring | None:
+    """A row's scoring fields, those its header leaves out read as blank:
+    None when all are blank, a ``Scoring`` when none is."""
+    if not any(fields):
+        return None
+    fields = fields + [""] * (len(_SCORING_FIELDS) - len(fields))
+    if not all(fields):
+        blank = [name for name, f in zip(_SCORING_FIELDS, fields) if not f]
+        raise ReportError(f"scoring fields {blank} are blank but not all of them")
+    sweep, cap, digest = fields
+    try:
+        thresholds = tuple(map(float, sweep.split(" ")))
+    except ValueError:
+        thresholds = ()
+    if " ".join(map(repr, thresholds)) != sweep:
+        raise ReportError(f"iou_thresholds {sweep!r} is not repr floats one space apart")
+    if not (cap.isascii() and cap.isdigit() and str(int(cap)) == cap):
+        raise ReportError(f"max_dets {cap!r} is not a plain decimal integer")
+    return Scoring(thresholds, int(cap), digest)
 
 
 def read_results_csv(text: str) -> tuple[RunResult, ...]:
@@ -142,26 +223,29 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
     if not rows:
         raise ReportError("empty results file")
     header = tuple(rows[0])
-    if header != _CSV_HEADER:
+    n_fields = len(header)
+    if n_fields < _N_BASE or header != _CSV_HEADER[:n_fields]:
         raise ReportError(f"unexpected results header {header!r}")
     out = []
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(_CSV_HEADER):
-            raise ReportError(f"line {ln}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
+        if len(row) != n_fields:
+            raise ReportError(f"line {ln}: expected {n_fields} fields, got {len(row)}")
+        metric_fields = row[4:_N_BASE]
         try:  # int() and float() read "1_0" as 10 and " 1" as 1: a field must read as written
-            if "_" in "".join(row[4:]):
-                bad = next(f for f in row[4:] if "_" in f)
+            if "_" in "".join(metric_fields):
+                bad = next(f for f in metric_fields if "_" in f)
                 raise ReportError(f"metric field {bad!r} holds '_'")
-            if row[4:] != [f.strip() for f in row[4:]]:
-                bad = next(f for f in row[4:] if f != f.strip())
+            if metric_fields != [f.strip() for f in metric_fields]:
+                bad = next(f for f in metric_fields if f != f.strip())
                 raise ReportError(f"metric field {bad!r} has surrounding whitespace")
-            metrics = MetricReport(*map(float, row[4:]))
+            metrics = MetricReport(*map(float, metric_fields))
             run = int(row[0])
             if str(run) != row[0]:
                 raise ReportError(f"run {row[0]!r} is not a plain decimal integer")
-            out.append(RunResult(row[1], row[2], run, row[3], metrics))
+            scoring = _read_scoring(row[_N_BASE:])
+            out.append(RunResult(row[1], row[2], run, row[3], metrics, scoring))
         except ValueError as exc:  # ReportError is one
             raise ReportError(f"line {ln}: {exc}") from None
     return tuple(out)
@@ -229,10 +313,11 @@ class AggregateTable:
 def aggregate(results: Sequence[RunResult]) -> AggregateTable:
     """Collapse runs into mean/std cells.
 
-    All results must carry the same dataset tag, and no (model, hpc, run)
-    may repeat.  Undefined stratum values are left out of their cell; a
-    single contributing run yields std 0 with n = 1.  A cell's mean and std
-    add its values in run order, whatever order the rows come in.
+    All results must carry the same dataset tag, the rows whose scoring is
+    known must share one ``Scoring``, and no (model, hpc, run) may repeat.
+    Undefined stratum values are left out of their cell; a single
+    contributing run yields std 0 with n = 1.  A cell's mean and std add its
+    values in run order, whatever order the rows come in.
     """
     return _aggregate(results, METRIC_NAMES)[0]
 
@@ -247,6 +332,14 @@ def _aggregate(
     datasets = {r.dataset for r in results}
     if len(datasets) > 1:
         raise ReportError(f"mixed dataset tags {sorted(datasets)}")
+    # the known conditions in row order; an unknown one goes with any
+    scorings = list(dict.fromkeys(r.scoring for r in results if r.scoring is not None))
+    if len(scorings) > 1:
+        a, b = scorings[:2]
+        name = next(n for n in _SCORING_FIELDS if getattr(a, n) != getattr(b, n))
+        raise ReportError(
+            f"rows scored differently: {name} {getattr(a, name)!r} and {getattr(b, name)!r}"
+        )
     seen_runs = set()
     models: list[str] = []
     hpcs: set[str] = set()

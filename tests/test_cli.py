@@ -9,8 +9,8 @@ import pytest
 
 from thermeval.cli import main
 from thermeval.coco import parse_coco, parse_detections, write_coco, write_detections
-from thermeval.metrics import METRIC_NAMES, MetricReport
-from thermeval.report import RunResult, write_results_csv
+from thermeval.metrics import DEFAULT_IOU_THRESHOLDS, METRIC_NAMES, MetricReport
+from thermeval.report import RunResult, Scoring, read_results_csv, write_results_csv
 from thermeval.synth import PRESET_A, PRESET_B, MockDetectorSpec, build_corpus, mock_detect
 from thermeval.thermal import (
     RAW_MAGIC,
@@ -366,6 +366,56 @@ def test_evaluate_append_keeps_the_file_when_the_write_fails(tmp_path, capsys, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dets.json", "gt.json", "r.csv"]
 
 
+def test_evaluate_append_refuses_rows_scored_another_way(tmp_path, capsys):
+    # one row capped at 5, one at the default 100, one against a stricter GT
+    # at another sweep: only the first may go in, and the file stays as it was
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    strict = tmp_path / "gt_40.json"
+    assert main(["filter", "--gt", str(gt_path), "--out", str(strict), "--threshold", "40"]) == 0
+    csv_path = tmp_path / "r.csv"
+    assert main([*_append_args(gt_path, dets_path, csv_path, "1"), "--max-dets", "5"]) == 0
+    before = csv_path.read_bytes()
+    capsys.readouterr()
+    assert main(_append_args(gt_path, dets_path, csv_path, "2")) == 1
+    assert capsys.readouterr().err == (
+        "thermeval evaluate: error: rows scored differently: max_dets 5 and 100\n"
+    )
+    argv = [*_append_args(strict, dets_path, csv_path, "3"), "--iou-thresholds", "0.1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "thermeval evaluate: error: rows scored differently:"
+        f" iou_thresholds {DEFAULT_IOU_THRESHOLDS!r} and (0.1,)\n"
+    )
+    assert main([*_append_args(strict, dets_path, csv_path, "3"), "--max-dets", "5"]) == 1
+    assert "rows scored differently: gt_sha256 " in capsys.readouterr().err
+    assert csv_path.read_bytes() == before
+
+
+def test_evaluate_append_records_how_each_row_was_scored(tmp_path):
+    # the same three rows under one condition go in, and read as they did
+    # before rows recorded their conditions
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    csv_path = tmp_path / "r.csv"
+    for run in ("1", "2", "3"):
+        assert main([*_append_args(gt_path, dets_path, csv_path, run), "--max-dets", "5"]) == 0
+    rows = read_results_csv(csv_path.read_text())
+    digest = hashlib.sha256(gt_path.read_bytes()).hexdigest()
+    assert {r.scoring for r in rows} == {Scoring(DEFAULT_IOU_THRESHOLDS, 5, digest)}
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].endswith(",arm,iou_thresholds,max_dets,gt_sha256")
+    sweep = "0.5 0.55 0.6 0.65 0.7 0.75 0.8 0.85 0.8999999999999999 0.95"
+    assert lines[1].endswith(f",{sweep},5,{digest}")
+    # the condition columns cut, as a file written before them
+    cut = tmp_path / "cut.csv"
+    cut.write_text("".join(",".join(line.split(",")[:12]) + "\n" for line in lines))
+    tables = []
+    for path in (csv_path, cut):
+        out = tmp_path / f"{path.stem}.md"
+        assert main(["report", "--results", str(path), "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_evaluate_custom_thresholds(tmp_path, capsys):
     gt_path, dets_path = _eval_inputs(tmp_path)
     out = tmp_path / "r.json"
@@ -497,6 +547,59 @@ def test_a_repeated_run_fails_stats_and_report(tmp_path, capsys, command):
         f"thermeval {command}: error: duplicate run ('good', '4_L_p', 1)\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["results.csv", "undefined.csv"]
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_stats_and_report_refuse_rows_scored_differently(tmp_path, capsys, command):
+    digest = "0" * 64
+    rows = [
+        RunResult(model, "4_L_p", run, "pond", MetricReport(*[base] * 8),
+                  Scoring((0.5,), cap, digest))
+        for model, base, cap in (("good", 0.7, 100), ("bad", 0.4, 5))
+        for run in (1, 2, 3)
+    ]
+    results = tmp_path / "results.csv"
+    results.write_text(write_results_csv(rows))
+    out = tmp_path / "out.txt"
+    argv = [command, "--results", str(results), "--out", str(out)]
+    if command == "report":
+        argv += ["--figure-data", str(tmp_path / "figure.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"thermeval {command}: error: rows scored differently: max_dets 100 and 5\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_a_bad_alpha_fails_before_the_rows_are_grouped_in_stats_only(
+    tmp_path, capsys, command
+):
+    # a file with a repeated run: stats checks --alpha first, report groups
+    # the rows for its table first
+    results = _results_csv(tmp_path)
+    header, first, *rest = results.read_text().splitlines()
+    results.write_text("\n".join([header, first, first, *rest]) + "\n")
+    argv = [command, "--results", str(results), "--out", str(tmp_path / "out"), "--alpha", "2"]
+    if command == "report":
+        argv += ["--figure-data", str(tmp_path / "figure.csv")]
+    assert main(argv) == 1
+    want = "alpha 2.0 outside (0, 1)" if command == "stats" else "duplicate run"
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_stats_and_report_group_the_rows_once(tmp_path, monkeypatch, command):
+    import thermeval.report as report
+
+    calls = []
+    grouped = report._aggregate
+    monkeypatch.setattr(report, "_aggregate", lambda *a: calls.append(a) or grouped(*a))
+    argv = [command, "--results", str(_results_csv(tmp_path)), "--out", str(tmp_path / "out")]
+    if command == "report":
+        argv += ["--figure-data", str(tmp_path / "figure.csv")]
+    assert main(argv) == 0
+    assert [metrics for _, metrics in calls] == [METRIC_NAMES]
 
 
 @pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "nan"])
@@ -814,3 +917,19 @@ def test_every_command_writes_its_manifest(tmp_path, case):
     assert manifest["outputs"] == [str(p) for p in outputs]
     assert all(p.exists() for p in outputs)
     assert list(tmp_path.rglob("manifest.json")) == [where / "manifest.json"]
+    # every other parsed option, the flag itself included
+    assert manifest["options"]["manifest"] is True
+    assert not {"func", "command", "seed"} & set(manifest["options"])
+
+
+def test_the_manifest_records_the_resolved_options(tmp_path):
+    gt, dets = _eval_inputs(tmp_path)
+    csv = tmp_path / "r.csv"
+    argv = [*_append_args(gt, dets, csv), "--iou-thresholds", "0.5,0.75", "--max-dets", "5"]
+    assert main([*argv, "--manifest"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["options"] == {
+        "gt": str(gt), "dets": str(dets), "out": None, "append": str(csv),
+        "iou_thresholds": [0.5, 0.75], "max_dets": 5, "model": "net", "hpc": "4_L_p",
+        "run": 1, "dataset": "pond", "manifest": True,
+    }

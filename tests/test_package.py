@@ -137,6 +137,9 @@ _IMPORT_PINS = {
         " --append results.csv --model m --hpc 4_L_p --run 1 --dataset s",
         _SCORE, True, False,
     ),
+    "evaluate-out": (
+        "evaluate --gt {d}/gt.json --dets {d}/dets.json --out r.json", _SCORE, True, False
+    ),
     "stats": ("stats --results {d}/results.csv --metric ap", _TAIL + ("stats",), False, False),
     "report": ("report --results {d}/results.csv --out table.md", _TAIL, False, False),
     "report-figure": (
@@ -145,10 +148,11 @@ _IMPORT_PINS = {
     ),
 }
 
-# the commands that load no hashlib: the cli hashes only for --manifest, and
-# the rest load it only through numpy.random (split, synth, detect)
+# the commands that load no hashlib: the cli hashes only for --manifest and
+# for the GT digest that evaluate --append records in its row, and the rest
+# load it only through numpy.random (split, synth, detect)
 _WITHOUT_HASHLIB = (
-    "version", "help", "convert", "filter", "evaluate", "stats", "report", "report-figure"
+    "version", "help", "convert", "filter", "evaluate-out", "stats", "report", "report-figure"
 )
 
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermeval.metrics import METRIC_NAMES, MetricReport, UNDEFINED
 from thermeval.report import (
@@ -15,6 +17,7 @@ from thermeval.report import (
     METRIC_LABELS,
     ReportError,
     RunResult,
+    Scoring,
     aggregate,
     best_hpc,
     emit_significance_figure_data,
@@ -140,6 +143,186 @@ def test_read_results_empty_file():
         read_results_csv("")
 
 
+# -- scoring conditions in the results file
+
+_SWEEP = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.8999999999999999, 0.95)
+_SWEEP_TEXT = "0.5 0.55 0.6 0.65 0.7 0.75 0.8 0.85 0.8999999999999999 0.95"
+_DIGEST = "0123456789abcdef" * 4
+_SCORING = Scoring(_SWEEP, 100, _DIGEST)
+_BASE_HEADER = "run,model,hpc,dataset,ap,ap50,ap75,aps,apm,ar,ars,arm"
+_FULL_HEADER = _BASE_HEADER + ",iou_thresholds,max_dets,gt_sha256"
+
+
+def _scored(run, scoring=_SCORING, **kwargs):
+    return replace(_result(run, **kwargs), scoring=scoring)
+
+
+def _scored_text(sweep=_SWEEP_TEXT, cap="100", digest=_DIGEST):
+    """A one-row results file whose scoring fields read as given."""
+    metrics = ",".join(["0.5"] * 8)
+    return f"{_FULL_HEADER}\n1,net,4_L_p,pond,{metrics},{sweep},{cap},{digest}\n"
+
+
+def test_rows_without_scoring_keep_the_12_column_format():
+    r = RunResult("net", "4_L_p", 1, "pond", MetricReport(*[0.5] * 8))
+    text = write_results_csv([r])
+    assert text == f"{_BASE_HEADER}\n1,net,4_L_p,pond," + ",".join(["0.5"] * 8) + "\n"
+    assert read_results_csv(text) == (r,)
+    assert read_results_csv(text)[0].scoring is None
+
+
+def test_a_scored_row_writes_its_sweep_cap_and_digest_after_arm():
+    text = write_results_csv([_scored(1)])
+    header, row = text.splitlines()
+    assert header == _FULL_HEADER
+    assert row.split(",")[-3:] == [_SWEEP_TEXT, "100", _DIGEST]
+    assert read_results_csv(text) == (_scored(1),)
+    # every column before keeps its index
+    assert row.split(",")[:12] == write_results_csv([_result(1)]).splitlines()[1].split(",")
+
+
+def test_unknown_rows_of_a_mixed_file_are_written_blank():
+    rows = (_result(1), _scored(2), _result(3))
+    lines = write_results_csv(rows).splitlines()
+    assert lines[0] == _FULL_HEADER
+    assert [line.endswith(",,,") for line in lines[1:]] == [True, False, True]
+    assert read_results_csv("\n".join(lines)) == rows
+
+
+@pytest.mark.parametrize("n_fields", [12, 13, 14, 15])
+def test_read_results_takes_any_header_prefix_through_arm(n_fields):
+    names = _FULL_HEADER.split(",")[:n_fields]
+    row = ["1", "net", "4_L_p", "pond"] + ["0.5"] * 8 + [""] * (n_fields - 12)
+    (back,) = read_results_csv(",".join(names) + "\n" + ",".join(row) + "\n")
+    assert back.scoring is None and back.metrics.ap == 0.5
+
+
+@pytest.mark.parametrize("n_fields", [11, 16])
+def test_read_results_refuses_a_header_short_of_arm_or_past_the_last_column(n_fields):
+    names = (_FULL_HEADER + ",split").split(",")[:n_fields]
+    with pytest.raises(ReportError, match="unexpected results header"):
+        read_results_csv(",".join(names) + "\n")
+
+
+def test_read_results_refuses_a_scored_row_under_a_header_that_stops_early():
+    # a 13-column file holds the sweep alone: the cap and digest read as blank
+    text = ",".join(_FULL_HEADER.split(",")[:13]) + "\n1,net,4_L_p,pond," + "0.5," * 8 + "0.5\n"
+    with pytest.raises(ReportError, match=r"^line 2: scoring fields \['max_dets', 'gt_sha256'\]"):
+        read_results_csv(text)
+
+
+@pytest.mark.parametrize(
+    "fields, blank",
+    [
+        (("", "100", _DIGEST), "['iou_thresholds']"),
+        ((_SWEEP_TEXT, "", _DIGEST), "['max_dets']"),
+        ((_SWEEP_TEXT, "100", ""), "['gt_sha256']"),
+        (("", "", _DIGEST), "['iou_thresholds', 'max_dets']"),
+    ],
+)
+def test_read_results_refuses_scoring_fields_only_partly_blank(fields, blank):
+    message = f"^line 2: scoring fields {re.escape(blank)} are blank but not all of them$"
+    with pytest.raises(ReportError, match=message):
+        read_results_csv(_scored_text(*fields))
+
+
+def test_read_results_reads_all_three_blank_as_unknown():
+    assert read_results_csv(_scored_text("", "", ""))[0].scoring is None
+
+
+@pytest.mark.parametrize("cap", ["0", "05", " 5", "5 ", "1_0", "+5", "five"])
+def test_read_results_refuses_a_cap_not_spelled_as_the_writer_spells_it(cap):
+    with pytest.raises(ReportError, match="^line 2: .*max_dets"):
+        read_results_csv(_scored_text(cap=cap))
+
+
+@pytest.mark.parametrize(
+    "digest", [_DIGEST[:63], _DIGEST.upper(), _DIGEST[:63] + "g", _DIGEST + "0"]
+)
+def test_read_results_refuses_a_digest_that_is_not_64_lowercase_hex_digits(digest):
+    message = f"line 2: gt_sha256 must be 64 lowercase hex digits, got {digest!r}"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+        read_results_csv(_scored_text(digest=digest))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    ["0.50", "0.5  0.75", " 0.5", "0.5 ", "5e-1", ".5", "0.5_0", "0.5;0.75", "1", "x"],
+)
+def test_read_results_refuses_a_sweep_not_spelled_by_repr(sweep):
+    message = f"line 2: iou_thresholds {sweep!r} is not repr floats one space apart"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+        read_results_csv(_scored_text(sweep=sweep))
+
+
+@pytest.mark.parametrize("sweep", ["nan", "inf", "0.5 nan"])
+def test_read_results_refuses_a_sweep_that_is_not_finite(sweep):
+    # repr spells NaN "nan", and a NaN sweep would differ from itself
+    with pytest.raises(ReportError, match="^line 2: iou_thresholds must be finite"):
+        read_results_csv(_scored_text(sweep=sweep))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"iou_thresholds": ()},
+        {"iou_thresholds": "0.5"},
+        {"iou_thresholds": 0.5},
+        {"iou_thresholds": (0.5, True)},
+        {"iou_thresholds": (float("nan"),)},
+        {"max_dets": 0},
+        {"max_dets": True},
+        {"max_dets": 5.0},
+        {"gt_sha256": _DIGEST.encode()},
+        {"gt_sha256": _DIGEST[1:]},
+    ],
+)
+def test_scoring_rejects_a_field_of_the_wrong_shape(fields):
+    args = {"iou_thresholds": _SWEEP, "max_dets": 100, "gt_sha256": _DIGEST, **fields}
+    with pytest.raises(ReportError):
+        Scoring(**args)
+
+
+def test_scoring_keeps_its_sweep_as_plain_floats():
+    s = Scoring([np.float64(0.5), 1], 5, _DIGEST)
+    assert s.iou_thresholds == (0.5, 1.0)
+    assert {type(t) for t in s.iou_thresholds} == {float}
+    assert write_results_csv([_scored(1, s)]).splitlines()[1].endswith(f",0.5 1.0,5,{_DIGEST}")
+
+
+def test_run_result_rejects_a_scoring_that_is_not_one():
+    with pytest.raises(ReportError, match="scoring must be a Scoring or None"):
+        _scored(1, scoring=(_SWEEP, 100, _DIGEST))
+
+
+_metric_values = st.one_of(st.just(UNDEFINED), st.floats(0.0, 1.0))
+_scorings = st.builds(
+    Scoring,
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12).map(tuple),
+    st.integers(1, 10**9),
+    st.text("0123456789abcdef", min_size=64, max_size=64),
+)
+_rows = st.builds(
+    RunResult,
+    st.sampled_from(["net", "yolo v8", 'a,"b"']),
+    st.sampled_from(CANONICAL_HPC_ORDER),
+    st.integers(1, 25),
+    st.just("pond"),
+    st.builds(MetricReport, *[_metric_values] * 8),
+    st.one_of(st.none(), _scorings),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rows, max_size=6))
+def test_results_round_trip_with_scoring_conditions(rows):
+    text = write_results_csv(rows)
+    assert read_results_csv(text) == tuple(rows)
+    # the condition columns appear exactly when some row fills them
+    scored = any(r.scoring is not None for r in rows)
+    assert text.splitlines()[0] == (_FULL_HEADER if scored else _BASE_HEADER)
+
+
 def test_run_result_requires_tags():
     with pytest.raises(ReportError):
         RunResult(model="", hpc="4_L_p", run=1, dataset="d", metrics=_metrics(0.5))
@@ -262,6 +445,27 @@ def test_aggregate_rejects_duplicate_run():
 def test_aggregate_rejects_mixed_datasets():
     with pytest.raises(ReportError, match="mixed"):
         aggregate([_result(1), _result(2, dataset="other")])
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (Scoring((0.1,), 5, "f" * 64), f"iou_thresholds {_SWEEP!r} and (0.1,)"),
+        (Scoring(_SWEEP, 5, "f" * 64), "max_dets 100 and 5"),
+        (Scoring(_SWEEP, 100, "f" * 64), f"gt_sha256 {_DIGEST!r} and {'f' * 64!r}"),
+    ],
+)
+def test_aggregate_refuses_rows_scored_differently_and_names_the_first_field(other, message):
+    rows = [_scored(1), _result(2), _scored(3, other)]
+    with pytest.raises(ReportError, match=f"^rows scored differently: {re.escape(message)}$"):
+        aggregate(rows)
+
+
+def test_aggregate_takes_unknown_scoring_beside_known():
+    rows = [_result(1, base=0.4), _scored(2, base=0.6), _result(3, base=0.5), _scored(4)]
+    plain = [replace(r, scoring=None) for r in rows]
+    assert aggregate(rows) == aggregate(plain)
+    assert metric_samples(rows, "ap") == metric_samples(plain, "ap")
 
 
 def test_aggregate_orders_hpcs_canonically():
