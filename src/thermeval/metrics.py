@@ -36,11 +36,11 @@ step each per cell in score order.  Scoring departs from pycocotools:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._checks import _check_as, _check_cap, _check_sweep
 from .coco import (
     BBox,
     Dataset,
@@ -95,19 +95,7 @@ def iou(a: BBox, b: BBox) -> float:
 def validate_thresholds(thresholds: Sequence[float] | None) -> tuple[float, ...]:
     if thresholds is None:
         return DEFAULT_IOU_THRESHOLDS
-    raw = tuple(thresholds)
-    for t in raw:
-        if not isinstance(t, Real) or isinstance(t, bool):
-            raise ValueError(f"IoU threshold must be a number, got {t!r}")
-    out = tuple(map(float, raw))
-    if not out:
-        raise ValueError("empty threshold list")
-    for t in out:
-        if not (0.0 < t <= 1.0):
-            raise ValueError(f"IoU threshold {t} outside (0, 1]")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError(f"thresholds must be strictly increasing, got {out}")
-    return out
+    return _check_as(ValueError, _check_sweep, thresholds)
 
 
 # --------------------------------------------------------------------------
@@ -449,8 +437,7 @@ def evaluate(
     turned into them first.
     """
     thresholds = validate_thresholds(thresholds)
-    if not isinstance(max_dets, Integral) or isinstance(max_dets, bool) or max_dets < 1:
-        raise ValueError(f"max_dets must be a positive integer, got {max_dets!r}")
+    max_dets = _check_as(ValueError, _check_cap, max_dets)
     if not isinstance(dets, Detections):
         dets = Detections.from_records(dets)
     tab = _tables(gt, thresholds)

@@ -5,14 +5,15 @@ file behind the significance figures.  The eight metric names and
 ``MetricReport`` live here, and ``metrics`` re-exports them, so that the
 results tail (``stats`` and ``report``) runs with the standard library alone.
 
-A results row may record how its run was scored (``Scoring``: the IoU
-sweep, the detection cap and the SHA-256 of the ground-truth file), in
-three columns after ``arm``.  The results header is one ordered list: the
-writer emits it up to the last column that any row fills, so rows that
-record no conditions keep the 12-column format, and the reader takes any
-prefix of it that ends at or after ``arm``.  ``aggregate`` refuses rows
-whose known conditions differ; a row whose conditions are unknown (blank)
-goes with any other.
+The results file is described once, in ``_COLUMNS``: each column's name,
+how a field reads as its value, and how the writer spells a value.  The
+writer emits the columns up to the last one that any row fills, and the
+reader takes any header prefix that ends at or after ``arm`` and a row only
+as the writer would write the values it reads as.  A row may record how
+its run was scored (``Scoring``: the IoU sweep, the detection cap and the
+SHA-256 of the ground-truth file) in the three columns after ``arm``;
+``aggregate`` refuses rows whose known conditions differ, and a row whose
+conditions are unknown (blank) goes with any other.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._checks import DatasetError, _check_as, _check_int, _check_number
+from ._checks import DatasetError, _check_as, _check_cap, _check_int, _check_number, _check_sweep
 
 if TYPE_CHECKING:
     from .stats import SampleSet, StatReport
@@ -67,11 +68,21 @@ METRIC_LABELS: Mapping[str, str] = {
     "arm": "ARm",
 }
 
-_SCORING_FIELDS = ("iou_thresholds", "max_dets", "gt_sha256")
-_CSV_HEADER = ("run", "model", "hpc", "dataset") + METRIC_NAMES + _SCORING_FIELDS
-# the columns every results file holds, through ``arm``
-_N_BASE = len(_CSV_HEADER) - len(_SCORING_FIELDS)
-_HEX = "0123456789abcdef"
+# the results columns in header order: (name, the value a field reads as,
+# the writer's spelling of a value); every file holds those through ``arm``,
+# then ``Scoring``'s fields in its order, the sweep as repr floats one space apart
+_COLUMNS = (
+    ("run", int, str),
+    *((name, str, str) for name in ("model", "hpc", "dataset")),
+    *((name, float, repr) for name in METRIC_NAMES),
+    ("iou_thresholds", lambda f: tuple(map(float, f.split(" "))), lambda s: " ".join(map(repr, s))),
+    ("max_dets", int, str),
+    ("gt_sha256", str, str),
+)
+_HEADER = tuple(name for name, _, _ in _COLUMNS)
+_N_BASE = _HEADER.index("arm") + 1
+_SCORING = slice(_N_BASE, _N_BASE + 3)  # ``Scoring``'s columns
+_METRICS = attrgetter(*METRIC_NAMES)
 
 # the column order of the results tables: batch 4 block first, then by
 # weighting (original L before reduced l), then by status (pretrained p
@@ -116,35 +127,24 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class Scoring:
-    """How a run was scored: the IoU sweep, the per-image detection cap, and
-    the SHA-256 of the ground-truth file, as 64 lowercase hex digits.
-
-    Only shape and spelling are checked here; ``metrics.validate_thresholds``
-    and ``metrics.evaluate`` own the sweep's range and order and the cap's.
-    """
+    """How a run was scored: an IoU sweep and a per-image detection cap that
+    ``metrics.evaluate`` accepts, as plain floats and a plain int, and the
+    SHA-256 of the ground-truth file, as 64 lowercase hex digits."""
 
     iou_thresholds: tuple[float, ...]
     max_dets: int
     gt_sha256: str
 
     def __post_init__(self) -> None:
-        try:
-            for t in self.iou_thresholds:
-                _check_number(t, "IoU threshold")
-        except (DatasetError, TypeError):
-            raise ReportError(
-                f"iou_thresholds must be a sequence of numbers, got {self.iou_thresholds!r}"
-            ) from None
-        # a float subclass would leak its repr into the results file, and a
-        # NaN would make a row differ from itself
-        sweep = tuple(map(float, self.iou_thresholds))
-        if not sweep or not all(map(math.isfinite, sweep)):
-            raise ReportError(f"iou_thresholds must be finite and non-empty, got {sweep!r}")
+        sweep = self.iou_thresholds
+        try:  # a numpy scalar would leak its repr into the results file
+            sweep = _check_as(ReportError, _check_sweep, sweep)
+        except TypeError:
+            raise ReportError(f"iou_thresholds must be a sequence, got {sweep!r}") from None
         object.__setattr__(self, "iou_thresholds", sweep)
-        if _check_as(ReportError, _check_int, self.max_dets, "max_dets") < 1:
-            raise ReportError(f"max_dets must be a positive integer, got {self.max_dets}")
+        object.__setattr__(self, "max_dets", _check_as(ReportError, _check_cap, self.max_dets))
         digest = self.gt_sha256
-        if not (isinstance(digest, str) and len(digest) == 64 and not digest.strip(_HEX)):
+        if not isinstance(digest, str) or len(digest) != 64 or digest.strip("0123456789abcdef"):
             raise ReportError(f"gt_sha256 must be 64 lowercase hex digits, got {digest!r}")
 
 
@@ -174,44 +174,45 @@ class RunResult:
             raise ReportError(f"scoring must be a Scoring or None, got {self.scoring!r}")
 
 
+def _values(r: RunResult) -> list:
+    """A record's value in each results column, None where it has none."""
+    s = r.scoring
+    scoring = (None,) * len(_HEADER[_SCORING]) if s is None else attrgetter(*_HEADER[_SCORING])(s)
+    return [r.run, r.model, r.hpc, r.dataset, *_METRICS(r.metrics), *scoring]
+
+
 def write_results_csv(results: Sequence[RunResult]) -> str:
-    """The results file: the scoring columns only when some row records its
-    scoring, blank in the rows that do not."""
-    scored = any(r.scoring is not None for r in results)
+    """The results file: the columns up to the last one that any row fills."""
+    rows = [_values(r) for r in results]
+    width = max((i + 1 for v in rows for i, x in enumerate(v) if x is not None), default=_N_BASE)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER if scored else _CSV_HEADER[:_N_BASE])
-    for r in results:
-        row = [r.run, r.model, r.hpc, r.dataset]
-        row.extend(repr(getattr(r.metrics, name)) for name in METRIC_NAMES)
-        if r.scoring is not None:
-            s = r.scoring
-            row.extend((" ".join(map(repr, s.iou_thresholds)), s.max_dets, s.gt_sha256))
-        elif scored:
-            row.extend([""] * len(_SCORING_FIELDS))
-        writer.writerow(row)
+    writer.writerow(_HEADER[:width])
+    for v in rows:
+        writer.writerow(["" if x is None else c[2](x) for c, x in zip(_COLUMNS[:width], v)])
     return buf.getvalue()
 
 
-def _read_scoring(fields: list[str]) -> Scoring | None:
-    """A row's scoring fields, those its header leaves out read as blank:
-    None when all are blank, a ``Scoring`` when none is."""
-    if not any(fields):
-        return None
-    fields = fields + [""] * (len(_SCORING_FIELDS) - len(fields))
-    if not all(fields):
-        blank = [name for name, f in zip(_SCORING_FIELDS, fields) if not f]
+def _read_row(row: list[str]) -> RunResult:
+    """A row's record: each field read by its column, and spelled as the writer spells that."""
+    values, misspelt = [None] * len(_COLUMNS), None
+    for i, ((name, read, write), field) in enumerate(zip(_COLUMNS, row)):
+        if field or i < _N_BASE:  # a blank field after ``arm`` reads as None
+            try:
+                values[i] = read(field)
+            except ValueError as exc:
+                raise ReportError(f"{name} {field!r}: {exc}") from None
+            if misspelt is None and (spelled := write(values[i])) != field:
+                misspelt = f"{name} {field!r} is not what the writer writes, {spelled!r}"
+    blank = [name for name, v in zip(_HEADER[_SCORING], values[_SCORING]) if v is None]
+    if 0 < len(blank) < len(_HEADER[_SCORING]):
         raise ReportError(f"scoring fields {blank} are blank but not all of them")
-    sweep, cap, digest = fields
-    try:
-        thresholds = tuple(map(float, sweep.split(" ")))
-    except ValueError:
-        thresholds = ()
-    if " ".join(map(repr, thresholds)) != sweep:
-        raise ReportError(f"iou_thresholds {sweep!r} is not repr floats one space apart")
-    if not (cap.isascii() and cap.isdigit() and str(int(cap)) == cap):
-        raise ReportError(f"max_dets {cap!r} is not a plain decimal integer")
-    return Scoring(thresholds, int(cap), digest)
+    run, model, hpc, dataset, *metrics = values[:_N_BASE]
+    scoring = None if blank else Scoring(*values[_SCORING])
+    result = RunResult(model, hpc, run, dataset, MetricReport(*metrics), scoring)
+    if misspelt is not None:  # after the record's own checks
+        raise ReportError(misspelt)
+    return result
 
 
 def read_results_csv(text: str) -> tuple[RunResult, ...]:
@@ -224,7 +225,7 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
         raise ReportError("empty results file")
     header = tuple(rows[0])
     n_fields = len(header)
-    if n_fields < _N_BASE or header != _CSV_HEADER[:n_fields]:
+    if n_fields < _N_BASE or header != _HEADER[:n_fields]:
         raise ReportError(f"unexpected results header {header!r}")
     out = []
     for ln, row in enumerate(rows[1:], start=2):
@@ -232,20 +233,8 @@ def read_results_csv(text: str) -> tuple[RunResult, ...]:
             continue
         if len(row) != n_fields:
             raise ReportError(f"line {ln}: expected {n_fields} fields, got {len(row)}")
-        metric_fields = row[4:_N_BASE]
-        try:  # int() and float() read "1_0" as 10 and " 1" as 1: a field must read as written
-            if "_" in "".join(metric_fields):
-                bad = next(f for f in metric_fields if "_" in f)
-                raise ReportError(f"metric field {bad!r} holds '_'")
-            if metric_fields != [f.strip() for f in metric_fields]:
-                bad = next(f for f in metric_fields if f != f.strip())
-                raise ReportError(f"metric field {bad!r} has surrounding whitespace")
-            metrics = MetricReport(*map(float, metric_fields))
-            run = int(row[0])
-            if str(run) != row[0]:
-                raise ReportError(f"run {row[0]!r} is not a plain decimal integer")
-            scoring = _read_scoring(row[_N_BASE:])
-            out.append(RunResult(row[1], row[2], run, row[3], metrics, scoring))
+        try:
+            out.append(_read_row(row))
         except ValueError as exc:  # ReportError is one
             raise ReportError(f"line {ln}: {exc}") from None
     return tuple(out)
@@ -335,11 +324,9 @@ def _aggregate(
     # the known conditions in row order; an unknown one goes with any
     scorings = list(dict.fromkeys(r.scoring for r in results if r.scoring is not None))
     if len(scorings) > 1:
-        a, b = scorings[:2]
-        name = next(n for n in _SCORING_FIELDS if getattr(a, n) != getattr(b, n))
-        raise ReportError(
-            f"rows scored differently: {name} {getattr(a, name)!r} and {getattr(b, name)!r}"
-        )
+        a, b = map(vars, scorings[:2])
+        name = next(n for n in _HEADER[_SCORING] if a[n] != b[n])
+        raise ReportError(f"rows scored differently: {name} {a[name]!r} and {b[name]!r}")
     seen_runs = set()
     models: list[str] = []
     hpcs: set[str] = set()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +415,62 @@ def test_evaluate_append_records_how_each_row_was_scored(tmp_path):
         assert main(["report", "--results", str(path), "--out", str(out)]) == 0
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
+    "column, field",
+    [
+        ("ap", "0.50"),
+        ("ap", "5e-1"),
+        ("ap", ".5"),
+        ("ap", "1"),
+        ("iou_thresholds", "0.95 0.5"),
+        ("iou_thresholds", "2.0"),
+        ("iou_thresholds", "-1.0"),
+        ("iou_thresholds", "0.0"),
+        ("iou_thresholds", "0.5 0.5"),
+    ],
+)
+def test_a_row_the_writer_would_not_write_fails_stats_report_and_append(
+    tmp_path, capsys, column, field
+):
+    # a field the writer spells otherwise, or a sweep evaluate would refuse
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    csv_path = tmp_path / "r.csv"
+    assert main(_append_args(gt_path, dets_path, csv_path)) == 0
+    header, row = csv_path.read_text().splitlines()
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = field
+    csv_path.write_text(f"{header}\n{','.join(fields)}\n")
+    before = csv_path.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["stats", "--results", str(csv_path), "--out", str(out)],
+        ["report", "--results", str(csv_path), "--out", str(out)],
+        _append_args(gt_path, dets_path, csv_path, "2"),
+    ):
+        assert main(argv) == 1
+        assert f"thermeval {argv[0]}: error: line 2: " in capsys.readouterr().err
+    assert not out.exists()
+    assert csv_path.read_bytes() == before
+
+
+def test_evaluate_append_manifest_takes_the_gt_digest_from_the_bytes_it_scored(
+    tmp_path, monkeypatch
+):
+    # the GT file is read and hashed once; the manifest reads only the detections again
+    gt_path, dets_path = _eval_inputs(tmp_path)
+    read = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: read.append(p) or read_bytes(p))
+    argv = [*_append_args(gt_path, dets_path, tmp_path / "r.csv"), "--manifest"]
+    assert main(argv) == 0
+    assert read == [gt_path, dets_path]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (gt_path, dets_path)
+    }
 
 
 def test_evaluate_custom_thresholds(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from dataclasses import replace
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermeval.metrics import METRIC_NAMES, MetricReport, UNDEFINED
+from thermeval.metrics import METRIC_NAMES, MetricReport, UNDEFINED, validate_thresholds
 from thermeval.report import (
     CANONICAL_HPC_ORDER,
     AggregateCell,
@@ -121,14 +123,24 @@ def test_read_results_rejects_a_run_below_1(run):
 def test_read_results_rejects_a_run_not_spelled_as_the_writer_spells_it(run):
     # int() read "1_0" as run 10 and " 2" as run 2
     text = write_results_csv([_result(1), _result(2)]).replace("\n2,", f"\n{run},", 1)
-    message = f"^line 3: run {re.escape(repr(run))} is not a plain decimal integer$"
-    with pytest.raises(ReportError, match=message):
+    message = f"line 3: run {run!r} is not what the writer writes, {str(int(run))!r}"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
         read_results_csv(text)
 
 
 def test_read_results_names_a_metric_field_with_an_underscore():
     text = write_results_csv([_result(1)]).replace("0.52", "0.5_2", 1)
-    with pytest.raises(ReportError, match=r"^line 2: metric field '0\.5_2' holds '_'$"):
+    message = "line 2: ap75 '0.5_2' is not what the writer writes, '0.52'"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+        read_results_csv(text)
+
+
+@pytest.mark.parametrize("bad, want", [("0.50", "0.5"), ("5e-1", "0.5"), (".5", "0.5"), ("1", "1.0")])
+def test_read_results_refuses_a_metric_not_spelled_as_the_writer_spells_it(bad, want):
+    # float() reads each as the value the writer spells ``want``
+    text = write_results_csv([_result(1)]).replace("0.5", bad, 1)
+    message = f"line 2: ap {bad!r} is not what the writer writes, {want!r}"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
         read_results_csv(text)
 
 
@@ -245,12 +257,24 @@ def test_read_results_refuses_a_digest_that_is_not_64_lowercase_hex_digits(diges
         read_results_csv(_scored_text(digest=digest))
 
 
-@pytest.mark.parametrize(
-    "sweep",
-    ["0.50", "0.5  0.75", " 0.5", "0.5 ", "5e-1", ".5", "0.5_0", "0.5;0.75", "1", "x"],
-)
+_SWEEP_MISSPELLINGS = {
+    "0.50": " is not what the writer writes, '0.5'",
+    "0.5  0.75": ": could not convert string to float: ''",
+    " 0.5": ": could not convert string to float: ''",
+    "0.5 ": ": could not convert string to float: ''",
+    "5e-1": " is not what the writer writes, '0.5'",
+    ".5": " is not what the writer writes, '0.5'",
+    "0.5_0": " is not what the writer writes, '0.5'",
+    "0.5;0.75": ": could not convert string to float: '0.5;0.75'",
+    "1": " is not what the writer writes, '1.0'",
+    "x": ": could not convert string to float: 'x'",
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEP_MISSPELLINGS))
 def test_read_results_refuses_a_sweep_not_spelled_by_repr(sweep):
-    message = f"line 2: iou_thresholds {sweep!r} is not repr floats one space apart"
+    # repr floats one space apart, or the field names no sweep
+    message = f"line 2: iou_thresholds {sweep!r}{_SWEEP_MISSPELLINGS[sweep]}"
     with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
         read_results_csv(_scored_text(sweep=sweep))
 
@@ -258,8 +282,28 @@ def test_read_results_refuses_a_sweep_not_spelled_by_repr(sweep):
 @pytest.mark.parametrize("sweep", ["nan", "inf", "0.5 nan"])
 def test_read_results_refuses_a_sweep_that_is_not_finite(sweep):
     # repr spells NaN "nan", and a NaN sweep would differ from itself
-    with pytest.raises(ReportError, match="^line 2: iou_thresholds must be finite"):
+    bad = sweep.split()[-1]
+    message = f"line 2: IoU threshold {bad} outside (0, 1]"
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
         read_results_csv(_scored_text(sweep=sweep))
+
+
+@pytest.mark.parametrize("sweep", [(0.95, 0.5), (2.0,), (-1.0,), (0.0,), (0.5, 0.5)])
+def test_a_sweep_evaluate_refuses_is_refused_from_the_file_and_by_scoring(sweep):
+    with pytest.raises(ValueError) as refused:
+        validate_thresholds(sweep)
+    message = str(refused.value)
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+        Scoring(sweep, 100, _DIGEST)
+    text = _scored_text(sweep=" ".join(map(repr, sweep)))
+    with pytest.raises(ReportError, match=f"^line 2: {re.escape(message)}$"):
+        read_results_csv(text)
+
+
+def test_scoring_takes_a_numpy_cap_as_evaluate_does_and_keeps_a_plain_int():
+    s = Scoring(_SWEEP, np.int64(5), _DIGEST)
+    assert s.max_dets == 5 and type(s.max_dets) is int
+    assert write_results_csv([_scored(1, s)]).splitlines()[1].endswith(f",5,{_DIGEST}")
 
 
 @pytest.mark.parametrize(
@@ -298,7 +342,10 @@ def test_run_result_rejects_a_scoring_that_is_not_one():
 _metric_values = st.one_of(st.just(UNDEFINED), st.floats(0.0, 1.0))
 _scorings = st.builds(
     Scoring,
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12).map(tuple),
+    # the sweeps evaluate accepts: strictly increasing, in (0, 1]
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=12, unique=True).map(
+        lambda sweep: tuple(sorted(sweep))
+    ),
     st.integers(1, 10**9),
     st.text("0123456789abcdef", min_size=64, max_size=64),
 )
@@ -321,6 +368,50 @@ def test_results_round_trip_with_scoring_conditions(rows):
     # the condition columns appear exactly when some row fills them
     scored = any(r.scoring is not None for r in rows)
     assert text.splitlines()[0] == (_FULL_HEADER if scored else _BASE_HEADER)
+
+
+def _respell(number, how):
+    """``number``, as the writer spells it, spelled another way that ``int()``
+    or ``float()`` reads as the same value."""
+    sign, digits = ("-", number[1:]) if number.startswith("-") else ("", number)
+    mantissa, e, exponent = digits.partition("e")
+    return {
+        "leading zero": f"{sign}0{digits}",
+        "underscore": f"{sign}0_{digits}",
+        "plus": f"+{number}",
+        "blank before": f" {number}",
+        "blank after": f"{number} ",
+        "trailing zero": f"{sign}{mantissa}{'0' if '.' in mantissa else '.0'}{e}{exponent}",
+        "exponent": number.replace("e", "E") if e else f"{number}e0",
+    }[how]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rows, min_size=1, max_size=4), st.data())
+def test_read_results_refuses_any_other_spelling_of_a_written_value(rows, data):
+    lines = list(csv.reader(io.StringIO(write_results_csv(rows))))
+    ln = data.draw(st.integers(2, len(lines)), label="line")
+    row = lines[ln - 1]
+    numeric = ("run", *METRIC_NAMES, "iou_thresholds", "max_dets")
+    column = data.draw(
+        st.sampled_from([c for c in numeric if c in lines[0] and row[lines[0].index(c)]]),
+        label="column",
+    )
+    i = lines[0].index(column)
+    read = int if column in ("run", "max_dets") else float
+    # a sweep respells its first threshold; a blank inside it would split it
+    number, sep, rest = row[i].partition(" ") if column == "iou_thresholds" else (row[i], "", "")
+    hows = ["leading zero", "underscore"]
+    hows += [] if number.startswith("-") else ["plus"]
+    hows += [] if column == "iou_thresholds" else ["blank before", "blank after"]
+    hows += [] if read is int else ["trailing zero", "exponent"]
+    respelled = _respell(number, data.draw(st.sampled_from(hows), label="how"))
+    assert read(respelled) == read(number)
+    row[i] = respelled + sep + rest
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    with pytest.raises(ReportError, match=f"^line {ln}: {column} {re.escape(repr(row[i]))} "):
+        read_results_csv(buf.getvalue())
 
 
 def test_run_result_requires_tags():
