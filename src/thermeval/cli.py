@@ -35,17 +35,19 @@ _ERRORS = (ValueError, OSError)
 
 
 def _write_manifest(
-    args: argparse.Namespace, inputs: list[Path], outputs: list[Path], digests: dict | None = None
+    args: argparse.Namespace, inputs: list[Path], outputs: list[Path], held: dict | None = None
 ) -> None:
     """With ``--manifest``, record what produced the outputs next to the
     first of them, or in the ``--out`` directory when there is none: the
     command, its seed, the other options as parsed, and the inputs' digests:
-    from ``digests`` where the command has one, else of the input read whole."""
+    of the bytes ``held`` maps an input to where the command holds them, else
+    of the input read whole."""
     if not args.manifest:
         return
     import hashlib
     import json
 
+    held = held or {}
     target_dir = outputs[0].parent if outputs else Path(args.out)
     manifest = {
         "tool": "thermeval",
@@ -56,7 +58,7 @@ def _write_manifest(
             k: v for k, v in vars(args).items() if k not in ("func", "command", "seed")
         },
         "inputs": {
-            str(p): (digests or {}).get(p) or hashlib.sha256(p.read_bytes()).hexdigest()
+            str(p): hashlib.sha256(held[p] if p in held else p.read_bytes()).hexdigest()
             for p in inputs
         },
         "outputs": [str(p) for p in outputs],
@@ -160,11 +162,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(gt, dets, thresholds, max_dets)
     for name in METRIC_NAMES:
         print(f"{name} {getattr(report, name):.6f}")
-    digests = {}  # the inputs hashed here, for the manifest
     if args.append is not None:
         import hashlib
 
-        digests[Path(args.gt)] = hashlib.sha256(gt_bytes).hexdigest()
         path = Path(args.append)
         rows = list(read_results_csv(path.read_text(encoding="utf-8"))) if path.exists() else []
         rows.append(
@@ -174,7 +174,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 run=args.run,
                 dataset=args.dataset,
                 metrics=report,
-                scoring=Scoring(thresholds, max_dets, digests[Path(args.gt)]),
+                scoring=Scoring(thresholds, max_dets, hashlib.sha256(gt_bytes).hexdigest()),
             )
         )
         # a repeated run, a second dataset tag or other scoring fails before any write
@@ -190,7 +190,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.append is not None:
         _replace_text(path, write_results_csv(rows))
         outputs.append(path)
-    _write_manifest(args, [Path(args.gt), Path(args.dets)], outputs, digests)
+    _write_manifest(args, [Path(args.gt), Path(args.dets)], outputs, {Path(args.gt): gt_bytes})
     return 0
 
 

@@ -19,7 +19,7 @@ from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 # the checks live in a numpy-free leaf; ``coco.DatasetError`` is the leaf's class
-from ._checks import DatasetError, _check_int, _check_number, _check_seed
+from ._checks import DatasetError, _check_int, _check_number, _check_real, _check_seed
 
 __all__ = [
     "DatasetError",
@@ -298,9 +298,7 @@ def filter_small_objects(ds: Dataset, threshold: float = DEFAULT_SIZE_THRESHOLD)
     record count never changes, so the operation is idempotent and
     monotone in the threshold.
     """
-    _check_number(threshold, "size threshold")
-    if not math.isfinite(threshold):
-        raise DatasetError(f"size threshold must be finite, got {threshold!r}")
+    threshold = _check_real(threshold, "size threshold")
     if threshold < 0:
         raise DatasetError(f"negative size threshold {threshold!r}")
     out = []
@@ -333,17 +331,6 @@ def _require(record: dict, key: str, what: str):
     return record[key]
 
 
-def _json_number(value: object, what: str) -> float:
-    """A finite JSON int or float, as a float; bools and numeric strings are not numbers."""
-    _check_number(value, what)
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise DatasetError(f"{what} must be a finite number, got {value!r}")
-
-
 def _json_flag(value: object, what: str) -> bool:
     """A JSON bool or the integer 0 or 1 (a bool is an int)."""
     if isinstance(value, int) and value in (0, 1):
@@ -366,14 +353,14 @@ def _load_json(text: str | bytes, what: str) -> object:
     object that repeats a key are malformed too."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, DatasetError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError or DatasetError is one
         raise DatasetError(f"malformed {what}: {exc}") from None
 
 
 def _parse_bbox(raw: object, what: str) -> BBox:
     if len(_as_list(raw, f"{what}: bbox")) != 4:
         raise DatasetError(f"{what}: bbox must be a list of four numbers, got {raw!r}")
-    x, y, w, h = (_json_number(v, f"{what}: bbox value") for v in raw)
+    x, y, w, h = (_check_real(v, f"{what}: bbox value") for v in raw)
     try:
         return BBox(x, y, w, h)
     except DatasetError as exc:
@@ -407,7 +394,7 @@ def parse_coco(text: str | bytes) -> Dataset:
         what = f"annotation {ann_id}"
         bbox = _parse_bbox(_require(raw, "bbox", what), what)
         if "area" in raw and raw["area"] is not None:
-            stored = _json_number(raw["area"], f"{what}: area")
+            stored = _check_real(raw["area"], f"{what}: area")
             if abs(stored - bbox.area) > AREA_TOLERANCE:
                 raise DatasetError(
                     f"{what}: stored area {stored} deviates from bbox area "
@@ -615,7 +602,7 @@ def parse_detections(text: str | bytes, ds: Dataset | None = None) -> Detections
         bbox = _parse_bbox(_require(raw, "bbox", what), what)
         image_id = _require(raw, "image_id", what)
         category_id = _require(raw, "category_id", what)
-        score = _json_number(_require(raw, "score", what), f"{what}: score")
+        score = _check_real(_require(raw, "score", what), f"{what}: score")
         try:
             det = Detection(image_id, category_id, bbox, score)
         except DatasetError as exc:

@@ -11,11 +11,10 @@ directly, so a plan with k_outer = k_inner = 5 yields 25 runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._checks import DatasetError, _check_as, _check_int, _check_seed
+from ._checks import DatasetError, _check_as, _check_int, _check_real, _check_seed
 from .coco import _as_dict, _as_list, _image_id_set, _load_json, _require
 
 __all__ = [
@@ -247,6 +246,5 @@ def select_best_epoch(ap_log: Sequence[float]) -> int:
     """1-based epoch with the highest validation AP; ties take the earliest."""
     if len(ap_log) == 0:
         raise PlanError("empty epoch log")
-    if not all(map(math.isfinite, ap_log)):
-        raise PlanError(f"non-finite validation AP in {list(ap_log)}")
-    return max(range(len(ap_log)), key=ap_log.__getitem__) + 1  # max keeps the first maximum
+    aps = [_check_as(PlanError, _check_real, ap, "validation AP") for ap in ap_log]
+    return max(range(len(aps)), key=aps.__getitem__) + 1  # max keeps the first maximum

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, count, groupby, islice
-from numbers import Real
+from itertools import chain, combinations, count, groupby, islice, repeat
 from statistics import NormalDist
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._checks import _check_as, _check_real
 from .report import _mean, _sum, _sum_sq_dev
 
 __all__ = [
@@ -64,23 +64,15 @@ class SampleSet:
         object.__setattr__(self, "values", tuple(values))
 
 
-def _real(v: object) -> float:
-    if isinstance(v, bool) or not isinstance(v, Real):  # numpy's scalars are Real
-        raise TypeError(f"{v!r} is not a real number")
-    return float(v)
-
-
 def _as_floats(values: Sequence[float], what: str) -> list[float]:
-    """``values`` as floats: a sequence, not text or bytes, of real numbers, none a bool."""
+    """``values`` as floats: a sequence, not text or bytes, of ``_checks._check_real`` numbers."""
     try:
-        x = [] if isinstance(values, (str, bytes, bytearray)) else [_real(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
+        x = [] if isinstance(values, (str, bytes, bytearray)) else list(values)
+    except TypeError:
         x = []
     if not x:
         raise StatsError(f"{what} must be a non-empty 1-d sequence of numbers")
-    if not all(map(math.isfinite, x)):
-        raise StatsError(f"{what} contains non-finite values")
-    return x
+    return _check_as(StatsError, list, map(_check_real, x, repeat(f"{what} value")))  # one try
 
 
 def _rescaled(groups: Sequence[list[float]]) -> list[list[float]]:
@@ -529,15 +521,9 @@ class StatReport:
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` itself, once it is a real number and a family level the battery can use."""
-    try:
-        inside = 0.0 < _real(alpha) < 1.0  # NaN fails the comparison
-    except TypeError:
-        raise StatsError(f"alpha must be a real number, got {alpha!r}") from None
-    except OverflowError:  # an int beyond the float range
-        inside = False
-    if not inside:
-        raise StatsError(f"alpha {alpha} outside (0, 1)")
+    """``alpha`` itself, once it is a finite real number and a family level the battery can use."""
+    if not 0.0 < (a := _check_as(StatsError, _check_real, alpha, "alpha")) < 1.0:
+        raise StatsError(f"alpha {a} outside (0, 1)")
     return alpha
 
 

@@ -17,7 +17,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._checks import DatasetError, _check_as, _check_int, _check_number, _check_seed
+from ._checks import (
+    DatasetError, _check_as, _check_int, _check_probability, _check_real, _check_seed, _shown
+)
 from .coco import (
     AnnotationRecord,
     BBox,
@@ -61,26 +63,19 @@ def _seed(value: object) -> int:
     return _check_as(SynthError, _check_seed, value)
 
 
-def _check_range(rng_pair, what: str, lo_min: float, check=_check_number) -> None:
-    lo, hi = rng_pair
-    for bound in (lo, hi):
-        _check_as(SynthError, check, bound, f"{what} bound")
-    # NaN fails every comparison
-    if not (lo_min <= lo <= hi < math.inf):
-        raise SynthError(
-            f"{what} range ({lo}, {hi}) invalid (need {lo_min} <= lo <= hi, both finite)"
-        )
+def _check_range(rng_pair, what: str, lo_min: float, check=_check_real, hi_max: float = math.inf):
+    """``rng_pair``'s bounds, each through ``check``, once ``lo_min <= lo <= hi <= hi_max``."""
+    lo, hi = (_check_as(SynthError, check, bound, f"{what} bound") for bound in rng_pair)
+    if not (lo_min <= lo <= hi <= hi_max):
+        need = f"{lo_min} <= lo <= hi <= {hi_max}"
+        raise SynthError(f"{what} range ({_shown(lo)}, {_shown(hi)}) invalid (need {need})")
+    return lo, hi
 
 
-def _check_non_negative(value: float, what: str) -> None:
-    if not (0.0 <= value < math.inf):
-        raise SynthError(f"{what} must be finite and non-negative, got {value!r}")
-
-
-def _check_probability(value: float, label: str) -> None:
-    # NaN fails the comparison; ``label`` names the value, as in "p_drop=1.5"
-    if not (0.0 <= value <= 1.0):
-        raise SynthError(f"{label} outside [0, 1]")
+def _check_non_negative(value: object, what: str) -> float:
+    if (x := _check_as(SynthError, _check_real, value, what)) < 0:
+        raise SynthError(f"{what} must be non-negative, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -105,31 +100,29 @@ class SceneSpec:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             _check_as(SynthError, _check_int, getattr(self, name), name)
-        for name in ("empty_prob", "puddle_extra_lambda", "background_level", "noise_sigma"):
-            _check_as(SynthError, _check_number, getattr(self, name), name)
         if self.width <= 0 or self.height <= 0:
             raise SynthError(f"bad canvas {self.width}x{self.height}")
-        _check_probability(self.empty_prob, f"empty_prob {self.empty_prob}")
+        _check_as(SynthError, _check_probability, self.empty_prob, "empty_prob")
         _check_non_negative(self.puddle_extra_lambda, "puddle_extra_lambda")
+        level = _check_as(SynthError, _check_real, self.background_level, "background_level")
+        sigma = _check_non_negative(self.noise_sigma, "noise_sigma")
         for pair, what, spans in (  # an object spans twice its semi-axis, a stripe its thickness
             (self.puddle_axis, "puddle_axis", 2.0),
             (self.pig_axis, "pig_axis", 2.0),
             (self.bird_axis, "bird_axis", 2.0),
             (self.stripe_thickness, "stripe_thickness", 1.0),
         ):
-            _check_range(pair, what, lo_min=1.0)
-            if spans * pair[1] > min(self.width, self.height):
+            if spans * _check_range(pair, what, lo_min=1.0)[1] > min(self.width, self.height):
                 raise SynthError(f"{what} objects do not fit the canvas")
-        _check_range(self.warm_delta, "warm_delta", lo_min=0.0)
+        warmest = _check_range(self.warm_delta, "warm_delta", lo_min=0.0)[1]
         for pair, what in (
             (self.pig_count, "pig_count"),
             (self.stripe_count, "stripe_count"),
             (self.bird_count, "bird_count"),
         ):
-            _check_range(pair, what, lo_min=0, check=_check_int)
-        _check_non_negative(self.noise_sigma, "noise_sigma")
-        peak = self.background_level + self.warm_delta[1] + 6.0 * self.noise_sigma
-        if peak > 32767 or self.background_level - 6.0 * self.noise_sigma < -32768:
+            # numpy draws a count in [lo, hi] as ``integers(lo, hi + 1)`` in int64
+            _check_range(pair, what, lo_min=0, check=_check_int, hi_max=2**63 - 1)
+        if level + warmest + 6.0 * sigma > 32767 or level - 6.0 * sigma < -32768:
             raise SynthError("levels overflow the signed 16-bit sample range")
 
 
@@ -385,12 +378,10 @@ class MockDetectorSpec:
     p_distractor_fp: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_drop", "p_fp", "jitter_sigma", "p_distractor_fp"):
-            _check_as(SynthError, _check_number, getattr(self, name), name)
-        _check_probability(self.p_drop, f"p_drop={self.p_drop}")
-        _check_probability(self.p_distractor_fp, f"p_distractor_fp={self.p_distractor_fp}")
-        _check_non_negative(self.p_fp, "p_fp")
-        _check_non_negative(self.jitter_sigma, "jitter_sigma")
+        for name in ("p_drop", "p_distractor_fp"):
+            _check_as(SynthError, _check_probability, getattr(self, name), name)
+        for name in ("p_fp", "jitter_sigma"):
+            _check_non_negative(getattr(self, name), name)
 
 
 def _jitter_box(bbox: BBox, sigma: float, rng: np.random.Generator) -> list[float]:

@@ -9,7 +9,6 @@ coordinates, matching the ground-truth box convention.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._checks import _check_as, _check_number, _check_seed
+from ._checks import _check_as, _check_probability, _check_real, _check_seed
 
 __all__ = [
     "ThermalError",
@@ -61,20 +60,15 @@ class CalibrationRange:
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for bound in (self.lo, self.hi):
-            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
-                raise ThermalError(f"calibration range bound {bound!r} is not a real number")
-        lo, hi = (b.item() if isinstance(b, np.generic) else b for b in (self.lo, self.hi))
-        try:  # numpy bounds are Python numbers here, so a float16 or float32 width is a float64
-            finite = all(map(math.isfinite, (lo, hi, hi - lo)))
-        except OverflowError:  # an int or Fraction beyond the float range
-            raise ThermalError("calibration range bounds and width must fit a float") from None
-        if not (self.lo < self.hi):
-            raise ThermalError(f"calibration range requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not finite:  # an infinite bound or width turns every sample into 0 or NaN
-            raise ThermalError(
-                f"calibration range [{self.lo}, {self.hi}] must have finite bounds and width"
-            )
+        # plain floats, so a float16 or float32 width is a float64
+        lo, hi = (
+            _check_as(ThermalError, _check_real, b, "calibration range bound")
+            for b in (self.lo, self.hi)
+        )
+        if not (lo < hi):
+            raise ThermalError(f"calibration range requires lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):  # an infinite width turns every sample into 0
+            raise ThermalError(f"calibration range [{lo}, {hi}] must have a finite width")
         v = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.float64)
         table = np.floor(255.0 * np.clip((v - lo) / (hi - lo), 0.0, 1.0) + 0.5)
         object.__setattr__(self, "_table", table.astype(np.uint8))
@@ -234,10 +228,7 @@ class AugmentPolicy:
 
     def __post_init__(self) -> None:
         for name in ("p_hflip", "p_vflip", "p_rotate"):
-            p = getattr(self, name)
-            _check_as(ThermalError, _check_number, p, name)  # a bool once passed as 0 or 1
-            if not (0.0 <= p <= 1.0):
-                raise ThermalError(f"{name}={p} outside [0, 1]")
+            _check_as(ThermalError, _check_probability, getattr(self, name), name)
 
 
 def augment_sample(

@@ -219,7 +219,8 @@ def test_filter_rejects_a_nan_threshold(tmp_path, capsys):
     out = tmp_path / "filtered.json"
     rc = main(["filter", "--gt", str(gt_path), "--out", str(out), "--threshold", "nan"])
     assert rc == 1
-    assert "thermeval filter: error: size threshold must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "thermeval filter: error: size threshold must be a finite number, got nan" in err
     assert not out.exists()
 
 
@@ -459,18 +460,24 @@ def test_a_row_the_writer_would_not_write_fails_stats_report_and_append(
 def test_evaluate_append_manifest_takes_the_gt_digest_from_the_bytes_it_scored(
     tmp_path, monkeypatch
 ):
-    # the GT file is read and hashed once; the manifest reads only the detections again
+    # with or without --append, the GT file is read once; the manifest reads only
+    # the detections again
     gt_path, dets_path = _eval_inputs(tmp_path)
     read = []
     read_bytes = Path.read_bytes
     monkeypatch.setattr(Path, "read_bytes", lambda p: read.append(p) or read_bytes(p))
-    argv = [*_append_args(gt_path, dets_path, tmp_path / "r.csv"), "--manifest"]
-    assert main(argv) == 0
-    assert read == [gt_path, dets_path]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["inputs"] == {
-        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (gt_path, dets_path)
-    }
+    out_args = [
+        "evaluate", "--gt", str(gt_path), "--dets", str(dets_path), "--out", str(tmp_path / "r.json")
+    ]
+    for argv in (_append_args(gt_path, dets_path, tmp_path / "r.csv"), out_args):
+        read.clear()
+        (tmp_path / "manifest.json").unlink(missing_ok=True)
+        assert main([*argv, "--manifest"]) == 0
+        assert read == [gt_path, dets_path]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(read_bytes(p)).hexdigest() for p in (gt_path, dets_path)
+        }
 
 
 def test_evaluate_custom_thresholds(tmp_path, capsys):
@@ -666,7 +673,8 @@ def test_stats_rejects_an_alpha_before_any_battery(tmp_path, capsys, alpha):
     rc = main(["stats", "--results", str(results), "--alpha", alpha, "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == f"thermeval stats: error: alpha {float(alpha)} outside (0, 1)\n"
+    refusal = "must be a finite number, got nan" if alpha == "nan" else f"{float(alpha)} outside (0, 1)"
+    assert captured.err == f"thermeval stats: error: alpha {refusal}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -861,7 +869,7 @@ def test_detect_rejects_a_non_finite_rate(tmp_path, capsys, flags):
     out = tmp_path / "dets.json"
     rc = main(["detect", "--gt", str(gt_path), "--out", str(out), *flags])
     assert rc == 1
-    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert "must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -443,8 +443,8 @@ def test_parse_rejects_malformed_bbox():
 
 
 def test_parse_rejects_non_json():
-    # the bytes decode as no UTF-8/16/32 text
-    for bad in ("{not json", b"\xff\xfe\x00"):
+    # the bytes decode as no UTF-8/16/32 text; json reads no int of more than 4,300 digits
+    for bad in ("{not json", b"\xff\xfe\x00", f"[{'9' * 5000}]"):
         with pytest.raises(DatasetError, match="malformed document"):
             parse_coco(bad)
         with pytest.raises(DatasetError, match="malformed detections document"):

@@ -283,7 +283,7 @@ def test_read_results_refuses_a_sweep_not_spelled_by_repr(sweep):
 def test_read_results_refuses_a_sweep_that_is_not_finite(sweep):
     # repr spells NaN "nan", and a NaN sweep would differ from itself
     bad = sweep.split()[-1]
-    message = f"line 2: IoU threshold {bad} outside (0, 1]"
+    message = f"line 2: IoU threshold must be a finite number, got {bad}"
     with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
         read_results_csv(_scored_text(sweep=sweep))
 

@@ -56,9 +56,11 @@ def test_spec_rejects_bad_canvas():
 
 
 def test_spec_rejects_bad_empty_prob():
-    for bad in (1.5, -0.1, math.nan):
+    for bad in (1.5, -0.1):
         with pytest.raises(SynthError, match=rf"^empty_prob {bad} outside \[0, 1\]$"):
             SceneSpec(empty_prob=bad)
+    with pytest.raises(SynthError, match="^empty_prob must be a finite number, got nan$"):
+        SceneSpec(empty_prob=math.nan)
 
 
 def test_spec_rejects_objects_larger_than_canvas():
@@ -107,16 +109,18 @@ def test_spec_rejects_inverted_count_range():
     ["puddle_axis", "pig_axis", "bird_axis", "warm_delta", "stripe_thickness"],
 )
 def test_spec_rejects_a_non_finite_range(field, bad):
-    with pytest.raises(SynthError, match=f"{field} range"):
+    message = f"^{field} bound must be a finite number, got {bad}$"
+    with pytest.raises(SynthError, match=message):
         SceneSpec(**{field: (2.0, bad)})
-    with pytest.raises(SynthError, match=f"{field} range"):
+    with pytest.raises(SynthError, match=message):
         SceneSpec(**{field: (bad, 3.0)})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("field", ["puddle_extra_lambda", "noise_sigma"])
 def test_spec_rejects_a_non_finite_or_negative_rate(field, bad):
-    with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
+    refusal = "non-negative" if bad < 0 else "a finite number"
+    with pytest.raises(SynthError, match=f"^{field} must be {refusal}, got {bad}$"):
         SceneSpec(**{field: bad})
 
 
@@ -300,7 +304,10 @@ def test_distractor_file_round_trips():
 @pytest.mark.parametrize(
     "doc",
     # the command-line tests cover lists, boxes, " 1" and "01"
-    ["[]", '{"-0": []}', '{"1_0": []}', '{"x": []}', '{"2e3": []}', '{"9223372036854775808": []}'],
+    [
+        "[]", '{"-0": []}', '{"1_0": []}', '{"x": []}', '{"2e3": []}', '{"9223372036854775808": []}',
+        pytest.param(f'{{"1": [[{"9" * 5000}, 0, 1, 1]]}}', id="5000-digit-int"),
+    ],
 )
 def test_parse_distractors_rejects_malformed_files(doc):
     with pytest.raises(SynthError, match="^malformed distractor file: "):
@@ -319,11 +326,8 @@ def test_detector_spec_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_detector_spec_rejects_non_finite_values(bad):
-    for field in ("p_drop", "p_distractor_fp"):
-        with pytest.raises(SynthError, match=rf"^{field}={bad} outside \[0, 1\]$"):
-            MockDetectorSpec(**{field: bad})
-    for field in ("p_fp", "jitter_sigma"):
-        with pytest.raises(SynthError, match=f"^{field} must be finite and non-negative"):
+    for field in ("p_drop", "p_distractor_fp", "p_fp", "jitter_sigma"):
+        with pytest.raises(SynthError, match=f"^{field} must be a finite number, got {bad}$"):
             MockDetectorSpec(**{field: bad})
 
 
